@@ -1,13 +1,14 @@
 // Tracked performance baseline: compress/decompress throughput, compression
 // factor, and per-stage breakdown on 1D/2D/3D synthetic fields, measured for
-// THREE hot-path modes in the same run so speedups are apples-to-apples on
-// the same machine:
-//   reference — the pre-kernel seed walk + bit-by-bit Huffman decode,
-//   fast      — specialized wavefront kernels, bit-identical to reference
-//               (verified on every run),
-//   turbo     — reciprocal-multiply quantization; NOT bit-identical, so the
-//               suite instead verifies the error-bound contract by
-//               decompressing and reporting max |x - x'| against eb.
+// both hot-path modes (plus the rANS entropy backend) in the same run so
+// speedups are apples-to-apples on the same machine:
+//   fast  — specialized wavefront kernels, exact divide (bit-identity with
+//           the generic walk is pinned by tests/test_kernels.cpp and the
+//           golden streams in tests/test_format.cpp),
+//   turbo — reciprocal-multiply quantization; NOT bit-identical, so the
+//           suite verifies the error-bound contract by decompressing and
+//           reporting max |x - x'| against eb,
+//   rans  — the fast walk with the rANS entropy backend.
 // A threaded section measures the parallel slab codec (fast + turbo) at
 // --threads N workers, an archive-serving section measures concurrent
 // region reads on one shared ArchiveReader (skewed hot-set mix, decoded-
@@ -27,11 +28,11 @@
 //   --out       write JSON to FILE instead of stdout
 //   --filter    run only sections whose tag matches REGEX (search, not
 //               full match).  Tags: <field>/<mode> for the sequential
-//               modes (reference|fast|turbo|rans),
+//               modes (fast|turbo|rans),
 //               <field>/parallel/<mode> (fast|turbo|rans) for the slab
 //               codec, and serving/(nocache|cache|parity|daemon|mmap|
-//               sharded) for the archive-serving sections.  Cross-record outputs (the
-//               fast-vs-reference identity check, the speedup record)
+//               sharded) for the archive-serving sections.  Cross-record
+//               outputs (the rans/fast recon check, the speedup record)
 //               appear only when every input they need also matched.
 #include <algorithm>
 #include <atomic>
@@ -104,13 +105,11 @@ double max_abs_error(std::span<const float> a, std::span<const float> b) {
   return m;
 }
 
-/// Measure one hot-path mode.  The mode rides opts.exec (per-call policy,
-/// no scope guards), and a per-measure scratch arena is reused across reps
-/// exactly as a batch workload would.
+/// Measure one hot-path mode.  The mode rides opts.exec (per-call policy),
+/// and a per-measure scratch arena is reused across reps exactly as a
+/// batch workload would.
 StageTimes measure(const data::Field& f, const Options& opts, int reps,
-                   std::vector<std::uint8_t>* stream_out,
                    std::vector<float>* recon_out) {
-  const HotPathMode mode = opts.exec.resolved_mode();
   CodecScratch scratch;
   Options timed = opts;
   timed.exec.scratch = &scratch;
@@ -138,14 +137,14 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   const auto pass = prediction_quantization_pass(
       f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs, false,
       timed.exec);
-  const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs, mode);
+  const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs);
   const bool rans = opts.exec.entropy == EntropyBackend::kRans;
   st.entropy_encode_s = best_of(reps, [&] {
     ByteWriter w;
     if (rans)
       rans_encode(pass.codes, quantizer.alphabet_size(), w);
     else
-      huffman_encode(pass.codes, quantizer.alphabet_size(), w, mode);
+      huffman_encode(pass.codes, quantizer.alphabet_size(), w);
   });
   // Reuse a code vector across reps like decompress_into does with the
   // arena, so entropy_decode_s and decompress_s amortize allocation the
@@ -157,11 +156,10 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
     if (rans)
       rans_decode_into(in, decode_codes, f.dims.count());
     else
-      huffman_decode_into(in, decode_codes, mode);
+      huffman_decode_into(in, decode_codes);
   });
   st.kernel_decode_s = st.decompress_s - st.entropy_decode_s;
 
-  if (stream_out) *stream_out = std::move(stream);
   if (recon_out) *recon_out = std::move(out);
   return st;
 }
@@ -169,8 +167,8 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
 struct ParallelTimes {
   double compress_s = 0;
   double decompress_s = 0;
-  double entropy_encode_s = 0;  // per-slab emit, CPU seconds across workers
-  double entropy_decode_s = 0;  // per-slab payload decode, CPU seconds
+  double entropy_encode_s = 0;  // per-slab emit, thread CPU s across workers
+  double entropy_decode_s = 0;  // per-slab payload decode, thread CPU s
   std::size_t stream_bytes = 0;
   std::size_t chunks = 0;
   double max_error = 0;
@@ -340,55 +338,32 @@ int main(int argc, char** argv) {
       Options opts;
       opts.eb_abs = 1e-3;
 
-      const bool w_ref = want(fname + "/reference");
       const bool w_fast = want(fname + "/fast");
       const bool w_turbo = want(fname + "/turbo");
       const bool w_rans = want(fname + "/rans");
       const bool w_par_fast = want(fname + "/parallel/fast");
       const bool w_par_turbo = want(fname + "/parallel/turbo");
       const bool w_par_rans = want(fname + "/parallel/rans");
-      if (!(w_ref || w_fast || w_turbo || w_rans || w_par_fast ||
-            w_par_turbo || w_par_rans))
+      if (!(w_fast || w_turbo || w_rans || w_par_fast || w_par_turbo ||
+            w_par_rans))
         continue;
 
-      // Four-way comparison through per-call policies: same process, no
-      // scope guards, no global state.  "rans" is the fast walk with the
-      // rANS entropy backend — same codes, different entropy stage — so
-      // its reconstruction must be bit-identical to fast's.
-      std::vector<std::uint8_t> ref_stream, fast_stream;
-      std::vector<float> ref_recon, fast_recon, rans_recon;
-      StageTimes ref, fast, turbo, rans;
-      if (w_ref) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kReference;
-        ref = measure(f, o, reps, &ref_stream, &ref_recon);
-      }
-      if (w_fast) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kFast;
-        fast = measure(f, o, reps, &fast_stream, &fast_recon);
-      }
+      // Three-way comparison through per-call policies: same process, no
+      // global state.  "rans" is the fast walk with the rANS entropy
+      // backend — same codes, different entropy stage — so its
+      // reconstruction must be bit-identical to fast's.
+      std::vector<float> fast_recon, rans_recon;
+      StageTimes fast, turbo, rans;
+      if (w_fast) fast = measure(f, opts, reps, &fast_recon);
       if (w_turbo) {
         Options o = opts;
         o.exec.mode = HotPathMode::kTurbo;
-        turbo = measure(f, o, reps, nullptr, nullptr);
+        turbo = measure(f, o, reps, nullptr);
       }
       if (w_rans) {
         Options o = opts;
-        o.exec.mode = HotPathMode::kFast;
         o.exec.entropy = EntropyBackend::kRans;
-        rans = measure(f, o, reps, nullptr, &rans_recon);
-      }
-      const bool identical =
-          !(w_ref && w_fast) ||
-          (ref_stream == fast_stream &&
-           std::memcmp(ref_recon.data(), fast_recon.data(),
-                       ref_recon.size() * sizeof(float)) == 0);
-      if (!identical) {
-        std::fprintf(stderr,
-                     "run_perf_suite: FAST/REFERENCE DIVERGENCE on %s\n",
-                     fname.c_str());
-        exit_code = 1;
+        rans = measure(f, o, reps, &rans_recon);
       }
       if (w_turbo && !(turbo.max_error <= opts.eb_abs)) {
         std::fprintf(stderr,
@@ -412,10 +387,6 @@ int main(int argc, char** argv) {
         exit_code = 1;
       }
 
-      if (w_ref)
-        emit_mode_record(json, field_names[fi], f.dims.rank(),
-                         f.values.size(), raw_bytes, ref, "reference",
-                         opts.eb_abs, reps);
       if (w_fast)
         emit_mode_record(json, field_names[fi], f.dims.rank(),
                          f.values.size(), raw_bytes, fast, "fast",
@@ -433,11 +404,7 @@ int main(int argc, char** argv) {
       // entropy), with the per-slab entropy CPU time carried out of the
       // codec itself.
       ParallelTimes par_fast, par_turbo, par_rans;
-      if (w_par_fast) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kFast;
-        par_fast = measure_parallel(f, o, reps, pool);
-      }
+      if (w_par_fast) par_fast = measure_parallel(f, opts, reps, pool);
       if (w_par_turbo) {
         Options o = opts;
         o.exec.mode = HotPathMode::kTurbo;
@@ -445,7 +412,6 @@ int main(int argc, char** argv) {
       }
       if (w_par_rans) {
         Options o = opts;
-        o.exec.mode = HotPathMode::kFast;
         o.exec.entropy = EntropyBackend::kRans;
         par_rans = measure_parallel(f, o, reps, pool);
       }
@@ -490,19 +456,17 @@ int main(int argc, char** argv) {
         json.end_record();
       }
 
-      if (w_ref && w_fast && w_turbo && w_par_turbo) {
+      // Turbo measured against fast on the same machine and run.
+      if (w_fast && w_turbo && w_par_turbo) {
         json.begin_record();
         json.kv("bench", "perf_suite_speedup");
         json.kv("field", field_names[fi]);
         json.kv("rank", f.dims.rank());
-        json.kv("speedup_compress", ref.compress_s / fast.compress_s);
-        json.kv("speedup_decompress", ref.decompress_s / fast.decompress_s);
-        json.kv("speedup_compress_turbo", ref.compress_s / turbo.compress_s);
+        json.kv("speedup_compress_turbo", fast.compress_s / turbo.compress_s);
         json.kv("speedup_decompress_turbo",
-                ref.decompress_s / turbo.decompress_s);
+                fast.decompress_s / turbo.decompress_s);
         json.kv("speedup_compress_parallel_turbo",
-                ref.compress_s / par_turbo.compress_s);
-        json.kv("streams_identical", static_cast<std::size_t>(identical));
+                fast.compress_s / par_turbo.compress_s);
         json.kv("turbo_max_error", turbo.max_error);
         json.kv("turbo_cf_delta",
                 static_cast<double>(raw_bytes) /
@@ -512,23 +476,18 @@ int main(int argc, char** argv) {
         json.end_record();
       }
 
-      if (w_ref && w_fast && w_turbo)
+      if (w_fast && w_turbo)
         std::fprintf(
             stderr,
-            "%-12s  compress %6.1f -> %6.1f -> %6.1f MB/s "
-            "(fast %.2fx, turbo %.2fx)   decompress %6.1f -> %6.1f MB/s "
-            "(%.2fx)   CF %.2f%s   turbo max_err %.2e\n",
-            fname.c_str(), gbps(raw_bytes, ref.compress_s) * 1e3,
-            gbps(raw_bytes, fast.compress_s) * 1e3,
+            "%-12s  compress %6.1f -> %6.1f MB/s (turbo %.2fx)   "
+            "decompress %6.1f MB/s   CF %.2f   turbo max_err %.2e\n",
+            fname.c_str(), gbps(raw_bytes, fast.compress_s) * 1e3,
             gbps(raw_bytes, turbo.compress_s) * 1e3,
-            ref.compress_s / fast.compress_s,
-            ref.compress_s / turbo.compress_s,
-            gbps(raw_bytes, ref.decompress_s) * 1e3,
+            fast.compress_s / turbo.compress_s,
             gbps(raw_bytes, fast.decompress_s) * 1e3,
-            ref.decompress_s / fast.decompress_s,
             static_cast<double>(raw_bytes) /
                 static_cast<double>(fast.stream_bytes),
-            identical ? "" : "  [DIVERGED]", turbo.max_error);
+            turbo.max_error);
       if (w_rans && w_fast)
         std::fprintf(
             stderr,

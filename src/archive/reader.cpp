@@ -315,10 +315,8 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
                    PreadFile::Advice::kWillNeed);
   }
 
-  // Per-read execution policy: resolve the mode once on the calling thread
-  // (workers never consult process state); scratch is the reader's arena.
+  // Per-read execution policy: scratch is the reader's arena.
   ExecPolicy exec = policy_;
-  exec.mode = policy_.resolved_mode();
   exec.pool = nullptr;  // block tasks are single-threaded
   exec.scratch = &scratch_;
 

@@ -121,16 +121,15 @@ class ArchiveReader {
   /// last valid checkpoint instead (see above).
   ///
   /// `policy` is the reader's per-call execution strategy, applied to every
-  /// read: `policy.mode` selects the decode hot path (decoded values are
-  /// identical in every mode), `policy.pool` supplies the block-serving
-  /// pool (null: the reader lazily owns a private pool of `threads`
-  /// workers, falling back to `policy.threads` when the ctor argument is
-  /// 0; both 0 selects hardware_concurrency()).  `policy.scratch` is
-  /// ignored — the reader keeps its own arena so repeated reads are
-  /// allocation-free per block regardless of caller discipline; its slots
-  /// belong to the pool's bounded worker set (decodes never run on caller
-  /// threads), so serving an unbounded stream of short-lived threads
-  /// cannot grow reader state.
+  /// read (`policy.mode` plays no part — decoding is exact in every mode):
+  /// `policy.pool` supplies the block-serving pool (null: the reader lazily
+  /// owns a private pool of `threads` workers, falling back to
+  /// `policy.threads` when the ctor argument is 0; both 0 selects
+  /// hardware_concurrency()).  `policy.scratch` is ignored — the reader
+  /// keeps its own arena so repeated reads are allocation-free per block
+  /// regardless of caller discipline; its slots belong to the pool's
+  /// bounded worker set (decodes never run on caller threads), so serving
+  /// an unbounded stream of short-lived threads cannot grow reader state.
   /// `fetch` selects the payload I/O path: FetchMode::kPread (default)
   /// stages every payload through a scratch buffer; FetchMode::kMmap maps
   /// the payload files and decodes straight from the mapping (zero-copy),

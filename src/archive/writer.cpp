@@ -244,15 +244,13 @@ void ArchiveWriter::append_impl(const std::string& name,
   const BlockGrid grid(dims, block_dims);
   const std::size_t n = grid.block_count();
 
-  // Per-writer execution policy: resolve the mode once on this thread
-  // (workers never consult process state) and hand every block task the
-  // writer's scratch arena — per-worker buffer slots that persist across
+  // Per-writer execution policy: hand every block task the writer's
+  // scratch arena — per-worker buffer slots that persist across
   // appends, so batch ingest allocates walk buffers only on first touch.
   // Each block task is a complete walk+encode, so with several blocks in
   // flight block i+1's prediction pass naturally overlaps block i's
   // entropy encode — the same pipeline shape as the parallel slab codec.
   ExecPolicy block_exec = policy_;
-  block_exec.mode = policy_.resolved_mode();
   block_exec.pool = nullptr;  // block tasks are single-threaded
   block_exec.scratch = &scratch_;
 

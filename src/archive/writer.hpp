@@ -56,12 +56,11 @@ class ArchiveWriter {
   /// Creates (truncates) `path` and writes the superblock.  `policy` is
   /// this writer's per-call execution strategy, applied to every
   /// append_field(): `policy.mode` selects the hot path for block
-  /// compression (e.g. HotPathMode::kTurbo for maximum-throughput ingest;
-  /// unset resolves the process default once per append), `policy.pool`
-  /// supplies the block-compression pool (null: the writer owns a private
-  /// pool of `threads` workers, falling back to `policy.threads` when the
-  /// ctor argument is 0; both 0 selects hardware_concurrency()).  The
-  /// policy is plain per-writer state —
+  /// compression (e.g. HotPathMode::kTurbo for maximum-throughput ingest),
+  /// `policy.pool` supplies the block-compression pool (null: the writer
+  /// owns a private pool of `threads` workers, falling back to
+  /// `policy.threads` when the ctor argument is 0; both 0 selects
+  /// hardware_concurrency()).  The policy is plain per-writer state —
   /// concurrent codec work elsewhere in the process is unaffected.  The
   /// writer keeps one scratch arena across appends, so batch ingest stops
   /// paying per-block buffer allocation; `policy.scratch` is ignored (the

@@ -1,6 +1,6 @@
 #include "common/bitstream.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace sz14 {
 
@@ -18,25 +18,6 @@ void BitWriter::put(std::uint64_t value, unsigned nbits) {
   put_bulk(value & 0xFFFF'FFFFu, 32);
 }
 
-void BitWriter::put_legacy(std::uint64_t value, unsigned nbits) {
-  nbits_ += nbits;
-  // Feed bits MSB-first into the accumulator, flushing whole bytes.
-  unsigned left = nbits;
-  while (left > 0) {
-    const unsigned take = std::min(8u - fill_, left);
-    const std::uint64_t chunk = (value >> (left - take)) &
-                                ((std::uint64_t{1} << take) - 1);
-    acc_ = (acc_ << take) | chunk;
-    fill_ += take;
-    left -= take;
-    if (fill_ == 8) {
-      bytes_.push_back(static_cast<std::uint8_t>(acc_));
-      acc_ = 0;
-      fill_ = 0;
-    }
-  }
-}
-
 std::vector<std::uint8_t> BitWriter::finish() && {
   if (fill_ > 0) {
     const std::uint64_t mask = (std::uint64_t{1} << fill_) - 1;
@@ -52,8 +33,6 @@ std::uint64_t BitReader::get(unsigned nbits) {
   if (nbits == 0) return 0;
   if (pos_ + nbits > bit_size())
     throw std::runtime_error("BitReader: read past end of stream");
-  if (legacy_) [[unlikely]]
-    return get_legacy(nbits);
   if (nbits <= kPeekBits) {
     const std::uint64_t v = peek(nbits);
     pos_ += nbits;
@@ -63,25 +42,6 @@ std::uint64_t BitReader::get(unsigned nbits) {
   const unsigned hi = nbits - 32;
   std::uint64_t v = get(hi) << 32;
   return v | get(32);
-}
-
-std::uint64_t BitReader::get_legacy(unsigned nbits) {
-  std::uint64_t v = 0;
-  unsigned left = nbits;
-  while (left > 0) {
-    const std::size_t byte = static_cast<std::size_t>(pos_ >> 3);
-    const unsigned bit_off = static_cast<unsigned>(pos_ & 7);
-    const unsigned avail = 8 - bit_off;
-    const unsigned take = std::min(avail, left);
-    const std::uint8_t cur = data_[byte];
-    const std::uint8_t chunk =
-        static_cast<std::uint8_t>((cur >> (avail - take)) &
-                                  ((1u << take) - 1));
-    v = (v << take) | chunk;
-    pos_ += take;
-    left -= take;
-  }
-  return v;
 }
 
 }  // namespace sz14

@@ -15,18 +15,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/hotpath.hpp"
-
 namespace sz14 {
 
-/// Append-only MSB-first bit writer.  `mode` arrives per call from the
-/// caller's ExecPolicy; kReference selects the seed byte-at-a-time feed
-/// (identical output, kept as the measured baseline).
+/// Append-only MSB-first bit writer.
 class BitWriter {
  public:
-  explicit BitWriter(HotPathMode mode = HotPathMode::kFast)
-      : legacy_(mode == HotPathMode::kReference) {}
-
   /// Append the low `nbits` bits of `value`, most significant first.
   /// nbits may be 0 (no-op) up to 64.  Validates and masks `value`.
   void put(std::uint64_t value, unsigned nbits);
@@ -35,10 +28,6 @@ class BitWriter {
   /// <= kBulkBits and `value` must already be masked to `nbits` bits.
   /// Feeds the 64-bit accumulator directly, flushing whole bytes.
   void put_bulk(std::uint64_t value, unsigned nbits) {
-    if (legacy_) [[unlikely]] {
-      put_legacy(value, nbits);
-      return;
-    }
     acc_ = (acc_ << nbits) | value;
     fill_ += nbits;
     nbits_ += nbits;
@@ -62,26 +51,17 @@ class BitWriter {
   [[nodiscard]] std::uint64_t bit_count() const noexcept { return nbits_; }
 
  private:
-  // The original byte-at-a-time feed, kept as the measured pre-kernel
-  // baseline: a kReference-constructed writer routes every put through
-  // it.  Output is identical either way.
-  void put_legacy(std::uint64_t value, unsigned nbits);
-
   std::vector<std::uint8_t> bytes_;
   std::uint64_t acc_ = 0;  // low fill_ bits pending; higher bits are garbage
   unsigned fill_ = 0;      // number of pending bits in acc_ (always < 8
                            // between calls — put_bulk flushes whole bytes)
   std::uint64_t nbits_ = 0;
-  bool legacy_;
 };
 
-/// Bounds-checked MSB-first bit reader over a borrowed span.  `mode`
-/// arrives per call from the caller's ExecPolicy (see BitWriter).
+/// Bounds-checked MSB-first bit reader over a borrowed span.
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::uint8_t> data,
-                     HotPathMode mode = HotPathMode::kFast)
-      : data_(data), legacy_(mode == HotPathMode::kReference) {}
+  explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
   /// Read `nbits` (0..64) bits, MSB-first.
   [[nodiscard]] std::uint64_t get(unsigned nbits);
@@ -140,13 +120,8 @@ class BitReader {
 #endif
   }
 
-  // Seed-baseline read path (per-byte chunks), selected by a kReference
-  // construction mode; see BitWriter::put_legacy.
-  std::uint64_t get_legacy(unsigned nbits);
-
   std::span<const std::uint8_t> data_;
   std::uint64_t pos_ = 0;
-  bool legacy_;
 };
 
 }  // namespace sz14

@@ -1,37 +1,39 @@
 // Per-call execution policy for the codec stack.
 //
 // Everything the paper's codec computes is a function of (data, dims, eb,
-// m, n) — the *execution strategy* (which hot-path implementation runs,
-// which thread pool carries slab/block batches, which scratch arena
-// supplies working buffers) is orthogonal to the stream contents, with two
-// explicit, flagged-in-the-stream exceptions: kTurbo's reciprocal
-// quantizer and the EntropyBackend selection below.
+// m, n) — the *execution strategy* (which compress walk runs, which thread
+// pool carries slab/block batches, which scratch arena supplies working
+// buffers) is orthogonal to the stream contents, with two explicit,
+// flagged-in-the-stream exceptions: kTurbo's reciprocal quantizer and the
+// EntropyBackend selection below.
 // ExecPolicy makes that strategy an explicit per-call value carried on
 // Options (compress side) or passed to the decompress entry points, so
 // many concurrent calls with heterogeneous settings coexist in one
 // process: no layer below the public API reads process-global mutable
 // state to decide how to execute.
-//
-// `mode` left unset falls back to the process default (common/hotpath.hpp,
-// a test-ergonomics shim) — resolved ONCE at the API boundary by
-// resolved_mode(), never re-read on worker threads or inside kernels.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/hotpath.hpp"
-
 namespace sz14 {
 
 class ThreadPool;
+
+/// Compress-side hot path.  Both modes run the dimension-specialized
+/// wavefront walks (core/kernels.hpp) and decode through the same exact
+/// decoder; they differ only in the quantizer's divide.
+enum class HotPathMode {
+  kFast,   // exact divide: streams bit-identical to the generic walk
+  kTurbo,  // reciprocal-multiply quantization: bound-conformant
+           // (|x - x'| <= eb) but not bit-identical to kFast streams
+};
 
 /// Reusable working-buffer arena for repeated codec calls (batch
 /// workloads: archive appends, slab pipelines, bench reps).  Buffers only
@@ -136,20 +138,18 @@ class CodecScratch {
 
 /// Entropy backend for the quantization-code section of a stream.  Like
 /// kTurbo's reciprocal quantizer, this is an explicit stream-contents
-/// trade selected per call: kHuffman is the seed-faithful default
-/// (bit-identical streams in kReference/kFast), kRans writes the
-/// interleaved two-stream rANS section instead (flagged in the stream
-/// header; old readers reject it cleanly as an unknown flag).  Decoders
-/// dispatch on the stream itself, never on this field.
+/// trade selected per call: kHuffman is the seed-faithful default, kRans
+/// writes the interleaved two-stream rANS section instead (flagged in the
+/// stream header; old readers reject it cleanly as an unknown flag).
+/// Decoders dispatch on the stream itself, never on this field.
 enum class EntropyBackend : std::uint8_t { kHuffman = 0, kRans = 1 };
 
 /// Execution strategy for one codec call.  Value type: copy freely; the
 /// pointers are non-owning borrows that must outlive the call.
 struct ExecPolicy {
-  /// Hot-path implementation (kFast/kReference/kTurbo).  Unset inherits
-  /// the process default (hot_path_mode()), resolved once at the API
-  /// boundary — set it explicitly for mixed-mode concurrency.
-  std::optional<HotPathMode> mode;
+  /// Compress-side hot path (encode side only — decode is exact in every
+  /// mode).
+  HotPathMode mode = HotPathMode::kFast;
   /// Pool for the threaded entry points (parallel codec, archive writer).
   /// Null: the callee builds a private pool of `threads` workers.
   ThreadPool* pool = nullptr;
@@ -160,16 +160,6 @@ struct ExecPolicy {
   /// Entropy coder for the quantization-code section (encode side only —
   /// decode follows the stream).
   EntropyBackend entropy = EntropyBackend::kHuffman;
-
-  [[nodiscard]] HotPathMode resolved_mode() const noexcept {
-    return mode ? *mode : hot_path_mode();
-  }
-
-  [[nodiscard]] static ExecPolicy with_mode(HotPathMode m) {
-    ExecPolicy p;
-    p.mode = m;
-    return p;
-  }
 };
 
 /// Working buffer from `scratch`'s arena, or a fresh caller-owned

@@ -67,7 +67,6 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   if (data.size() != dims.count())
     throw std::invalid_argument("sz14: data size does not match dims");
   const std::size_t n = data.size();
-  const HotPathMode mode = exec.resolved_mode();
   PassResultT<T> r;
   r.codes.resize(n);
   r.reconstructed.resize(n);
@@ -76,11 +75,11 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   // Decorrelation dithers the quantization grid by a per-index offset; the
   // rounding guarantee is unaffected, but the error loses its spatial
   // structure (the paper's future-work item for high-CF data).
-  const LinearQuantizer quantizer(interval_bits, eb, mode);
+  const LinearQuantizer quantizer(interval_bits, eb);
   const UnpredictableCodecT<T> unpred(eb);
-  BitWriter bw(mode);
+  BitWriter bw;
   const detail::PassCounters counters = detail::pq_compress_walk<T>(
-      data, dims, predictor, quantizer, unpred, eb, decorrelate, mode,
+      data, dims, predictor, quantizer, unpred, eb, decorrelate, exec.mode,
       r.codes, r.reconstructed, bw);
   r.predictable = counters.predictable;
   r.strict_hits = counters.strict_hits;
@@ -113,7 +112,6 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
   // field scale); recon is scratch and dies with this scope — or comes
   // from the caller's arena, where it survives for the next call.
   const std::size_t n = data.size();
-  const HotPathMode mode = opts.exec.resolved_mode();
   std::unique_ptr<std::uint16_t[]> codes_own;
   std::unique_ptr<T[]> recon_own;
   const std::span<std::uint16_t> codes =
@@ -121,12 +119,12 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
   const std::span<T> recon =
       scratch_recon_or<T>(opts.exec.scratch, recon_own, n);
   const LayerPredictor predictor(dims, opts.layers);
-  const LinearQuantizer quantizer(opts.interval_bits, eb, mode);
+  const LinearQuantizer quantizer(opts.interval_bits, eb);
   const UnpredictableCodecT<T> unpred(eb);
-  BitWriter bw(mode);
+  BitWriter bw;
   const detail::PassCounters counters = detail::pq_compress_walk<T>(
-      data, dims, predictor, quantizer, unpred, eb, opts.decorrelate, mode,
-      codes, recon, bw);
+      data, dims, predictor, quantizer, unpred, eb, opts.decorrelate,
+      opts.exec.mode, codes, recon, bw);
   const auto unpred_bits = std::move(bw).finish();
 
   ByteWriter out;
@@ -143,7 +141,7 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
   if (h.rans_entropy)
     rans_encode(codes, quantizer.alphabet_size(), out);
   else
-    huffman_encode(codes, quantizer.alphabet_size(), out, mode);
+    huffman_encode(codes, quantizer.alphabet_size(), out);
   out.put_varint(unpred_bits.size());
   out.put_bytes(unpred_bits);
 
@@ -165,7 +163,6 @@ template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
                            const ExecPolicy& exec) {
-  const HotPathMode mode = exec.resolved_mode();
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
   if (h.dtype != dtype_of<T>())
@@ -187,7 +184,7 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   if (h.rans_entropy)
     rans_decode_into(in, codes, h.dims.count());
   else
-    huffman_decode_into(in, codes, mode);
+    huffman_decode_into(in, codes);
   if (codes.size() != h.dims.count())
     throw std::runtime_error("sz14: quantization array size mismatch");
   const auto n_unpred_bytes = static_cast<std::size_t>(in.get_varint());
@@ -200,12 +197,11 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   }
 
   const LayerPredictor predictor(h.dims, h.layers);
-  const LinearQuantizer quantizer(h.interval_bits, h.eb_abs, mode);
+  const LinearQuantizer quantizer(h.interval_bits, h.eb_abs);
   const UnpredictableCodecT<T> unpred(h.eb_abs);
-  BitReader br(unpred_bytes, mode);
+  BitReader br(unpred_bytes);
   detail::pq_decompress_walk<T>(codes, h.dims, predictor, quantizer, unpred,
-                                h.eb_abs, h.decorrelate, mode, out, br,
-                                exec.scratch);
+                                h.decorrelate, out, br, exec.scratch);
   return {h.dims, h.eb_abs};
 }
 

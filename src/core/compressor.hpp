@@ -42,10 +42,11 @@ struct Options {
   /// the reconstruction.  The pointwise bound still holds; the compression
   /// factor drops slightly (one extra bit of interval resolution is spent).
   bool decorrelate = false;
-  /// Execution strategy for this call (hot-path mode, pool, scratch).
-  /// Never part of the stream CONTENTS contract except through kTurbo's
-  /// explicit speed-for-bit-identity trade: kFast/kReference produce
-  /// identical bytes and scratch/pool choices are invisible in the output.
+  /// Execution strategy for this call (hot-path mode, pool, scratch,
+  /// entropy backend).  Never part of the stream CONTENTS contract except
+  /// through two explicit trades: kTurbo's reciprocal quantizer
+  /// (bound-conformant, not bit-identical to kFast) and the rANS backend.
+  /// Scratch and pool choices are invisible in the output.
   ExecPolicy exec;
 };
 
@@ -110,9 +111,9 @@ struct DecompressResult64 {
 };
 
 /// Decompress a float32 stream.  Throws std::runtime_error on malformed
-/// input or dtype mismatch.  The ExecPolicy overloads select the decode
-/// hot path and scratch arena per call; results are identical in every
-/// mode (decompression is mode-agnostic).
+/// input or dtype mismatch.  The ExecPolicy overloads take the scratch
+/// arena per call; decoding has one exact implementation, so `exec.mode`
+/// plays no part.
 DecompressResult decompress(std::span<const std::uint8_t> stream);
 DecompressResult decompress(std::span<const std::uint8_t> stream,
                             const ExecPolicy& exec);

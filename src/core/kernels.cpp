@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/field_utils.hpp"
@@ -41,10 +42,10 @@ struct RowState {
 
 // ---------------------------------------------------------------- bodies
 
-/// Seed-faithful compress body: inline unpredictable encoding into bw,
-/// exactly the original loop in compressor.cpp.
+/// Generic-walk compress body: inline unpredictable encoding into bw,
+/// exactly the seed's original loop in compressor.cpp.
 template <typename T>
-struct CompressBodyRef {
+struct CompressBodyGeneric {
   const T* data;
   std::uint16_t* codes;
   T* recon;
@@ -79,11 +80,9 @@ struct CompressBodyRef {
 
 /// LinearQuantizer::quantize with the quantizer state hoisted into scalars
 /// (two_eb == 2.0 * eb, radius_d == double(radius), radius_i ==
-/// int32(radius)) and the reference-mode rounding branch dropped — the fast
-/// bodies only ever run in HotPathMode::kFast / kTurbo.  With kRecip ==
-/// false the arithmetic is operation-for-operation LinearQuantizer::
-/// quantize, so results stay bit-identical (enforced by
-/// tests/test_kernels.cpp).  With kRecip == true the divide on the serial
+/// int32(radius)).  With kRecip == false the arithmetic is
+/// operation-for-operation LinearQuantizer::quantize, so results stay
+/// bit-identical (enforced by tests/test_kernels.cpp).  With kRecip == true the divide on the serial
 /// prediction chain becomes a reciprocal multiply (inv_2eb == 1 / (2*eb)):
 /// the interval index may round differently near boundaries, but the final
 /// reconstruction check demotes any point whose stored value would violate
@@ -178,31 +177,6 @@ struct CompressBodyFast {
   [[nodiscard]] const T* basis() const noexcept { return recon; }
 };
 
-/// Seed-faithful decompress body: unpredictable values pulled straight off
-/// the bitstream during the (index-ordered) walk.
-template <typename T>
-struct DecompressBodyRef {
-  const std::uint16_t* codes;
-  T* out;
-  const LinearQuantizer* quantizer;
-  const UnpredictableCodecT<T>* unpred;
-  BitReader* br;
-  double eb;
-  bool decorrelate;
-
-  RowState begin_row(std::size_t) const { return {}; }
-
-  template <typename PredFn>
-  T point(std::size_t i, RowState&, PredFn&& pred_fn) {
-    if (codes[i] == 0) return out[i] = unpred->decode(*br);
-    const double pred = pred_fn();
-    const double grid_pred = decorrelate ? pred + dither_for(i, eb) : pred;
-    return out[i] = quantizer->reconstruct<T>(codes[i], grid_pred);
-  }
-
-  [[nodiscard]] const T* basis() const noexcept { return out; }
-};
-
 /// Wavefront-safe decompress body: unpredictable values come from the
 /// pre-decoded array, each row starting at its precomputed rank.  The
 /// reconstruction (pred + 2*eb*q, see LinearQuantizer::reconstruct) is
@@ -246,8 +220,9 @@ inline double tap_predict(const T* v, std::size_t i,
   return acc;
 }
 
-/// Reference walk (also the rank-4 fallback): the original CoordWalker
-/// loop, one containment-checked predict per point, strict index order.
+/// Generic walk (pq_compress_walk_generic and the rank-4 fallback): the
+/// original CoordWalker loop, one containment-checked predict per point,
+/// strict index order.
 template <typename T, typename Body>
 void walk_generic(const Dims& dims, const LayerPredictor& predictor,
                   Body& body) {
@@ -547,43 +522,31 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
   // The lossless fallback (eb <= 0) makes every point unpredictable: the
   // wavefront would analyse each point twice (reconstruct in the walk,
   // encode in the emission pass) for zero overlap benefit, so that case
-  // takes the inline-emitting reference walk too.
-  if (mode == HotPathMode::kReference || !(eb > 0.0)) {
-    CompressBodyRef<T> body{data.data(), codes.data(), recon.data(),
-                            &quantizer, &unpred, &bw, eb, decorrelate};
-    walk_generic<T>(dims, predictor, body);
-    return {body.predictable, body.strict_hits};
-  }
+  // takes the inline-emitting generic walk.
+  if (!(eb > 0.0))
+    return pq_compress_walk_generic(data, dims, predictor, quantizer, unpred,
+                                    eb, decorrelate, codes, recon, bw);
   const auto radius =
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
-  PassCounters counters;
-  if (mode == HotPathMode::kTurbo) {
-    CompressBodyFast<T, true> body{data.data(),
-                                   codes.data(),
-                                   recon.data(),
-                                   &unpred,
-                                   quantizer.error_bound(),
-                                   2.0 * quantizer.error_bound(),
-                                   quantizer.inv_interval(),
-                                   static_cast<double>(radius),
-                                   radius,
-                                   decorrelate};
+  // kRecip is the only difference between the kFast and kTurbo bodies.
+  const auto run = [&](auto recip) {
+    CompressBodyFast<T, decltype(recip)::value> body{
+        data.data(),
+        codes.data(),
+        recon.data(),
+        &unpred,
+        quantizer.error_bound(),
+        2.0 * quantizer.error_bound(),
+        quantizer.inv_interval(),
+        static_cast<double>(radius),
+        radius,
+        decorrelate};
     walk_fast<T>(dims, predictor, body);
-    counters = {body.predictable, body.strict_hits};
-  } else {
-    CompressBodyFast<T, false> body{data.data(),
-                                    codes.data(),
-                                    recon.data(),
-                                    &unpred,
-                                    quantizer.error_bound(),
-                                    2.0 * quantizer.error_bound(),
-                                    quantizer.inv_interval(),
-                                    static_cast<double>(radius),
-                                    radius,
-                                    decorrelate};
-    walk_fast<T>(dims, predictor, body);
-    counters = {body.predictable, body.strict_hits};
-  }
+    return PassCounters{body.predictable, body.strict_hits};
+  };
+  const PassCounters counters = mode == HotPathMode::kTurbo
+                                    ? run(std::true_type{})
+                                    : run(std::false_type{});
   // Emit the unpredictable bitstream in index order (the wavefront visits
   // points out of order; bits must not).
   if (counters.predictable != data.size()) {
@@ -595,18 +558,27 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
 }
 
 template <typename T>
+PassCounters pq_compress_walk_generic(std::span<const T> data,
+                                      const Dims& dims,
+                                      const LayerPredictor& predictor,
+                                      const LinearQuantizer& quantizer,
+                                      const UnpredictableCodecT<T>& unpred,
+                                      double eb, bool decorrelate,
+                                      std::span<std::uint16_t> codes,
+                                      std::span<T> recon, BitWriter& bw) {
+  CompressBodyGeneric<T> body{data.data(), codes.data(), recon.data(),
+                              &quantizer, &unpred, &bw, eb, decorrelate};
+  walk_generic<T>(dims, predictor, body);
+  return {body.predictable, body.strict_hits};
+}
+
+template <typename T>
 void pq_decompress_walk(std::span<const std::uint16_t> codes,
                         const Dims& dims, const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
-                        const UnpredictableCodecT<T>& unpred, double eb,
-                        bool decorrelate, HotPathMode mode, std::span<T> out,
-                        BitReader& br, CodecScratch* scratch) {
-  if (mode == HotPathMode::kReference) {
-    DecompressBodyRef<T> body{codes.data(), out.data(), &quantizer, &unpred,
-                              &br, eb, decorrelate};
-    walk_generic<T>(dims, predictor, body);
-    return;
-  }
+                        const UnpredictableCodecT<T>& unpred,
+                        bool decorrelate, std::span<T> out, BitReader& br,
+                        CodecScratch* scratch) {
   // Pre-decode the unpredictable stream in index order and record each
   // natural row's starting rank so wavefront rows can pull independently.
   // With a scratch arena both staging vectors keep their capacity across
@@ -652,13 +624,21 @@ template PassCounters pq_compress_walk<double>(
     std::span<const double>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
+template PassCounters pq_compress_walk_generic<float>(
+    std::span<const float>, const Dims&, const LayerPredictor&,
+    const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
+    std::span<std::uint16_t>, std::span<float>, BitWriter&);
+template PassCounters pq_compress_walk_generic<double>(
+    std::span<const double>, const Dims&, const LayerPredictor&,
+    const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
+    std::span<std::uint16_t>, std::span<double>, BitWriter&);
 template void pq_decompress_walk<float>(
     std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<float>, BitReader&, CodecScratch*);
+    const LinearQuantizer&, const UnpredictableCodecT<float>&, bool,
+    std::span<float>, BitReader&, CodecScratch*);
 template void pq_decompress_walk<double>(
     std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<double>, BitReader&, CodecScratch*);
+    const LinearQuantizer&, const UnpredictableCodecT<double>&, bool,
+    std::span<double>, BitReader&, CodecScratch*);
 
 }  // namespace sz14::detail

@@ -9,15 +9,16 @@
 // stencil, a hardcoded expression.  Accumulation order matches
 // LayerPredictor::predict tap-for-tap, so codes, reconstructions, and
 // unpredictable bitstreams are bit-identical to the generic pass (enforced
-// by tests/test_kernels.cpp); rank-4 shapes and HotPathMode::kReference
-// take the generic walk.  HotPathMode::kTurbo runs the same walks with the
-// divide on the prediction chain replaced by a reciprocal multiply — not
-// bit-identical to the seed stream, but every point stays within the error
-// bound (boundary-straddling points are demoted to unpredictable; enforced
-// by tests/test_conformance.cpp).
+// by tests/test_kernels.cpp against pq_compress_walk_generic); rank-4
+// shapes run the same bodies over the generic walk.  HotPathMode::kTurbo
+// runs the same walks with the divide on the prediction chain replaced by
+// a reciprocal multiply — not bit-identical to kFast streams, but every
+// point stays within the error bound (boundary-straddling points are
+// demoted to unpredictable; enforced by tests/test_conformance.cpp).
 //
-// The mode is a plain argument: the walks never read process state, so
-// concurrent calls with different modes are independent by construction.
+// The mode is a compress-side argument only: decoding replays the stored
+// codes exactly whatever mode wrote them, so pq_decompress_walk has one
+// implementation.
 #pragma once
 
 #include <span>
@@ -42,7 +43,8 @@ struct PassCounters {
 /// Compress-side fused walk: fills codes / recon (both caller-owned and
 /// written in full, so they may be uninitialized on entry) and appends
 /// unpredictable-point bits to bw.  Preconditions (checked by the caller):
-/// data.size() == dims.count() == codes.size() == recon.size().
+/// data.size() == dims.count() == codes.size() == recon.size().  The
+/// lossless fallback (eb <= 0) delegates to pq_compress_walk_generic.
 template <typename T>
 PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const LayerPredictor& predictor,
@@ -52,17 +54,34 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               std::span<std::uint16_t> codes,
                               std::span<T> recon, BitWriter& bw);
 
+/// The seed's CoordWalker walk: one containment-checked prediction per
+/// point in strict index order, unpredictable bits emitted inline, exact
+/// divide.  Same contract as pq_compress_walk.  Production runs it for the
+/// lossless fallback (every point is unpredictable, so the wavefront gains
+/// nothing); tests use it as the oracle the fast walks must match bit for
+/// bit.
+template <typename T>
+PassCounters pq_compress_walk_generic(std::span<const T> data,
+                                      const Dims& dims,
+                                      const LayerPredictor& predictor,
+                                      const LinearQuantizer& quantizer,
+                                      const UnpredictableCodecT<T>& unpred,
+                                      double eb, bool decorrelate,
+                                      std::span<std::uint16_t> codes,
+                                      std::span<T> recon, BitWriter& bw);
+
 /// Decompress-side mirror: consumes codes plus the unpredictable bitstream
-/// into out (out.size() == dims.count() == codes.size()).  `scratch`, when
-/// non-null, supplies the fast path's pre-decoded unpredictable-value and
-/// row-rank buffers (reused across calls, never visible in the output).
+/// into out (out.size() == dims.count() == codes.size()); the error bound
+/// is the quantizer's.  `scratch`, when non-null, supplies the pre-decoded
+/// unpredictable-value and row-rank buffers (reused across calls, never
+/// visible in the output).
 template <typename T>
 void pq_decompress_walk(std::span<const std::uint16_t> codes,
                         const Dims& dims, const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
-                        const UnpredictableCodecT<T>& unpred, double eb,
-                        bool decorrelate, HotPathMode mode, std::span<T> out,
-                        BitReader& br, CodecScratch* scratch = nullptr);
+                        const UnpredictableCodecT<T>& unpred,
+                        bool decorrelate, std::span<T> out, BitReader& br,
+                        CodecScratch* scratch = nullptr);
 
 extern template PassCounters pq_compress_walk<float>(
     std::span<const float>, const Dims&, const LayerPredictor&,
@@ -72,13 +91,21 @@ extern template PassCounters pq_compress_walk<double>(
     std::span<const double>, const Dims&, const LayerPredictor&,
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     HotPathMode, std::span<std::uint16_t>, std::span<double>, BitWriter&);
+extern template PassCounters pq_compress_walk_generic<float>(
+    std::span<const float>, const Dims&, const LayerPredictor&,
+    const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
+    std::span<std::uint16_t>, std::span<float>, BitWriter&);
+extern template PassCounters pq_compress_walk_generic<double>(
+    std::span<const double>, const Dims&, const LayerPredictor&,
+    const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
+    std::span<std::uint16_t>, std::span<double>, BitWriter&);
 extern template void pq_decompress_walk<float>(
     std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<float>&, double, bool,
-    HotPathMode, std::span<float>, BitReader&, CodecScratch*);
+    const LinearQuantizer&, const UnpredictableCodecT<float>&, bool,
+    std::span<float>, BitReader&, CodecScratch*);
 extern template void pq_decompress_walk<double>(
     std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
-    HotPathMode, std::span<double>, BitReader&, CodecScratch*);
+    const LinearQuantizer&, const UnpredictableCodecT<double>&, bool,
+    std::span<double>, BitReader&, CodecScratch*);
 
 }  // namespace sz14::detail

@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "common/hotpath.hpp"
-
 namespace sz14 {
 
 /// Quantization decision for one data point.
@@ -35,14 +33,8 @@ class LinearQuantizer {
   /// 2^m codes including the unpredictable marker.  `eb` is the absolute
   /// error bound; eb <= 0 degenerates to "everything unpredictable"
   /// (lossless fallback used for zero-range / pathological inputs).
-  /// `mode` arrives per call from the caller's ExecPolicy; kReference
-  /// keeps quantize() on the seed's libm llround (identical results,
-  /// honest baseline timings).
-  LinearQuantizer(unsigned interval_bits, double eb,
-                  HotPathMode mode = HotPathMode::kFast)
-      : eb_(eb),
-        inv_2eb_(eb > 0.0 ? 1.0 / (2.0 * eb) : 0.0),
-        legacy_(mode == HotPathMode::kReference) {
+  LinearQuantizer(unsigned interval_bits, double eb)
+      : eb_(eb), inv_2eb_(eb > 0.0 ? 1.0 / (2.0 * eb) : 0.0) {
     if (interval_bits < 2 || interval_bits > 16)
       throw std::invalid_argument("LinearQuantizer: m must be in [2, 16]");
     bits_ = interval_bits;
@@ -72,11 +64,7 @@ class LinearQuantizer {
     const double diff = static_cast<double>(real) - pred;
     const double scaled = diff / (2.0 * eb_);
     if (!(std::fabs(scaled) < static_cast<double>(radius_))) return {};
-    // Identical results either way (see round_half_away); the libm call is
-    // what the seed measured, kept for kReference-mode timings.
-    const std::int32_t q =
-        legacy_ ? static_cast<std::int32_t>(std::llround(scaled))
-                : round_half_away(scaled);
+    const std::int32_t q = round_half_away(scaled);
     if (q <= -static_cast<std::int32_t>(radius_) ||
         q >= static_cast<std::int32_t>(radius_))
       return {};
@@ -146,7 +134,6 @@ class LinearQuantizer {
   double inv_2eb_;
   std::uint32_t radius_ = 0;
   unsigned bits_ = 0;
-  bool legacy_ = false;
 };
 
 }  // namespace sz14

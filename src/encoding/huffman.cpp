@@ -176,13 +176,11 @@ std::vector<std::uint32_t> huffman_canonical_codes(
 }
 
 std::vector<std::uint64_t> huffman_histogram(
-    std::span<const std::uint16_t> symbols, std::size_t alphabet_size,
-    HotPathMode mode) {
+    std::span<const std::uint16_t> symbols, std::size_t alphabet_size) {
   if (alphabet_size == 0 || alphabet_size > (1u << 16))
     throw std::invalid_argument("huffman_histogram: bad alphabet size");
   std::vector<std::uint64_t> freqs(alphabet_size, 0);
-  if (alphabet_size <= 2048 && symbols.size() >= 8 &&
-      mode != HotPathMode::kReference) {
+  if (alphabet_size <= 2048 && symbols.size() >= 8) {
     // Eight interleaved shadow histograms break the store-to-load
     // dependency runs of skewed symbol streams (the quantization-code
     // distribution concentrates on the centre code): with 4 lanes the
@@ -348,28 +346,18 @@ std::vector<std::uint8_t> huffman_read_lengths(ByteReader& in) {
 }
 
 void huffman_encode(std::span<const std::uint16_t> symbols,
-                    std::size_t alphabet_size, ByteWriter& out,
-                    HotPathMode mode) {
+                    std::size_t alphabet_size, ByteWriter& out) {
   if (alphabet_size == 0 || alphabet_size > (1u << 16))
     throw std::invalid_argument("huffman_encode: bad alphabet size");
-  const auto freqs = huffman_histogram(symbols, alphabet_size, mode);
+  const auto freqs = huffman_histogram(symbols, alphabet_size);
   const auto lengths = huffman_code_lengths(freqs);
   const auto codes = huffman_canonical_codes(lengths);
 
   huffman_write_lengths(lengths, out);
   out.put_varint(symbols.size());
 
-  if (mode == HotPathMode::kReference) {
-    BitWriter bw(mode);
-    for (auto s : symbols) bw.put_bulk(codes[s], lengths[s]);
-    auto payload = std::move(bw).finish();
-    out.put_varint(payload.size());
-    out.put_bytes(payload);
-    return;
-  }
-  // Fast path: the histogram gives the payload size up front
-  // (sum freq * length), so the bits go straight into `out` — no staging
-  // buffer, no copy.  Byte-for-byte the same layout as the staged path.
+  // The histogram gives the payload size up front (sum freq * length), so
+  // the bits go straight into `out` — no staging buffer, no copy.
   const auto packed = huffman_pack_codes(lengths, codes);
   std::uint64_t total_bits = 0;
   for (std::size_t s = 0; s < alphabet_size; ++s)
@@ -489,8 +477,7 @@ std::uint16_t HuffmanDecoder::decode_bitwise(BitReader& br) const {
 void huffman_decode_payload_into(const HuffmanDecoder& dec,
                                  std::span<const std::uint8_t> payload,
                                  std::size_t n_symbols,
-                                 std::vector<std::uint16_t>& out,
-                                 HotPathMode mode) {
+                                 std::vector<std::uint16_t>& out) {
   if (n_symbols == 0) {
     out.clear();
     return;
@@ -509,12 +496,7 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
   // element, so a reused vector only pays value-initialization for the
   // grown tail — not a full per-call memset.
   out.resize(n_symbols);
-  BitReader br(payload, mode);
-  if (mode == HotPathMode::kReference) {
-    for (std::size_t i = 0; i < n_symbols; ++i)
-      out[i] = dec.decode_bitwise(br);
-    return;
-  }
+  BitReader br(payload);
   // Multi-symbol fast loop: one table entry emits up to kMaxTableSymbols
   // symbols.  The i + kMaxTableSymbols <= n_symbols guard means at least
   // that many real symbols remain, so the prefix-determined chain in the
@@ -579,14 +561,13 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
 
 std::vector<std::uint16_t> huffman_decode_payload(
     const HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
-    std::size_t n_symbols, HotPathMode mode) {
+    std::size_t n_symbols) {
   std::vector<std::uint16_t> out;
-  huffman_decode_payload_into(dec, payload, n_symbols, out, mode);
+  huffman_decode_payload_into(dec, payload, n_symbols, out);
   return out;
 }
 
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                         HotPathMode mode) {
+void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out) {
   const auto lengths = huffman_read_lengths(in);
   const auto n_symbols = static_cast<std::size_t>(in.get_varint());
   const auto n_payload = static_cast<std::size_t>(in.get_varint());
@@ -596,12 +577,12 @@ void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
     return;
   }
   const HuffmanDecoder dec(lengths);
-  huffman_decode_payload_into(dec, payload, n_symbols, out, mode);
+  huffman_decode_payload_into(dec, payload, n_symbols, out);
 }
 
-std::vector<std::uint16_t> huffman_decode(ByteReader& in, HotPathMode mode) {
+std::vector<std::uint16_t> huffman_decode(ByteReader& in) {
   std::vector<std::uint16_t> out;
-  huffman_decode_into(in, out, mode);
+  huffman_decode_into(in, out);
   return out;
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/bytebuffer.hpp"
-#include "common/hotpath.hpp"
 
 namespace sz14 {
 
@@ -37,24 +36,19 @@ std::vector<std::uint32_t> huffman_canonical_codes(
 
 /// One-shot encoder: histogram -> canonical table -> serialized
 /// (table + bit-packed payload).  `alphabet_size` must be > every symbol.
-/// `mode` arrives per call from the caller's ExecPolicy (kReference keeps
-/// the staged seed emit path for honest baselining; output is identical).
 /// Layout:
 ///   varint alphabet_size | varint n_present | (varint sym, u8 len)* |
 ///   varint n_symbols | varint n_payload_bytes | payload bytes
 void huffman_encode(std::span<const std::uint16_t> symbols,
-                    std::size_t alphabet_size, ByteWriter& out,
-                    HotPathMode mode = HotPathMode::kFast);
+                    std::size_t alphabet_size, ByteWriter& out);
 
 /// Inverse of huffman_encode().  Throws std::runtime_error on malformed
-/// input.  kReference selects the bit-by-bit decoder.
-std::vector<std::uint16_t> huffman_decode(ByteReader& in,
-                                          HotPathMode mode = HotPathMode::kFast);
+/// input.
+std::vector<std::uint16_t> huffman_decode(ByteReader& in);
 
 /// huffman_decode() into a caller-owned vector (resized to the symbol
 /// count) so batch decoders can reuse its capacity across calls.
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                         HotPathMode mode = HotPathMode::kFast);
+void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out);
 
 // --- split-phase API -------------------------------------------------------
 //
@@ -66,11 +60,10 @@ void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
 // from, exposed so the phases can run on different threads.
 
 /// Histogram of `symbols` over [0, alphabet_size).  Throws
-/// std::invalid_argument on an out-of-alphabet symbol.  Uses the 4-way
-/// interleaved counting fast path outside kReference mode.
+/// std::invalid_argument on an out-of-alphabet symbol.  Alphabets up to
+/// 2048 symbols take the 8-way interleaved counting fast path.
 std::vector<std::uint64_t> huffman_histogram(
-    std::span<const std::uint16_t> symbols, std::size_t alphabet_size,
-    HotPathMode mode = HotPathMode::kFast);
+    std::span<const std::uint16_t> symbols, std::size_t alphabet_size);
 
 /// Packed per-symbol (code << 8 | length) entries, the table format the
 /// payload emitters consume (code lengths <= kMaxHuffmanBits <= 32, so a
@@ -104,21 +97,20 @@ std::vector<std::uint8_t> huffman_read_lengths(ByteReader& in);
 /// corrupt payloads (declared symbol count must fit the payload bits).
 std::vector<std::uint16_t> huffman_decode_payload(
     const class HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
-    std::size_t n_symbols, HotPathMode mode = HotPathMode::kFast);
+    std::size_t n_symbols);
 
 /// huffman_decode_payload() into a caller-owned vector (see
 /// huffman_decode_into).
 void huffman_decode_payload_into(const class HuffmanDecoder& dec,
                                  std::span<const std::uint8_t> payload,
                                  std::size_t n_symbols,
-                                 std::vector<std::uint16_t>& out,
-                                 HotPathMode mode = HotPathMode::kFast);
+                                 std::vector<std::uint16_t>& out);
 
 /// Decoder table reusable across blocks.  decode() consults a primary
 /// kTableBits-wide prefix lookup table (one peek resolves any code of up to
 /// kTableBits bits); longer codes fall back to the canonical first-code
-/// scan, which decode_bitwise() also exposes directly as the reference
-/// implementation for equivalence tests.
+/// scan, which decode_bitwise() also exposes directly as the oracle for
+/// equivalence tests.
 ///
 /// Each primary-table entry is *multi-symbol*: when up to kMaxTableSymbols
 /// concatenated codes fit inside the kTableBits window, the entry carries
@@ -134,8 +126,8 @@ class HuffmanDecoder {
   /// Decode one symbol from an MSB-first bit reader (table fast path).
   [[nodiscard]] std::uint16_t decode(class BitReader& br) const;
 
-  /// Reference bit-by-bit decode — same result as decode(), one br.get(1)
-  /// per code bit.
+  /// Bit-by-bit canonical-scan decode — same result as decode(), one
+  /// br.get(1) per code bit.
   [[nodiscard]] std::uint16_t decode_bitwise(class BitReader& br) const;
 
   /// Shortest nonzero code length (0 when the table is empty) — the floor

@@ -75,9 +75,6 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
   if (chunks == 0) chunks = pool.thread_count();
   chunks = std::min(std::max<std::size_t>(chunks, 1), dims.extent(0));
 
-  // Resolve the mode ONCE on the calling thread: slab tasks never consult
-  // process state, so concurrent calls with different policies coexist.
-  const HotPathMode mode = opts.exec.resolved_mode();
   CodecScratch* const scratch = opts.exec.scratch;
 
   // Resolve ONE bound against the whole field (v1 resolved per slab, which
@@ -88,7 +85,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
         "parallel_compress: no usable error bound (set eb_abs and/or eb_rel)");
 
   const std::size_t slab_stride = dims.count() / dims.extent(0);
-  const LinearQuantizer quantizer(opts.interval_bits, eb, mode);
+  const LinearQuantizer quantizer(opts.interval_bits, eb);
   const std::size_t alphabet = quantizer.alphabet_size();
   std::vector<SlabWork> slabs(chunks);
 
@@ -109,14 +106,14 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
         scratch_recon_or<float>(scratch, recon_own, w.count);
     const LayerPredictor predictor(sub, opts.layers);
     const UnpredictableCodecT<float> unpred(eb);
-    BitWriter bw(mode);
+    BitWriter bw;
     const detail::PassCounters counters = detail::pq_compress_walk<float>(
         data.subspan(s.row_lo * slab_stride, w.count), sub, predictor,
-        quantizer, unpred, eb, opts.decorrelate, mode,
+        quantizer, unpred, eb, opts.decorrelate, opts.exec.mode,
         {w.codes.get(), w.count}, recon, bw);
     w.unpred_bits = std::move(bw).finish();
     w.predictable = counters.predictable;
-    w.hist = huffman_histogram({w.codes.get(), w.count}, alphabet, mode);
+    w.hist = huffman_histogram({w.codes.get(), w.count}, alphabet);
   });
 
   // Merge the per-worker histograms BEFORE table assignment: one shared
@@ -182,7 +179,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
       pool.submit([&, c] {
         try {
           SlabWork& w = slabs[c];
-          Timer emit_timer;
+          ThreadCpuTimer emit_timer;
           if (use_rans) {
             rans_append_payload({w.codes.get(), w.count}, *rtable, w.payload);
           } else {
@@ -243,7 +240,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
 namespace {
 
 ParallelDecompressResult parallel_decompress_impl(
-    std::span<const std::uint8_t> stream, ThreadPool& pool, HotPathMode mode,
+    std::span<const std::uint8_t> stream, ThreadPool& pool,
     CodecScratch* scratch) {
   ByteReader in(stream);
   const auto magic = in.get<std::uint32_t>();
@@ -296,7 +293,7 @@ ParallelDecompressResult parallel_decompress_impl(
   r.dims = dims;
   r.data.resize(dims.count());
   const std::size_t slab_stride = dims.count() / dims.extent(0);
-  const LinearQuantizer quantizer(interval_bits, eb, mode);
+  const LinearQuantizer quantizer(interval_bits, eb);
 
   Timer timer;
   std::vector<double> entropy_seconds(chunks, 0.0);
@@ -309,18 +306,17 @@ ParallelDecompressResult parallel_decompress_impl(
     std::vector<std::uint16_t> codes_own;
     std::vector<std::uint16_t>& codes =
         scratch_code_vector_or(scratch, codes_own);
-    Timer entropy_timer;
+    ThreadCpuTimer entropy_timer;
     if (use_rans)
       rdec->decode_payload_into(payloads[c], sub.count(), codes);
     else
-      huffman_decode_payload_into(*hdec, payloads[c], sub.count(), codes,
-                                  mode);
+      huffman_decode_payload_into(*hdec, payloads[c], sub.count(), codes);
     entropy_seconds[c] = entropy_timer.seconds();
     const LayerPredictor predictor(sub, layers);
     const UnpredictableCodecT<float> unpred(eb);
-    BitReader br(unpreds[c], mode);
+    BitReader br(unpreds[c]);
     detail::pq_decompress_walk<float>(
-        codes, sub, predictor, quantizer, unpred, eb, decorrelate, mode,
+        codes, sub, predictor, quantizer, unpred, decorrelate,
         std::span<float>(r.data.data() + s.row_lo * slab_stride, sub.count()),
         br, scratch);
   });
@@ -333,17 +329,15 @@ ParallelDecompressResult parallel_decompress_impl(
 
 ParallelDecompressResult parallel_decompress(
     std::span<const std::uint8_t> stream, const ExecPolicy& exec) {
-  const HotPathMode mode = exec.resolved_mode();
   if (exec.pool != nullptr)
-    return parallel_decompress_impl(stream, *exec.pool, mode, exec.scratch);
+    return parallel_decompress_impl(stream, *exec.pool, exec.scratch);
   ThreadPool pool(exec.threads);  // 0 = hardware_concurrency
-  return parallel_decompress_impl(stream, pool, mode, exec.scratch);
+  return parallel_decompress_impl(stream, pool, exec.scratch);
 }
 
 ParallelDecompressResult parallel_decompress(
     std::span<const std::uint8_t> stream, ThreadPool& pool) {
-  return parallel_decompress_impl(stream, pool, ExecPolicy{}.resolved_mode(),
-                                  nullptr);
+  return parallel_decompress_impl(stream, pool, nullptr);
 }
 
 ParallelDecompressResult parallel_decompress(

@@ -24,9 +24,8 @@
 // the shared canonical Huffman table).
 //
 // Execution strategy (pool, hot-path mode, scratch) comes from the
-// caller's ExecPolicy (opts.exec); the mode is resolved once on the
-// calling thread, so concurrent calls with different policies never
-// interact.
+// caller's ExecPolicy (opts.exec), so concurrent calls with different
+// policies never interact.
 #pragma once
 
 #include <cstdint>
@@ -45,18 +44,18 @@ struct ParallelResult {
   double seconds = 0.0;       // wall-clock of the parallel region
   std::size_t predictable = 0;
   double eb_abs = 0.0;        // the resolved whole-field bound
-  /// Sum of per-slab entropy payload-emit times (CPU seconds across
-  /// workers, so it can exceed `seconds` under real parallelism).
+  /// Sum of per-slab entropy payload-emit times (thread CPU seconds across
+  /// workers, so it can exceed `seconds` under real parallelism but never
+  /// counts time a worker spent descheduled).
   double entropy_encode_seconds = 0.0;
 };
 
 /// Whole-field threaded compression driven by `opts.exec`: the pool comes
 /// from the policy (`exec.pool`; null builds a private pool of
-/// `exec.threads` workers), the hot-path mode is resolved once on the
-/// calling thread and carried into every slab task (kTurbo slabs are
-/// bound-conformant rather than bit-reproducible against kFast ones — but
-/// each mode is individually deterministic), and `exec.scratch` hands each
-/// worker reusable walk buffers.  `chunks == 0` picks one slab per worker.
+/// `exec.threads` workers), `exec.mode` is carried into every slab task
+/// (kTurbo slabs are bound-conformant rather than bit-reproducible against
+/// kFast ones — but each mode is individually deterministic), and
+/// `exec.scratch` hands each worker reusable walk buffers.  `chunks == 0` picks one slab per worker.
 /// The error bound is resolved ONCE against the whole field's value range,
 /// so eb_rel does not depend on the chunking.
 ///
@@ -82,13 +81,13 @@ struct ParallelDecompressResult {
   std::vector<float> data;
   Dims dims;
   double seconds = 0.0;
-  /// Sum of per-slab entropy payload-decode times (CPU seconds).
+  /// Sum of per-slab entropy payload-decode times (thread CPU seconds).
   double entropy_decode_seconds = 0.0;
 };
 
-/// Decompression parallelizes identically; results are mode-agnostic.
-/// The ExecPolicy overload sources pool, decode mode, and scratch from the
-/// policy like parallel_compress.
+/// Decompression parallelizes identically.  The ExecPolicy overload
+/// sources pool and scratch from the policy like parallel_compress
+/// (decoding is exact, so `exec.mode` plays no part).
 ParallelDecompressResult parallel_decompress(
     std::span<const std::uint8_t> stream, const ExecPolicy& exec);
 

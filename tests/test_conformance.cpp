@@ -1,7 +1,7 @@
 // Error-bound conformance suite for the turbo hot path.
 //
 // HotPathMode::kTurbo replaces the compress-side divide with a reciprocal
-// multiply, so its streams are NOT bit-identical to the reference — the
+// multiply, so its streams are NOT bit-identical to kFast's — the
 // contract is weaker and is exactly what these tests pin down: for every
 // finite input point, the reconstruction satisfies |x - x'| <= eb, with
 // non-finite points restored bit-exactly (raw escape path).  Adversarial
@@ -16,7 +16,7 @@
 #include <limits>
 #include <vector>
 
-#include "common/hotpath.hpp"
+#include "common/exec_policy.hpp"
 #include "core/compressor.hpp"
 #include "core/quantizer.hpp"
 #include "data/generators.hpp"
@@ -58,9 +58,8 @@ void roundtrip_conformance(std::vector<T> values, const Dims& dims, double eb,
                            const char* what) {
   Options opts;
   opts.eb_abs = eb;
-  for (const HotPathMode mode :
-       {HotPathMode::kTurbo, HotPathMode::kFast, HotPathMode::kReference}) {
-    HotPathScope scope(mode);
+  for (const HotPathMode mode : {HotPathMode::kTurbo, HotPathMode::kFast}) {
+    opts.exec.mode = mode;
     const auto out = roundtrip<T>(values, dims, opts);
     check_conformance<T>(values, out, eb, what);
   }
@@ -210,7 +209,7 @@ TEST(TurboConformance, DecorrelateModeHoldsBound) {
   Options opts;
   opts.eb_abs = 1e-3;
   opts.decorrelate = true;
-  HotPathScope scope(HotPathMode::kTurbo);
+  opts.exec.mode = HotPathMode::kTurbo;
   const auto out = decompress(compress(f.values, f.dims, opts));
   check_conformance<float>(f.values, out.data, 1e-3, "decorrelate turbo");
 }
@@ -221,41 +220,33 @@ TEST(TurboConformance, MultiLayerPredictors) {
     Options opts;
     opts.eb_abs = 5e-3;
     opts.layers = layers;
-    HotPathScope scope(HotPathMode::kTurbo);
+    opts.exec.mode = HotPathMode::kTurbo;
     const auto out = decompress(compress(f.values, f.dims, opts));
     check_conformance<float>(f.values, out.data, 5e-3, "multi-layer turbo");
   }
 }
 
-TEST(TurboConformance, TurboStreamDecodesIdenticallyInAllModes) {
-  // A turbo stream is an ordinary SZ-1.4 stream: reference and fast
-  // decoders must reconstruct it byte-identically.
+TEST(TurboConformance, TurboStreamDecodesToCompressorReconstruction) {
+  // A turbo stream is an ordinary SZ-1.4 stream: the one exact decoder
+  // replays precisely the values the turbo compress walk reconstructed.
   const auto f = data::hurricane3d(10, 20, 20);
   Options opts;
   opts.eb_abs = 1e-3;
-  std::vector<std::uint8_t> stream;
-  {
-    HotPathScope scope(HotPathMode::kTurbo);
-    stream = compress(f.values, f.dims, opts);
-  }
-  std::vector<float> fast_out, ref_out;
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_out = decompress(stream).data;
-  }
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_out = decompress(stream).data;
-  }
-  EXPECT_EQ(fast_out, ref_out);
-  check_conformance<float>(f.values, fast_out, 1e-3, "turbo stream decode");
+  opts.exec.mode = HotPathMode::kTurbo;
+  const auto stream = compress(f.values, f.dims, opts);
+  const auto pass = prediction_quantization_pass(
+      f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs, false,
+      opts.exec);
+  const auto out = decompress(stream).data;
+  EXPECT_EQ(out, pass.reconstructed);
+  check_conformance<float>(f.values, out, 1e-3, "turbo stream decode");
 }
 
 TEST(TurboConformance, TurboIsDeterministic) {
   const auto f = data::climate2d(64, 96);
   Options opts;
   opts.eb_abs = 1e-3;
-  HotPathScope scope(HotPathMode::kTurbo);
+  opts.exec.mode = HotPathMode::kTurbo;
   const auto a = compress(f.values, f.dims, opts);
   const auto b = compress(f.values, f.dims, opts);
   EXPECT_EQ(a, b);

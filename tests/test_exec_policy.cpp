@@ -5,8 +5,6 @@
 //    north-star mixed-mode scenario; run under TSan by the CI tsan job),
 //  - repeated calls through one CodecScratch are byte-identical to
 //    fresh-buffer calls across dtypes, ranks, and interleaved sizes,
-//  - per-call mode overrides the process default, which only applies when
-//    the policy leaves the mode unset,
 //  - the parallel codec takes its pool from the policy,
 //  - an ArchiveWriter's pinned mode no longer perturbs unrelated
 //    concurrent compress() calls (the retired global-pin hazard).
@@ -28,16 +26,11 @@
 namespace sz14 {
 namespace {
 
-constexpr HotPathMode kAllModes[] = {HotPathMode::kFast,
-                                     HotPathMode::kReference,
-                                     HotPathMode::kTurbo};
+constexpr HotPathMode kAllModes[] = {HotPathMode::kFast, HotPathMode::kTurbo};
+constexpr int kModes = 2;
 
 const char* mode_name(HotPathMode m) {
-  switch (m) {
-    case HotPathMode::kFast: return "fast";
-    case HotPathMode::kReference: return "reference";
-    default: return "turbo";
-  }
+  return m == HotPathMode::kFast ? "fast" : "turbo";
 }
 
 template <typename T>
@@ -51,8 +44,8 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
   base.eb_abs = 1e-3;
 
   // Sequential golden stream per mode.
-  std::vector<std::uint8_t> golden[3];
-  for (int m = 0; m < 3; ++m) {
+  std::vector<std::uint8_t> golden[kModes];
+  for (int m = 0; m < kModes; ++m) {
     Options o = base;
     o.exec.mode = kAllModes[m];
     golden[m] = compress(f.values, f.dims, o);
@@ -63,10 +56,10 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
   // sets by thread identity, so this must never race or cross-pollute).
   constexpr int kPerMode = 4;
   CodecScratch shared_scratch;
-  std::vector<std::uint8_t> streams[3 * kPerMode];
+  std::vector<std::uint8_t> streams[kModes * kPerMode];
   {
     std::vector<std::thread> threads;
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < kModes; ++m) {
       for (int t = 0; t < kPerMode; ++t) {
         threads.emplace_back([&, m, t] {
           Options o = base;
@@ -78,27 +71,30 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
     }
     for (auto& th : threads) th.join();
   }
-  for (int m = 0; m < 3; ++m)
+  for (int m = 0; m < kModes; ++m)
     for (int t = 0; t < kPerMode; ++t)
       EXPECT_EQ(streams[m * kPerMode + t], golden[m])
           << mode_name(kAllModes[m]) << " thread " << t;
 }
 
-TEST(ExecPolicyConcurrency, MixedModeConcurrentDecodeBitIdentical) {
+TEST(ExecPolicyConcurrency, ConcurrentDecodeBitIdentical) {
+  // Concurrent decodes, half of them through one shared arena, all match
+  // the sequential decode.
   const auto f = data::hurricane3d(10, 16, 16);
   Options opts;
   opts.eb_abs = 1e-3;
   const auto stream = compress(f.values, f.dims, opts);
   const auto golden = decompress(stream).data;
 
+  CodecScratch shared_scratch;
   std::vector<float> outs[6];
   {
     std::vector<std::thread> threads;
     for (int i = 0; i < 6; ++i) {
       threads.emplace_back([&, i] {
-        outs[i] = decompress(
-                      stream, ExecPolicy::with_mode(kAllModes[i % 3]))
-                      .data;
+        ExecPolicy exec;
+        if (i % 2 == 0) exec.scratch = &shared_scratch;
+        outs[i] = decompress(stream, exec).data;
       });
     }
     for (auto& th : threads) th.join();
@@ -165,22 +161,6 @@ TEST(CodecScratchTest, SharedArenaAcrossPoolWorkers) {
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(streams[i], golden) << i;
 }
 
-TEST(ExecPolicyTest, PerCallModeOverridesProcessDefault) {
-  // Constant field: interior predictions are exact, so the fast walk's
-  // strict-hit counter is ~n while the turbo walk (which skips the
-  // advisory statistic) reports 0 — an observable mode-specific effect.
-  const std::vector<float> values(1024, 1.0f);
-  const Dims dims{1024};
-  HotPathScope default_turbo(HotPathMode::kTurbo);
-  const auto inherited = prediction_quantization_pass(
-      values, dims, 1, 8, 1e-3);  // policy unset -> process default
-  EXPECT_EQ(inherited.strict_hits, 0u);
-  const auto overridden = prediction_quantization_pass(
-      values, dims, 1, 8, 1e-3, false,
-      ExecPolicy::with_mode(HotPathMode::kFast));
-  EXPECT_GT(overridden.strict_hits, 0u);
-}
-
 TEST(ExecPolicyTest, ParallelPoolComesFromPolicy) {
   const auto f = data::climate2d(64, 48);
   Options opts;
@@ -220,8 +200,8 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
 
   const std::string path = testing::TempDir() + "exec_policy_turbo.sza";
   {
-    archive::ArchiveWriter writer(
-        path, 2, ExecPolicy::with_mode(HotPathMode::kTurbo));
+    archive::ArchiveWriter writer(path, 2,
+                                  ExecPolicy{.mode = HotPathMode::kTurbo});
     std::vector<std::uint8_t> racing;
     std::thread racer(
         [&] { racing = compress(f.values, f.dims, fast); });

@@ -1,17 +1,22 @@
 // Equivalence proofs for the dimension-specialized fused kernels
-// (core/kernels): under every supported configuration the fast path must
-// produce byte-identical compressed streams and bit-identical
-// reconstructions to the reference CoordWalker walk — the "golden stream"
-// guarantee that lets the hot path evolve without a format break.
+// (core/kernels): under every supported configuration the wavefront walk
+// must produce the same codes, bit-identical reconstructions and the same
+// unpredictable bitstream as the seed's generic CoordWalker walk
+// (detail::pq_compress_walk_generic, the oracle), and pq_decompress_walk
+// must replay that reconstruction exactly.  Together with the golden
+// streams in test_format.cpp this lets the hot path evolve without a
+// format break.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <vector>
 
-#include "common/hotpath.hpp"
+#include "common/bitstream.hpp"
 #include "common/rng.hpp"
 #include "core/compressor.hpp"
-#include "core/pointwise.hpp"
+#include "core/kernels.hpp"
 #include "data/generators.hpp"
 
 namespace sz14 {
@@ -52,9 +57,53 @@ std::vector<T> to_dtype(const std::vector<float>& v) {
 
 template <typename T>
 void expect_bitwise_equal(const std::vector<T>& a, const std::vector<T>& b,
-                          const char* what) {
+                          const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T))) << what;
+}
+
+/// Wavefront walk vs. the generic-walk oracle at eb, then the decoder vs.
+/// the oracle's reconstruction.  Returns the oracle reconstruction.
+template <typename T>
+std::vector<T> expect_walks_match(std::span<const T> data, const Dims& dims,
+                                  unsigned layers, double eb,
+                                  bool decorrelate, const std::string& what) {
+  const LayerPredictor predictor(dims, layers);
+  const LinearQuantizer quantizer(8, eb);
+  const UnpredictableCodecT<T> unpred(eb);
+  const std::size_t n = dims.count();
+  std::vector<std::uint16_t> gen_codes(n), fast_codes(n);
+  std::vector<T> gen_recon(n), fast_recon(n);
+  BitWriter gen_bw, fast_bw;
+  const detail::PassCounters gen = detail::pq_compress_walk_generic<T>(
+      data, dims, predictor, quantizer, unpred, eb, decorrelate, gen_codes,
+      gen_recon, gen_bw);
+  const detail::PassCounters fast = detail::pq_compress_walk<T>(
+      data, dims, predictor, quantizer, unpred, eb, decorrelate,
+      HotPathMode::kFast, fast_codes, fast_recon, fast_bw);
+  const auto gen_bits = std::move(gen_bw).finish();
+  EXPECT_EQ(gen_codes, fast_codes) << what << ": codes";
+  expect_bitwise_equal(gen_recon, fast_recon, what + ": reconstruction");
+  EXPECT_EQ(gen_bits, std::move(fast_bw).finish())
+      << what << ": unpredictable bits";
+  EXPECT_EQ(gen.predictable, fast.predictable) << what;
+  EXPECT_EQ(gen.strict_hits, fast.strict_hits) << what;
+
+  std::vector<T> out(n);
+  BitReader br(gen_bits);
+  detail::pq_decompress_walk<T>(gen_codes, dims, predictor, quantizer, unpred,
+                                decorrelate, out, br);
+  expect_bitwise_equal(gen_recon, out, what + ": decode");
+  return gen_recon;
+}
+
+template <typename T>
+std::vector<T> decode_stream(std::span<const std::uint8_t> stream) {
+  if constexpr (std::is_same_v<T, float>) {
+    return decompress(stream).data;
+  } else {
+    return decompress64(stream).data;
+  }
 }
 
 struct KernelCase {
@@ -68,6 +117,7 @@ template <typename T>
 void run_equivalence(const KernelCase& kc) {
   const auto values = to_dtype<T>(
       adversarial_values(kc.dims.count(), 1000 + kc.dims.rank()));
+  const std::span<const T> data(values);
 
   Options opts;
   if (kc.relative)
@@ -76,50 +126,26 @@ void run_equivalence(const KernelCase& kc) {
     opts.eb_abs = 1e-3;
   opts.layers = kc.layers;
   opts.decorrelate = kc.decorrelate;
+  const double eb = resolve_error_bound_for(data, opts);
+  const std::string what = "dims=" + kc.dims.to_string() +
+                           " layers=" + std::to_string(kc.layers) +
+                           " rel=" + std::to_string(kc.relative) +
+                           " decorrelate=" + std::to_string(kc.decorrelate);
+  const auto oracle =
+      expect_walks_match(data, kc.dims, kc.layers, eb, kc.decorrelate, what);
 
-  std::vector<std::uint8_t> ref_stream, fast_stream;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_stream = compress(std::span<const T>(values), kc.dims, opts);
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_stream = compress(std::span<const T>(values), kc.dims, opts);
-  }
-  EXPECT_EQ(ref_stream, fast_stream)
-      << "streams diverge for dims=" << kc.dims.to_string()
-      << " layers=" << kc.layers << " rel=" << kc.relative
-      << " decorrelate=" << kc.decorrelate;
+  // End to end: the compress() stream decodes to the oracle's values.
+  const auto stream = compress(data, kc.dims, opts);
+  expect_bitwise_equal(oracle, decode_stream<T>(stream),
+                       what + ": stream decode");
 
-  // Cross-decode: the fast stream through both decoders, bit-identical.
-  std::vector<T> ref_out, fast_out;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    if constexpr (std::is_same_v<T, float>)
-      ref_out = decompress(fast_stream).data;
-    else
-      ref_out = decompress64(fast_stream).data;
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    if constexpr (std::is_same_v<T, float>)
-      fast_out = decompress(fast_stream).data;
-    else
-      fast_out = decompress64(fast_stream).data;
-  }
-  expect_bitwise_equal(ref_out, fast_out, "decode paths diverge");
-
-  // And the reconstruction must satisfy the bound (sanity on both paths).
-  const double eb =
-      kc.relative ? 0.0 : 1e-3;  // relative bound checked via stream header
-  if (!kc.relative) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (!std::isfinite(static_cast<double>(values[i]))) continue;
-      EXPECT_LE(std::fabs(static_cast<double>(values[i]) -
-                          static_cast<double>(fast_out[i])),
-                eb)
-          << "bound violated at " << i;
-    }
+  // And the reconstruction must satisfy the bound.
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(static_cast<double>(values[i]))) continue;
+    EXPECT_LE(std::fabs(static_cast<double>(values[i]) -
+                        static_cast<double>(oracle[i])),
+              eb)
+        << "bound violated at " << i;
   }
 }
 
@@ -131,17 +157,17 @@ std::vector<KernelCase> all_cases() {
       for (bool rel : {false, true})
         for (bool dec : {false, true})
           cases.push_back({d, layers, rel, dec});
-  // Rank-4 goes through the generic walk in both modes; keep one case to
-  // pin that the dispatch stays correct.
+  // Rank-4 runs the wavefront bodies over the generic walk; keep one case
+  // to pin that the dispatch stays correct.
   cases.push_back({Dims{3, 4, 5, 6}, 1, false, false});
   return cases;
 }
 
-TEST(KernelEquivalence, Float32StreamsAndReconstructionsBitIdentical) {
+TEST(KernelEquivalence, Float32WalksMatchGenericWalk) {
   for (const auto& kc : all_cases()) run_equivalence<float>(kc);
 }
 
-TEST(KernelEquivalence, Float64StreamsAndReconstructionsBitIdentical) {
+TEST(KernelEquivalence, Float64WalksMatchGenericWalk) {
   for (const auto& kc : all_cases()) run_equivalence<double>(kc);
 }
 
@@ -162,35 +188,13 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
   for (const auto& f : fields) {
     Options opts;
     opts.eb_rel = 1e-4;
-    std::vector<std::uint8_t> ref_stream, fast_stream;
-    {
-      HotPathScope scope(HotPathMode::kReference);
-      ref_stream = compress(f.values, f.dims, opts);
-    }
-    {
-      HotPathScope scope(HotPathMode::kFast);
-      fast_stream = compress(f.values, f.dims, opts);
-    }
-    EXPECT_EQ(ref_stream, fast_stream) << f.name;
-    const auto ref = decompress(ref_stream);
-    expect_bitwise_equal(ref.data, decompress(fast_stream).data, f.name);
+    const std::span<const float> data(f.values);
+    const auto oracle = expect_walks_match(
+        data, f.dims, 1, resolve_error_bound_for(data, opts), false, f.name);
+    expect_bitwise_equal(oracle,
+                         decompress(compress(f.values, f.dims, opts)).data,
+                         f.name);
   }
-}
-
-TEST(KernelEquivalence, PointwiseModeUnaffected) {
-  // compress_pointwise_rel drives the f64 pipeline internally; the mode
-  // switch must not change its streams either.
-  const auto f = data::climate2d(32, 40);
-  std::vector<std::uint8_t> ref_stream, fast_stream;
-  {
-    HotPathScope scope(HotPathMode::kReference);
-    ref_stream = compress_pointwise_rel(f.values, f.dims, 1e-3);
-  }
-  {
-    HotPathScope scope(HotPathMode::kFast);
-    fast_stream = compress_pointwise_rel(f.values, f.dims, 1e-3);
-  }
-  EXPECT_EQ(ref_stream, fast_stream);
 }
 
 TEST(DecompressInto, MatchesDecompressAndValidatesSize) {

@@ -67,7 +67,7 @@ TEST(Lz77, StructuredDataRoundTrip) {
   EXPECT_EQ(lz77_expand(lz77_tokenize(data)), data);
 }
 
-TEST(Lz77, InvalidBackReferenceThrows) {
+TEST(Lz77, InvalidBackwardReferenceThrows) {
   std::vector<Lz77Token> tokens;
   tokens.push_back(Lz77Token{true, 0, 4, 10});  // distance 10 into nothing
   EXPECT_THROW((void)lz77_expand(tokens), std::runtime_error);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 
-#include "common/hotpath.hpp"
+#include "common/exec_policy.hpp"
+#include "common/timer.hpp"
 #include "data/generators.hpp"
 #include "parallel/io_model.hpp"
 #include "parallel/parallel_codec.hpp"
@@ -21,6 +24,14 @@ ParallelResult compress_with(std::span<const float> data, const Dims& dims,
                              std::size_t chunks = 0) {
   opts.exec.threads = threads;
   return parallel_compress(data, dims, opts, chunks);
+}
+
+TEST(ThreadCpuTimerTest, SleepCostsNoCpuTime) {
+  // The per-slab entropy columns sum this clock across workers; a worker
+  // that is descheduled (here: asleep) must not accrue time.
+  const ThreadCpuTimer cpu;
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(cpu.seconds(), 0.010);
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
@@ -173,7 +184,7 @@ TEST(ParallelCodec, TurboStreamDeterministicAndConformant) {
   const auto f = data::hurricane3d(12, 16, 16);
   Options opts;
   opts.eb_abs = 1e-3;
-  HotPathScope scope(HotPathMode::kTurbo);
+  opts.exec.mode = HotPathMode::kTurbo;
   const auto a = compress_with(f.values, f.dims, opts, 1, 4);
   const auto b = compress_with(f.values, f.dims, opts, 4, 4);
   EXPECT_EQ(a.stream, b.stream);

@@ -23,9 +23,9 @@ schema may legitimately differ across PR generations, so only shared
 records are compared — but the current file must cover every per-field
 record the baseline has, so a field cannot silently drop out of the suite.
 
-With --speedups, also prints the per-field speedup records (informational;
-absolute numbers are machine-dependent, so they are never compared across
-machines).
+With --speedups, also prints the per-field speedup records — turbo against
+fast, measured in the same run (informational; absolute numbers are
+machine-dependent, so they are never compared across machines).
 
 Latency-percentile records (the serving-daemon bench emits
 latency_p50_ms/latency_p99_ms) are validated in every mode: both keys must
@@ -201,7 +201,8 @@ def check_regression(base_records, cur_records, ratio):
 
 
 def print_speedups(cur_records):
-    fields = ("speedup_compress", "speedup_decompress", "streams_identical")
+    fields = ("speedup_compress_turbo", "speedup_decompress_turbo",
+              "speedup_compress_parallel_turbo")
     for rec in cur_records:
         if rec.get("bench") != "perf_suite_speedup":
             continue
@@ -209,10 +210,10 @@ def print_speedups(cur_records):
         if missing:
             fail(f"speedup record is missing {missing} "
                  f"(have: {sorted(rec.keys())})")
-        print(f"{rec['field']}: compress "
-              f"{rec['speedup_compress']:.2f}x, decompress "
-              f"{rec['speedup_decompress']:.2f}x, identical="
-              f"{rec['streams_identical']}")
+        print(f"{rec['field']}: turbo vs fast: compress "
+              f"{rec['speedup_compress_turbo']:.2f}x, decompress "
+              f"{rec['speedup_decompress_turbo']:.2f}x, parallel compress "
+              f"{rec['speedup_compress_parallel_turbo']:.2f}x")
 
 
 def selftest():
@@ -253,8 +254,8 @@ def selftest():
     cases = []  # (name, file_a, file_b, extra_args, expect_rc, expect_text)
     good = [record(), {"bench": "machine", "reps": 1},
             {"bench": "perf_suite_speedup", "field": "f",
-             "speedup_compress": 1.5, "speedup_decompress": 2.5,
-             "streams_identical": 1}, daemon_record()]
+             "speedup_compress_turbo": 1.5, "speedup_decompress_turbo": 1.0,
+             "speedup_compress_parallel_turbo": 2.5}, daemon_record()]
     cases.append(("identical schemas pass", good, good, [], 0,
                   "schemas match"))
     cases.append(("speedups print", good, good, ["--speedups"], 0,
