@@ -2,22 +2,19 @@
 // block-indexed region reads, swept over block sizes.  The smaller the
 // block, the fewer wasted values a hyperslab read decodes — at the cost of
 // per-block header overhead and a larger footer index.  A second section
-// measures the SERVING scenario: several threads hammering one shared
-// reader with a skewed (hot-set-heavy) region mix, with and without the
-// decoded-block LRU cache.  Emits a JSON array (bench_util JsonWriter)
-// with one record per (codec, block-size) point plus one per serving
-// configuration.
-#include <atomic>
+// measures the SERVING scenario through bench::run_serving: several threads
+// hammering one shared reader with a skewed (hot-set-heavy) region mix,
+// with the decoded-block LRU cache off and with a hot-set budget, every
+// read verified against a sequential read.  Emits a JSON array (bench_util
+// JsonWriter) with one record per (codec, block-size) point plus one per
+// serving configuration; exits 1 if any serving read diverged or threw.
+// Scratch archives live in a per-run temporary directory.
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "archive/archive.hpp"
 #include "bench_util.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 
 namespace {
@@ -27,64 +24,7 @@ using namespace sz14::archive;
 
 constexpr int kReps = 5;
 
-double time_best_of(int reps, const std::function<void()>& fn) {
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
-struct ServingResult {
-  double seconds = 0;
-  std::size_t reads = 0;
-  std::size_t failed_reads = 0;
-  std::uint64_t blocks_decoded = 0;
-  double hit_rate = 0;
-};
-
-/// `threads` workers each issue `reads_per_thread` region reads against
-/// ONE shared reader; picks follow bench::serving_pick's 80/20 hot-set
-/// mix.  A read failure (CRC/decode/I-O) is caught per worker — it must
-/// surface as a diagnostic, not a std::terminate.
-ServingResult serve(ArchiveReader& reader, const char* field,
-                    const std::vector<Region>& regions, std::size_t hot,
-                    std::size_t threads, std::size_t reads_per_thread) {
-  // Warm nothing: counters reset, cache left as configured by the caller.
-  reader.reset_counters();
-  std::atomic<std::size_t> failures{0};
-  Timer t;
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&, w] {
-      Rng rng(1000 + w);
-      for (std::size_t k = 0; k < reads_per_thread; ++k) {
-        const std::size_t i = bench::serving_pick(rng, hot, regions.size());
-        try {
-          (void)reader.read_region(field, regions[i]);
-        } catch (const std::exception& e) {
-          if (failures.fetch_add(1) == 0)
-            std::fprintf(stderr, "serving read failed: %s\n", e.what());
-        }
-      }
-    });
-  }
-  for (auto& th : workers) th.join();
-  ServingResult r;
-  r.seconds = t.seconds();
-  r.reads = threads * reads_per_thread;
-  r.failed_reads = failures.load();
-  r.blocks_decoded = reader.blocks_decoded();
-  r.hit_rate = bench::cache_hit_rate(reader.cache_hits(),
-                                     reader.cache_misses());
-  return r;
-}
-
-}  // namespace
-
-int main() {
+int run() {
   // Hurricane-class 3D field (paper: 100x500x500, laptop-scaled).
   const auto field = bench::hurricane();
   const Dims& dims = field.dims;
@@ -106,14 +46,15 @@ int main() {
                region.extent[2], region.origin[0], region.origin[1],
                region.origin[2]);
 
+  const bench::ScratchDir scratch("bench_archive_random_access");
   bench::JsonWriter json;
   for (const char* codec : {"sz14", "gzip_like"}) {
     for (const std::size_t bs : {8u, 16u, 32u, 64u}) {
       const Dims block{std::min<std::size_t>(bs, dims.extent(0)),
                        std::min<std::size_t>(bs, dims.extent(1)),
                        std::min<std::size_t>(bs, dims.extent(2))};
-      const std::string path = "/tmp/bench_archive_" + std::string(codec) +
-                               "_" + std::to_string(bs) + ".sza";
+      const std::string path =
+          scratch.file(std::string(codec) + "_" + std::to_string(bs) + ".sza");
       double write_s = 0.0;
       {
         Timer t;
@@ -128,10 +69,10 @@ int main() {
       const std::uint64_t bytes = r.field("v").payload_bytes();
 
       const double full_s =
-          time_best_of(kReps, [&] { (void)r.read_field("v"); });
+          bench::best_of(kReps, [&] { (void)r.read_field("v"); });
       r.reset_counters();
       const double region_s =
-          time_best_of(kReps, [&] { (void)r.read_region("v", region); });
+          bench::best_of(kReps, [&] { (void)r.read_region("v", region); });
       const std::size_t touched =
           static_cast<std::size_t>(r.blocks_decoded()) / kReps;
 
@@ -146,7 +87,6 @@ int main() {
       json.kv("region_read_s", region_s);
       json.kv("speedup", full_s / region_s);
       json.end_record();
-      std::remove(path.c_str());
     }
   }
 
@@ -157,7 +97,7 @@ int main() {
   // the steady-state hit rate.
   int rc = 0;
   {
-    const std::string path = "/tmp/bench_archive_serving.sza";
+    const std::string path = scratch.file("serving.sza");
     const Dims block{std::min<std::size_t>(32, dims.extent(0)),
                      std::min<std::size_t>(32, dims.extent(1)),
                      std::min<std::size_t>(32, dims.extent(2))};
@@ -177,36 +117,64 @@ int main() {
     // blocks stay mostly resident while cold reads churn the LRU.
     const std::size_t cache_budget = kHot * block.count() * sizeof(float);
 
+    // Ground truth from an uncached reader, so the cached configuration's
+    // first sweep still starts cold.
+    std::vector<std::vector<float>> truth;
+    {
+      ArchiveReader direct(path, 0);
+      for (const auto& r : regions) truth.push_back(direct.read_region("v", r));
+    }
+
     for (const bool cached : {false, true}) {
       ArchiveReader reader(path, 0);
       if (cached) reader.set_cache_capacity(cache_budget);
+      const auto sweep = [&] {
+        reader.reset_counters();
+        return bench::run_serving(kServeThreads, kReadsPerThread, 1000, kHot,
+                                  regions, truth, [&](std::size_t) {
+                                    return [&](const Region& r) {
+                                      return reader.read_region("v", r);
+                                    };
+                                  });
+      };
       // One untimed sweep so the cached config measures steady state.
-      ServingResult warm =
-          serve(reader, "v", regions, kHot, kServeThreads, kReadsPerThread);
-      ServingResult hot =
-          serve(reader, "v", regions, kHot, kServeThreads, kReadsPerThread);
+      const bench::ServingRun warm = sweep();
+      const bench::ServingRun hot = sweep();
+      const double hit_rate = bench::cache_hit_rate(reader.cache_hits(),
+                                                    reader.cache_misses());
       json.begin_record();
       json.kv("codec", "sz14");
       json.kv("scenario", cached ? "serving_cache" : "serving_nocache");
       json.kv("threads", kServeThreads);
       json.kv("reads", hot.reads);
-      json.kv("failed_reads", warm.failed_reads + hot.failed_reads);
-      json.kv("cold_reads_per_s",
-              static_cast<double>(warm.reads) / warm.seconds);
-      json.kv("reads_per_s", static_cast<double>(hot.reads) / hot.seconds);
-      json.kv("blocks_decoded", static_cast<std::size_t>(hot.blocks_decoded));
-      json.kv("cache_hit_rate", hot.hit_rate);
+      json.kv("failed_reads", warm.failed + hot.failed);
+      json.kv("cold_reads_per_s", warm.reads_per_s());
+      json.kv("reads_per_s", hot.reads_per_s());
+      json.kv("blocks_decoded",
+              static_cast<std::size_t>(reader.blocks_decoded()));
+      json.kv("cache_hit_rate", hit_rate);
       json.end_record();
-      if (warm.failed_reads + hot.failed_reads != 0) rc = 1;
+      if (warm.failed + hot.failed != 0) rc = 1;
       std::fprintf(stderr,
                    "serving %-8s %zu threads: %7.1f reads/s, %llu decodes, "
                    "hit rate %.2f\n",
                    cached ? "cache" : "nocache", kServeThreads,
-                   static_cast<double>(hot.reads) / hot.seconds,
-                   static_cast<unsigned long long>(hot.blocks_decoded),
-                   hot.hit_rate);
+                   hot.reads_per_s(),
+                   static_cast<unsigned long long>(reader.blocks_decoded()),
+                   hit_rate);
     }
-    std::remove(path.c_str());
   }
   return rc;
+}
+
+}  // namespace
+
+int main() {
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_archive_random_access: error: %s\n",
+                 e.what());
+    return 1;
+  }
 }

@@ -5,16 +5,25 @@
 // the qualitative shape must match the paper (see EXPERIMENTS.md).
 #pragma once
 
+#include <stdlib.h>  // mkdtemp
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <filesystem>
 #include <span>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "archive/blocking.hpp"
 #include "common/rng.hpp"
+#include "common/timer.hpp"
 #include "data/generators.hpp"
 
 namespace sz14::bench {
@@ -37,9 +46,51 @@ inline double value_range(std::span<const float> values) {
   return hi - lo;
 }
 
+/// Fastest of `reps` timed calls of `fn`, in seconds.
+template <class Fn>
+double best_of(int reps, const Fn& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    fn();
+    best = std::min(best, t.seconds());
+  }
+  return best;
+}
+
+/// A fresh mkdtemp directory under the system temp directory, removed with
+/// everything in it when the object goes out of scope, so concurrent runs
+/// never write the same scratch archive.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / (prefix + ".XXXXXX"))
+            .string();
+    if (::mkdtemp(tmpl.data()) == nullptr)
+      throw std::system_error(errno, std::generic_category(),
+                              "mkdtemp " + tmpl);
+    path_ = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
 // --- archive serving-mix fixtures -----------------------------------------
-// Shared by bench_archive_random_access and run_perf_suite so both measure
-// the SAME skewed workload; a tweak here changes every serving benchmark.
+// Shared by run_perf_suite, bench_archive_random_access and the repository
+// benchmark (perfbench/) so all three measure the SAME skewed workload; a
+// tweak here changes every serving benchmark.
 
 /// `n` deterministic random regions of (up to) `extent` per axis.
 inline std::vector<archive::Region> serving_regions(const Dims& dims,
@@ -84,6 +135,72 @@ inline double cache_hit_rate(std::uint64_t hits, std::uint64_t misses) {
   return hits + misses ? static_cast<double>(hits) /
                              static_cast<double>(hits + misses)
                        : 0.0;
+}
+
+/// One concurrent serving run: wall time, reads that returned, reads that
+/// diverged or threw, and the latency of every read that returned.
+struct ServingRun {
+  double seconds = 0;
+  std::size_t reads = 0;
+  std::size_t failed = 0;
+  std::vector<double> latency_ms;
+
+  [[nodiscard]] double reads_per_s() const {
+    return static_cast<double>(reads) / seconds;
+  }
+};
+
+/// The serving mix: `threads` workers each make `reads_per_thread`
+/// serving_pick reads (worker w seeds its picks with `seed_base + w`)
+/// through the read callable `make_read(w)` returns — a shared reader, or
+/// the worker's own daemon client — and check every read of `regions[i]`
+/// against `want[i]`, its sequential ground truth.  A throw counts as a
+/// failed read and the first one is printed, so it surfaces as a
+/// diagnostic instead of a std::terminate from an escaping exception.
+template <class MakeRead>
+ServingRun run_serving(std::size_t threads, std::size_t reads_per_thread,
+                       std::uint64_t seed_base, std::size_t hot,
+                       const std::vector<archive::Region>& regions,
+                       const std::vector<std::vector<float>>& want,
+                       const MakeRead& make_read) {
+  std::atomic<std::size_t> failed{0};
+  const auto fail = [&](const std::exception& e) {
+    if (failed.fetch_add(1) == 0)
+      std::fprintf(stderr, "serving read threw: %s\n", e.what());
+  };
+  std::vector<std::vector<double>> lat_ms(threads);
+  std::vector<std::thread> workers;
+  Timer t;
+  for (std::size_t w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      try {
+        auto read = make_read(w);
+        Rng rng(seed_base + w);
+        lat_ms[w].reserve(reads_per_thread);
+        for (std::size_t k = 0; k < reads_per_thread; ++k) {
+          const std::size_t i = serving_pick(rng, hot, regions.size());
+          try {
+            Timer rt;
+            const std::vector<float> got = read(regions[i]);
+            lat_ms[w].push_back(rt.seconds() * 1e3);
+            if (got != want[i]) ++failed;
+          } catch (const std::exception& e) {
+            fail(e);
+          }
+        }
+      } catch (const std::exception& e) {
+        fail(e);  // the worker's reader or client could not be made
+      }
+    });
+  }
+  for (auto& th : workers) th.join();
+  ServingRun run;
+  run.seconds = t.seconds();
+  run.failed = failed.load();
+  for (const auto& v : lat_ms)
+    run.latency_ms.insert(run.latency_ms.end(), v.begin(), v.end());
+  run.reads = run.latency_ms.size();
+  return run;
 }
 
 inline void header(const std::string& title) {

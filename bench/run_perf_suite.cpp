@@ -1,47 +1,54 @@
 // Tracked performance baseline: compress/decompress throughput, compression
-// factor, and per-stage breakdown on 1D/2D/3D synthetic fields, measured for
-// both hot-path modes (plus the rANS entropy backend) in the same run so
-// speedups are apples-to-apples on the same machine:
-//   fast  — specialized wavefront kernels, exact divide (bit-identity with
-//           the generic walk is pinned by tests/test_kernels.cpp and the
-//           golden streams in tests/test_format.cpp),
-//   turbo — reciprocal-multiply quantization; NOT bit-identical, so the
-//           suite verifies the error-bound contract by decompressing and
-//           reporting max |x - x'| against eb,
-//   rans  — the fast walk with the rANS entropy backend.
-// A threaded section measures the parallel slab codec (fast + turbo) at
-// --threads N workers, an archive-serving section measures concurrent
-// region reads on one shared ArchiveReader (skewed hot-set mix, decoded-
-// block cache off/on, results verified bit-identical to sequential reads),
-// and a "machine" header record captures the context
-// (hardware_concurrency, build type, reps) that makes BENCH_PRn.json files
-// comparable across PRs.
+// factor, and per-stage breakdown on 1D/2D/3D synthetic fields, plus
+// concurrent archive-serving reads, all measured in the same run so
+// comparisons are apples-to-apples on the same machine.  The suite is two
+// tables:
+//   codec table   {fast, turbo, rans}, each row run through the sequential
+//                 codec and the threaded slab codec (--threads N workers):
+//     fast  — specialized wavefront kernels, exact divide (bit-identity
+//             with the generic walk is pinned by tests/test_kernels.cpp and
+//             the golden streams in tests/test_format.cpp),
+//     turbo — reciprocal-multiply quantization; NOT bit-identical,
+//     rans  — the fast walk with the rANS entropy backend (reconstruction
+//             must equal fast's bit for bit).
+//             Every row is decompressed and its max |x - x'| checked
+//             against eb.
+//   serving table {nocache, cache, parity, mmap, sharded}: the archive
+//                 configurations read by bench::run_serving's workers
+//                 through one shared ArchiveReader; the daemon scenario runs
+//                 the same runner with one serve::Client per worker.  Every
+//                 read is verified bit-identical to a sequential read.
+// A "machine" header record captures the context (hardware_concurrency,
+// build type, reps) that makes BENCH_PRn.json files comparable across PRs.
+// Scratch archives live in a per-run mkdtemp directory that is removed on
+// every exit path, so concurrent runs do not collide.
 //
 // Emits a JSON array (schema checked in CI by tools/bench_diff.py); the
-// committed BENCH_PR*.json files form the repo's perf trajectory.
+// committed BENCH_PR*.json files form the repo's perf trajectory.  Exits 1
+// when any check fails.
 //
 // Usage: run_perf_suite [--smoke] [--reps N] [--threads N] [--out FILE]
 //                       [--filter REGEX]
 //   --smoke     tiny sizes (CI bit-rot guard; numbers are meaningless)
 //   --reps N    timing repetitions, best-of (default 3)
-//   --threads N workers for the parallel section (default 8)
+//   --threads N workers for the parallel and serving sections (default 8)
 //   --out       write JSON to FILE instead of stdout
 //   --filter    run only sections whose tag matches REGEX (search, not
 //               full match).  Tags: <field>/<mode> for the sequential
 //               modes (fast|turbo|rans),
 //               <field>/parallel/<mode> (fast|turbo|rans) for the slab
-//               codec, and serving/(nocache|cache|parity|daemon|mmap|
-//               sharded) for the archive-serving sections.  Cross-record
+//               codec, and serving/(nocache|cache|parity|mmap|sharded|
+//               daemon) for the archive-serving sections.  Cross-record
 //               outputs (the rans/fast recon check, the speedup record)
 //               appear only when every input they need also matched.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <regex>
 #include <string>
 #include <thread>
@@ -51,7 +58,6 @@
 #include "bench_util.hpp"
 #include "common/bytebuffer.hpp"
 #include "common/exec_policy.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/compressor.hpp"
 #include "core/format.hpp"
@@ -78,16 +84,6 @@ struct StageTimes {
   std::size_t stream_bytes = 0;
   double max_error = 0;         // max |x - x'| over finite points
 };
-
-double best_of(int reps, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer t;
-    fn();
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
 
 double max_abs_error(std::span<const float> a, std::span<const float> b) {
   double m = 0;
@@ -116,20 +112,20 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
 
   StageTimes st;
   std::vector<std::uint8_t> stream;
-  st.compress_s = best_of(reps, [&] {
+  st.compress_s = bench::best_of(reps, [&] {
     stream = compress(f.values, f.dims, timed);
   });
   st.stream_bytes = stream.size();
 
   std::vector<float> out(f.dims.count());
-  st.decompress_s = best_of(reps, [&] {
+  st.decompress_s = bench::best_of(reps, [&] {
     (void)decompress_into(stream, out, timed.exec);
   });
   st.max_error = max_abs_error(f.values, out);
 
   // Stage breakdown.  The resolved bound equals eb_abs here (benches set
   // eb_abs explicitly), so the standalone pass matches compress() work.
-  st.pass_s = best_of(reps, [&] {
+  st.pass_s = bench::best_of(reps, [&] {
     (void)prediction_quantization_pass(f.values, f.dims, opts.layers,
                                        opts.interval_bits, opts.eb_abs,
                                        false, timed.exec);
@@ -139,7 +135,7 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
       timed.exec);
   const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs);
   const bool rans = opts.exec.entropy == EntropyBackend::kRans;
-  st.entropy_encode_s = best_of(reps, [&] {
+  st.entropy_encode_s = bench::best_of(reps, [&] {
     ByteWriter w;
     if (rans)
       rans_encode(pass.codes, quantizer.alphabet_size(), w);
@@ -150,7 +146,7 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   // arena, so entropy_decode_s and decompress_s amortize allocation the
   // same way and their difference (kernel_decode_s) stays meaningful.
   std::vector<std::uint16_t> decode_codes;
-  st.entropy_decode_s = best_of(reps, [&] {
+  st.entropy_decode_s = bench::best_of(reps, [&] {
     ByteReader in(stream);
     (void)read_header(in);
     if (rans)
@@ -216,6 +212,37 @@ double gbps(std::size_t bytes, double seconds) {
   return seconds > 0 ? static_cast<double>(bytes) / 1e9 / seconds : 0.0;
 }
 
+double cf(std::size_t raw_bytes, std::size_t stream_bytes) {
+  return static_cast<double>(raw_bytes) / static_cast<double>(stream_bytes);
+}
+
+/// One codec configuration, measured in both the sequential and the
+/// parallel pass.  "rans" is the fast walk with the rANS entropy backend —
+/// same codes, different entropy stage — so its reconstruction must be
+/// bit-identical to fast's.
+struct CodecRow {
+  const char* mode;
+  HotPathMode hot_path;
+  EntropyBackend entropy;
+};
+constexpr CodecRow kCodecRows[] = {
+    {"fast", HotPathMode::kFast, EntropyBackend::kHuffman},
+    {"turbo", HotPathMode::kTurbo, EntropyBackend::kHuffman},
+    {"rans", HotPathMode::kFast, EntropyBackend::kRans},
+};
+constexpr std::size_t kFastRow = 0, kTurboRow = 1, kRansRow = 2;
+constexpr std::size_t kCodecModes = std::size(kCodecRows);
+
+/// One archive-serving configuration over the shared-reader runner.
+struct ServingRow {
+  const char* mode;
+  std::uint32_t parity_group;  // 0 = no parity blocks
+  std::uint64_t shard_bytes;   // 0 = single-file archive
+  FetchMode fetch;
+  std::size_t cache_bytes;     // decoded-block cache budget, 0 = off
+  std::uint64_t seed_base;     // worker w picks regions with Rng(seed_base + w)
+};
+
 void emit_mode_record(bench::JsonWriter& json, const char* field,
                       std::size_t rank, std::size_t n_values,
                       std::size_t raw_bytes, const StageTimes& st,
@@ -228,8 +255,7 @@ void emit_mode_record(bench::JsonWriter& json, const char* field,
   json.kv("n_values", n_values);
   json.kv("raw_bytes", raw_bytes);
   json.kv("stream_bytes", st.stream_bytes);
-  json.kv("cf", static_cast<double>(raw_bytes) /
-                    static_cast<double>(st.stream_bytes));
+  json.kv("cf", cf(raw_bytes, st.stream_bytes));
   json.kv("eb_abs", eb);
   json.kv("reps", static_cast<std::size_t>(reps));
   json.kv("compress_seconds", st.compress_s);
@@ -244,9 +270,43 @@ void emit_mode_record(bench::JsonWriter& json, const char* field,
   json.end_record();
 }
 
-}  // namespace
+void emit_parallel_record(bench::JsonWriter& json, const char* field,
+                          std::size_t rank, std::size_t threads,
+                          std::size_t raw_bytes, const ParallelTimes& p,
+                          const char* mode, double eb, int reps) {
+  json.begin_record();
+  json.kv("bench", "perf_suite_parallel");
+  json.kv("field", field);
+  json.kv("mode", mode);
+  json.kv("rank", rank);
+  json.kv("threads", threads);
+  json.kv("chunks", p.chunks);
+  json.kv("raw_bytes", raw_bytes);
+  json.kv("stream_bytes", p.stream_bytes);
+  json.kv("cf", cf(raw_bytes, p.stream_bytes));
+  json.kv("eb_abs", eb);
+  json.kv("reps", static_cast<std::size_t>(reps));
+  json.kv("compress_seconds", p.compress_s);
+  json.kv("decompress_seconds", p.decompress_s);
+  json.kv("compress_gbps", gbps(raw_bytes, p.compress_s));
+  json.kv("decompress_gbps", gbps(raw_bytes, p.decompress_s));
+  json.kv("entropy_encode_seconds", p.entropy_encode_s);
+  json.kv("entropy_decode_seconds", p.entropy_decode_s);
+  json.kv("max_error", p.max_error);
+  json.end_record();
+}
 
-int main(int argc, char** argv) {
+/// Sequential ground truth: every region read once, in order.
+std::vector<std::vector<float>> read_all(
+    archive::ArchiveReader& reader,
+    const std::vector<archive::Region>& regions) {
+  std::vector<std::vector<float>> out;
+  out.reserve(regions.size());
+  for (const auto& r : regions) out.push_back(reader.read_region("v", r));
+  return out;
+}
+
+int run(int argc, char** argv) {
   bool smoke = false;
   int reps = 3;
   std::size_t threads = 8;
@@ -306,7 +366,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every scratch archive of this run lives here; the directory and all in
+  // it go when run() returns or unwinds.
+  const bench::ScratchDir scratch("run_perf_suite");
   int exit_code = 0;
+  const auto check = [&](bool ok, const char* what, const std::string& tag) {
+    if (ok) return;
+    std::fprintf(stderr, "run_perf_suite: %s (%s)\n", what, tag.c_str());
+    exit_code = 1;
+  };
   {
     bench::JsonWriter json(out);
 
@@ -330,6 +398,9 @@ int main(int argc, char** argv) {
     json.kv("smoke", static_cast<std::size_t>(smoke ? 1 : 0));
     json.end_record();
 
+    // Codec table: every row through the sequential codec, then every row
+    // through the threaded slab codec, all through per-call policies (same
+    // process, no global state).  Every row must meet the error bound.
     ThreadPool pool(threads);
     for (std::size_t fi = 0; fi < 3; ++fi) {
       const data::Field& f = fields[fi];
@@ -338,126 +409,51 @@ int main(int argc, char** argv) {
       Options opts;
       opts.eb_abs = 1e-3;
 
-      const bool w_fast = want(fname + "/fast");
-      const bool w_turbo = want(fname + "/turbo");
-      const bool w_rans = want(fname + "/rans");
-      const bool w_par_fast = want(fname + "/parallel/fast");
-      const bool w_par_turbo = want(fname + "/parallel/turbo");
-      const bool w_par_rans = want(fname + "/parallel/rans");
-      if (!(w_fast || w_turbo || w_rans || w_par_fast || w_par_turbo ||
-            w_par_rans))
-        continue;
-
-      // Three-way comparison through per-call policies: same process, no
-      // global state.  "rans" is the fast walk with the rANS entropy
-      // backend — same codes, different entropy stage — so its
-      // reconstruction must be bit-identical to fast's.
-      std::vector<float> fast_recon, rans_recon;
-      StageTimes fast, turbo, rans;
-      if (w_fast) fast = measure(f, opts, reps, &fast_recon);
-      if (w_turbo) {
+      bool seq_on[kCodecModes], par_on[kCodecModes], any = false;
+      for (std::size_t m = 0; m < kCodecModes; ++m) {
+        seq_on[m] = want(fname + "/" + kCodecRows[m].mode);
+        par_on[m] = want(fname + "/parallel/" + kCodecRows[m].mode);
+        any = any || seq_on[m] || par_on[m];
+      }
+      if (!any) continue;
+      const auto row_options = [&](std::size_t m) {
         Options o = opts;
-        o.exec.mode = HotPathMode::kTurbo;
-        turbo = measure(f, o, reps, nullptr);
-      }
-      if (w_rans) {
-        Options o = opts;
-        o.exec.entropy = EntropyBackend::kRans;
-        rans = measure(f, o, reps, &rans_recon);
-      }
-      if (w_turbo && !(turbo.max_error <= opts.eb_abs)) {
-        std::fprintf(stderr,
-                     "run_perf_suite: TURBO BOUND VIOLATION on %s "
-                     "(max_error %.3e > eb %.3e)\n",
-                     fname.c_str(), turbo.max_error, opts.eb_abs);
-        exit_code = 1;
-      }
-      if (w_rans && w_fast &&
-          std::memcmp(rans_recon.data(), fast_recon.data(),
-                      fast_recon.size() * sizeof(float)) != 0) {
-        std::fprintf(stderr,
-                     "run_perf_suite: RANS/FAST RECON DIVERGENCE on %s\n",
-                     fname.c_str());
-        exit_code = 1;
-      }
-      if (w_rans && !(rans.max_error <= opts.eb_abs)) {
-        std::fprintf(stderr,
-                     "run_perf_suite: RANS BOUND VIOLATION on %s\n",
-                     fname.c_str());
-        exit_code = 1;
-      }
-
-      if (w_fast)
-        emit_mode_record(json, field_names[fi], f.dims.rank(),
-                         f.values.size(), raw_bytes, fast, "fast",
-                         opts.eb_abs, reps);
-      if (w_turbo)
-        emit_mode_record(json, field_names[fi], f.dims.rank(),
-                         f.values.size(), raw_bytes, turbo, "turbo",
-                         opts.eb_abs, reps);
-      if (w_rans)
-        emit_mode_record(json, field_names[fi], f.dims.rank(),
-                         f.values.size(), raw_bytes, rans, "rans",
-                         opts.eb_abs, reps);
-
-      // Threaded slab codec: fast + turbo + rans (fast walk, rANS
-      // entropy), with the per-slab entropy CPU time carried out of the
-      // codec itself.
-      ParallelTimes par_fast, par_turbo, par_rans;
-      if (w_par_fast) par_fast = measure_parallel(f, opts, reps, pool);
-      if (w_par_turbo) {
-        Options o = opts;
-        o.exec.mode = HotPathMode::kTurbo;
-        par_turbo = measure_parallel(f, o, reps, pool);
-      }
-      if (w_par_rans) {
-        Options o = opts;
-        o.exec.entropy = EntropyBackend::kRans;
-        par_rans = measure_parallel(f, o, reps, pool);
-      }
-      struct ParRow {
-        const ParallelTimes* p;
-        const char* mode;
-        bool ran;
+        o.exec.mode = kCodecRows[m].hot_path;
+        o.exec.entropy = kCodecRows[m].entropy;
+        return o;
       };
-      const ParRow par_rows[] = {{&par_fast, "fast", w_par_fast},
-                                 {&par_turbo, "turbo", w_par_turbo},
-                                 {&par_rans, "rans", w_par_rans}};
-      for (const auto& row : par_rows) {
-        if (!row.ran) continue;
-        const ParallelTimes* p = row.p;
-        if (!(p->max_error <= opts.eb_abs)) {
-          std::fprintf(stderr,
-                       "run_perf_suite: PARALLEL BOUND VIOLATION on %s "
-                       "(%s)\n",
-                       fname.c_str(), row.mode);
-          exit_code = 1;
-        }
-        json.begin_record();
-        json.kv("bench", "perf_suite_parallel");
-        json.kv("field", field_names[fi]);
-        json.kv("mode", row.mode);
-        json.kv("rank", f.dims.rank());
-        json.kv("threads", threads);
-        json.kv("chunks", p->chunks);
-        json.kv("raw_bytes", raw_bytes);
-        json.kv("stream_bytes", p->stream_bytes);
-        json.kv("cf", static_cast<double>(raw_bytes) /
-                          static_cast<double>(p->stream_bytes));
-        json.kv("eb_abs", opts.eb_abs);
-        json.kv("reps", static_cast<std::size_t>(reps));
-        json.kv("compress_seconds", p->compress_s);
-        json.kv("decompress_seconds", p->decompress_s);
-        json.kv("compress_gbps", gbps(raw_bytes, p->compress_s));
-        json.kv("decompress_gbps", gbps(raw_bytes, p->decompress_s));
-        json.kv("entropy_encode_seconds", p->entropy_encode_s);
-        json.kv("entropy_decode_seconds", p->entropy_decode_s);
-        json.kv("max_error", p->max_error);
-        json.end_record();
+
+      StageTimes seq[kCodecModes];
+      std::vector<float> recon[kCodecModes];
+      for (std::size_t m = 0; m < kCodecModes; ++m) {
+        if (!seq_on[m]) continue;
+        const std::string tag = fname + "/" + kCodecRows[m].mode;
+        seq[m] = measure(f, row_options(m), reps, &recon[m]);
+        check(seq[m].max_error <= opts.eb_abs, "BOUND VIOLATION", tag);
+        emit_mode_record(json, field_names[fi], f.dims.rank(),
+                         f.values.size(), raw_bytes, seq[m],
+                         kCodecRows[m].mode, opts.eb_abs, reps);
+      }
+      if (seq_on[kFastRow] && seq_on[kRansRow])
+        check(std::memcmp(recon[kRansRow].data(), recon[kFastRow].data(),
+                          recon[kFastRow].size() * sizeof(float)) == 0,
+              "RANS/FAST RECON DIVERGENCE", fname);
+
+      ParallelTimes par[kCodecModes];
+      for (std::size_t m = 0; m < kCodecModes; ++m) {
+        if (!par_on[m]) continue;
+        const std::string tag = fname + "/parallel/" + kCodecRows[m].mode;
+        par[m] = measure_parallel(f, row_options(m), reps, pool);
+        check(par[m].max_error <= opts.eb_abs, "BOUND VIOLATION", tag);
+        emit_parallel_record(json, field_names[fi], f.dims.rank(), threads,
+                             raw_bytes, par[m], kCodecRows[m].mode,
+                             opts.eb_abs, reps);
       }
 
       // Turbo measured against fast on the same machine and run.
-      if (w_fast && w_turbo && w_par_turbo) {
+      const StageTimes& fast = seq[kFastRow];
+      const StageTimes& turbo = seq[kTurboRow];
+      if (seq_on[kFastRow] && seq_on[kTurboRow] && par_on[kTurboRow]) {
         json.begin_record();
         json.kv("bench", "perf_suite_speedup");
         json.kv("field", field_names[fi]);
@@ -466,17 +462,14 @@ int main(int argc, char** argv) {
         json.kv("speedup_decompress_turbo",
                 fast.decompress_s / turbo.decompress_s);
         json.kv("speedup_compress_parallel_turbo",
-                fast.compress_s / par_turbo.compress_s);
+                fast.compress_s / par[kTurboRow].compress_s);
         json.kv("turbo_max_error", turbo.max_error);
-        json.kv("turbo_cf_delta",
-                static_cast<double>(raw_bytes) /
-                        static_cast<double>(turbo.stream_bytes) -
-                    static_cast<double>(raw_bytes) /
-                        static_cast<double>(fast.stream_bytes));
+        json.kv("turbo_cf_delta", cf(raw_bytes, turbo.stream_bytes) -
+                                      cf(raw_bytes, fast.stream_bytes));
         json.end_record();
       }
 
-      if (w_fast && w_turbo)
+      if (seq_on[kFastRow] && seq_on[kTurboRow])
         std::fprintf(
             stderr,
             "%-12s  compress %6.1f -> %6.1f MB/s (turbo %.2fx)   "
@@ -485,58 +478,66 @@ int main(int argc, char** argv) {
             gbps(raw_bytes, turbo.compress_s) * 1e3,
             fast.compress_s / turbo.compress_s,
             gbps(raw_bytes, fast.decompress_s) * 1e3,
-            static_cast<double>(raw_bytes) /
-                static_cast<double>(fast.stream_bytes),
-            turbo.max_error);
-      if (w_rans && w_fast)
+            cf(raw_bytes, fast.stream_bytes), turbo.max_error);
+      if (seq_on[kFastRow] && seq_on[kRansRow]) {
+        const StageTimes& rans = seq[kRansRow];
         std::fprintf(
             stderr,
             "              rans: entropy enc %.3fs vs %.3fs, dec %.3fs vs "
             "%.3fs (huffman), CF %.2f vs %.2f\n",
             rans.entropy_encode_s, fast.entropy_encode_s,
             rans.entropy_decode_s, fast.entropy_decode_s,
-            static_cast<double>(raw_bytes) /
-                static_cast<double>(rans.stream_bytes),
-            static_cast<double>(raw_bytes) /
-                static_cast<double>(fast.stream_bytes));
-      if (w_par_fast && w_par_turbo)
+            cf(raw_bytes, rans.stream_bytes), cf(raw_bytes, fast.stream_bytes));
+      }
+      if (par_on[kFastRow] && par_on[kTurboRow])
         std::fprintf(
             stderr,
             "              parallel(%zut) compress %6.1f (fast) %6.1f "
             "(turbo) MB/s   decompress %6.1f MB/s\n",
-            threads, gbps(raw_bytes, par_fast.compress_s) * 1e3,
-            gbps(raw_bytes, par_turbo.compress_s) * 1e3,
-            gbps(raw_bytes, par_turbo.decompress_s) * 1e3);
+            threads, gbps(raw_bytes, par[kFastRow].compress_s) * 1e3,
+            gbps(raw_bytes, par[kTurboRow].compress_s) * 1e3,
+            gbps(raw_bytes, par[kTurboRow].decompress_s) * 1e3);
     }
 
-    // Archive serving: concurrent region reads from one shared reader on
-    // the 3D field — the random-access path the SZA container exists for.
-    // 80% of reads target a small hot set; the cached configuration is
-    // measured in steady state (one untimed warm sweep first), and every
-    // distinct region is verified bit-identical to a sequential read.
-    const bool w_serve_nocache = want("serving/nocache");
-    const bool w_serve_cache = want("serving/cache");
-    const bool w_serve_parity = want("serving/parity");
-    const bool w_serve_daemon = want("serving/daemon");
-    const bool w_serve_mmap = want("serving/mmap");
-    const bool w_serve_sharded = want("serving/sharded");
-    if (w_serve_nocache || w_serve_cache || w_serve_parity ||
-        w_serve_daemon || w_serve_mmap || w_serve_sharded) {
+    // Serving table: concurrent region reads from one shared reader on the
+    // 3D field — the random-access path the SZA container exists for — plus
+    // the same mix through the daemon.  80% of reads target a small hot
+    // set; the cached row is measured in steady state (the ground-truth
+    // sweep warms it), and every read is verified bit-identical to a
+    // sequential read.  Parity is only consulted when a CRC fails, so the
+    // parity row must sit on top of nocache with zero repairs; the mmap
+    // rows decode straight out of the page cache, the sharded one through
+    // a manifest over ~64 KiB shard files (smoke: 8 KiB).
+    const ServingRow serving_rows[] = {
+        {"nocache", 0, 0, FetchMode::kPread, 0, 1000},
+        {"cache", 0, 0, FetchMode::kPread, 256u << 20, 1000},
+        {"parity", archive::kDefaultParityGroup, 0, FetchMode::kPread, 0,
+         3000},
+        {"mmap", 0, 0, FetchMode::kMmap, 0, 5000},
+        {"sharded", 0, smoke ? (8u << 10) : (64u << 10), FetchMode::kMmap, 0,
+         9000},
+    };
+    bool any_serving = want("serving/daemon");
+    for (const ServingRow& row : serving_rows)
+      any_serving = any_serving || want(std::string("serving/") + row.mode);
+    if (any_serving) {
       const data::Field& f3 = fields[2];
-      const std::string apath = "/tmp/run_perf_suite_archive.sza";
       const std::size_t bs = smoke ? 8 : 32;
       const Dims block{std::min(bs, f3.dims.extent(0)),
                        std::min(bs, f3.dims.extent(1)),
                        std::min(bs, f3.dims.extent(2))};
-      {
-        archive::ArchiveWriter w(apath, threads);
-        w.append_field("v", std::span<const float>(f3.values), f3.dims,
-                       block, "sz14", 1e-3);
+      const auto write_archive = [&](const std::string& path,
+                                     std::uint32_t parity_group,
+                                     std::uint64_t shard_bytes) {
+        archive::ArchiveWriter w(path, threads, {}, parity_group, shard_bytes);
+        w.append_field("v", std::span<const float>(f3.values), f3.dims, block,
+                       "sz14", 1e-3);
         w.finish();
-      }
+      };
+      const std::string apath = scratch.file("archive.sza");
+      write_archive(apath, 0, 0);
 
-      // Skewed region mix (deterministic, shared with
-      // bench_archive_random_access via bench_util).
+      // Skewed region mix (deterministic, shared via bench_util).
       const std::size_t ext = smoke ? 6 : 16;
       constexpr std::size_t kHot = 6;
       const std::size_t n_regions = smoke ? 8 : 24;
@@ -545,245 +546,65 @@ int main(int argc, char** argv) {
       std::size_t region_values = 0;
       for (const auto& r : regions) region_values += r.count();
 
-      for (const bool cached : {false, true}) {
-        if (!(cached ? w_serve_cache : w_serve_nocache)) continue;
-        archive::ArchiveReader reader(apath, threads);
-        if (cached) reader.set_cache_capacity(256u << 20);
-
-        // Sequential ground truth (also the cold warm-up for the cache).
-        std::vector<std::vector<float>> want;
-        want.reserve(regions.size());
-        for (const auto& r : regions)
-          want.push_back(reader.read_region("v", r));
-
-        reader.reset_counters();
-        std::atomic<std::size_t> diverged{0};
-        std::vector<std::thread> workers;
-        Timer t;
-        for (std::size_t w = 0; w < threads; ++w) {
-          workers.emplace_back([&, w] {
-            Rng wr(1000 + w);
-            for (std::size_t k = 0; k < reads_per_thread; ++k) {
-              const std::size_t i =
-                  bench::serving_pick(wr, kHot, regions.size());
-              // A throw must surface as a divergence diagnostic, not a
-              // std::terminate from an escaping worker exception.
-              try {
-                if (reader.read_region("v", regions[i]) != want[i])
-                  ++diverged;
-              } catch (const std::exception& e) {
-                if (diverged.fetch_add(1) == 0)
-                  std::fprintf(stderr, "serving read threw: %s\n", e.what());
-              }
-            }
-          });
+      for (const ServingRow& row : serving_rows) {
+        const std::string tag = std::string("serving/") + row.mode;
+        if (!want(tag)) continue;
+        std::string path = apath;
+        if (row.parity_group != 0 || row.shard_bytes != 0) {
+          path = scratch.file(std::string(row.mode) +
+                              (row.shard_bytes ? ".szm" : ".sza"));
+          write_archive(path, row.parity_group, row.shard_bytes);
         }
-        for (auto& th : workers) th.join();
-        const double seconds = t.seconds();
-        if (diverged.load() != 0) {
+        archive::ArchiveReader reader(path, threads, {},
+                                      archive::OpenMode::kStrict, row.fetch);
+        if (reader.fetch_mode() != row.fetch)
           std::fprintf(stderr,
-                       "run_perf_suite: SERVING DIVERGENCE (%s cache)\n",
-                       cached ? "with" : "no");
-          exit_code = 1;
-        }
+                       "run_perf_suite: warning: mmap fell back to pread\n");
+        if (row.cache_bytes != 0) reader.set_cache_capacity(row.cache_bytes);
+        const auto truth = read_all(reader, regions);
+        reader.reset_counters();
+        const bench::ServingRun r = bench::run_serving(
+            threads, reads_per_thread, row.seed_base, kHot, regions, truth,
+            [&](std::size_t) {
+              return [&](const archive::Region& region) {
+                return reader.read_region("v", region);
+              };
+            });
+        check(r.failed == 0 && reader.read_repairs() == 0,
+              "SERVING DIVERGENCE", row.mode);
 
-        const std::size_t reads = threads * reads_per_thread;
         const double hit_rate = bench::cache_hit_rate(reader.cache_hits(),
                                                       reader.cache_misses());
         json.begin_record();
         json.kv("bench", "perf_suite_archive_serving");
         json.kv("field", "hurricane3d");
-        json.kv("mode", cached ? "cache" : "nocache");
+        json.kv("mode", row.mode);
         json.kv("threads", threads);
         json.kv("regions", regions.size());
         json.kv("region_values_total", region_values);
-        json.kv("reads", reads);
-        json.kv("seconds", seconds);
-        json.kv("reads_per_s", static_cast<double>(reads) / seconds);
+        json.kv("reads", r.reads);
+        json.kv("seconds", r.seconds);
+        json.kv("reads_per_s", r.reads_per_s());
         json.kv("blocks_decoded",
                 static_cast<std::size_t>(reader.blocks_decoded()));
         json.kv("cache_hit_rate", hit_rate);
         json.end_record();
         std::fprintf(stderr,
                      "serving %-7s  %zu threads: %7.1f reads/s, %llu "
-                     "decodes, hit rate %.2f\n",
-                     cached ? "cache" : "nocache", threads,
-                     static_cast<double>(reads) / seconds,
+                     "decodes, hit rate %.2f, %llu repairs\n",
+                     row.mode, threads, r.reads_per_s(),
                      static_cast<unsigned long long>(reader.blocks_decoded()),
-                     hit_rate);
+                     hit_rate,
+                     static_cast<unsigned long long>(reader.read_repairs()));
       }
 
-      // Parity-on serving: the same skewed mix against a parity-enabled
-      // twin of the archive (default 16-block XOR groups).  Parity is only
-      // consulted when a CRC fails, so the clean-path read rate should sit
-      // on top of the nocache record — this record keeps that claim
-      // measured instead of assumed (the write cost is the parity bytes).
-      if (w_serve_parity) {
-        const std::string ppath = "/tmp/run_perf_suite_archive_parity.sza";
-        {
-          archive::ArchiveWriter w(ppath, threads, {},
-                                   archive::kDefaultParityGroup);
-          w.append_field("v", std::span<const float>(f3.values), f3.dims,
-                         block, "sz14", 1e-3);
-          w.finish();
-        }
-        archive::ArchiveReader reader(ppath, threads);
-        std::vector<std::vector<float>> want;
-        want.reserve(regions.size());
-        for (const auto& r : regions)
-          want.push_back(reader.read_region("v", r));
-
-        reader.reset_counters();
-        std::atomic<std::size_t> diverged{0};
-        std::vector<std::thread> workers;
-        Timer t;
-        for (std::size_t w = 0; w < threads; ++w) {
-          workers.emplace_back([&, w] {
-            Rng wr(3000 + w);
-            for (std::size_t k = 0; k < reads_per_thread; ++k) {
-              const std::size_t i =
-                  bench::serving_pick(wr, kHot, regions.size());
-              try {
-                if (reader.read_region("v", regions[i]) != want[i])
-                  ++diverged;
-              } catch (const std::exception& e) {
-                if (diverged.fetch_add(1) == 0)
-                  std::fprintf(stderr, "parity serving read threw: %s\n",
-                               e.what());
-              }
-            }
-          });
-        }
-        for (auto& th : workers) th.join();
-        const double seconds = t.seconds();
-        if (diverged.load() != 0 || reader.read_repairs() != 0) {
-          std::fprintf(stderr,
-                       "run_perf_suite: PARITY SERVING DIVERGENCE\n");
-          exit_code = 1;
-        }
-
-        const std::size_t reads = threads * reads_per_thread;
-        json.begin_record();
-        json.kv("bench", "perf_suite_archive_serving");
-        json.kv("field", "hurricane3d");
-        json.kv("mode", "parity");
-        json.kv("threads", threads);
-        json.kv("regions", regions.size());
-        json.kv("region_values_total", region_values);
-        json.kv("reads", reads);
-        json.kv("seconds", seconds);
-        json.kv("reads_per_s", static_cast<double>(reads) / seconds);
-        json.kv("blocks_decoded",
-                static_cast<std::size_t>(reader.blocks_decoded()));
-        json.kv("cache_hit_rate", 0.0);
-        json.end_record();
-        std::fprintf(stderr,
-                     "serving parity   %zu threads: %7.1f reads/s, %llu "
-                     "decodes, 0 repairs\n",
-                     threads, static_cast<double>(reads) / seconds,
-                     static_cast<unsigned long long>(
-                         reader.blocks_decoded()));
-        std::remove(ppath.c_str());
-      }
-      // mmap-fetch serving: the zero-copy read path — payload bytes decode
-      // straight out of the page cache instead of being staged through
-      // pread.  Same skewed mix, cache off, so the record isolates the
-      // fetch path; every read is still verified bit-identical.  The
-      // sharded variant additionally splits the archive into ~64 KiB shard
-      // files (smoke: 8 KiB) and serves the same mix through the manifest,
-      // mmap-on — the full tentpole stack in one measured scenario.
-      for (const bool sharded : {false, true}) {
-        if (!(sharded ? w_serve_sharded : w_serve_mmap)) continue;
-        const std::string mpath =
-            sharded ? "/tmp/run_perf_suite_archive.szm" : apath;
-        if (sharded) {
-          archive::ArchiveWriter w(mpath, threads, {}, 0,
-                                   smoke ? (8u << 10) : (64u << 10));
-          w.append_field("v", std::span<const float>(f3.values), f3.dims,
-                         block, "sz14", 1e-3);
-          w.finish();
-        }
-        archive::ArchiveReader reader(mpath, threads, {},
-                                      archive::OpenMode::kStrict,
-                                      FetchMode::kMmap);
-        if (reader.fetch_mode() != FetchMode::kMmap)
-          std::fprintf(stderr,
-                       "run_perf_suite: warning: mmap fell back to pread\n");
-        std::vector<std::vector<float>> want;
-        want.reserve(regions.size());
-        for (const auto& r : regions)
-          want.push_back(reader.read_region("v", r));
-
-        reader.reset_counters();
-        std::atomic<std::size_t> diverged{0};
-        std::vector<std::thread> workers;
-        Timer t;
-        for (std::size_t w = 0; w < threads; ++w) {
-          workers.emplace_back([&, w] {
-            Rng wr(sharded ? 9000 + w : 5000 + w);
-            for (std::size_t k = 0; k < reads_per_thread; ++k) {
-              const std::size_t i =
-                  bench::serving_pick(wr, kHot, regions.size());
-              try {
-                if (reader.read_region("v", regions[i]) != want[i])
-                  ++diverged;
-              } catch (const std::exception& e) {
-                if (diverged.fetch_add(1) == 0)
-                  std::fprintf(stderr, "mmap serving read threw: %s\n",
-                               e.what());
-              }
-            }
-          });
-        }
-        for (auto& th : workers) th.join();
-        const double seconds = t.seconds();
-        if (diverged.load() != 0) {
-          std::fprintf(stderr,
-                       "run_perf_suite: %s SERVING DIVERGENCE\n",
-                       sharded ? "SHARDED" : "MMAP");
-          exit_code = 1;
-        }
-
-        const std::size_t reads = threads * reads_per_thread;
-        json.begin_record();
-        json.kv("bench", "perf_suite_archive_serving");
-        json.kv("field", "hurricane3d");
-        json.kv("mode", sharded ? "sharded" : "mmap");
-        json.kv("threads", threads);
-        json.kv("regions", regions.size());
-        json.kv("region_values_total", region_values);
-        json.kv("reads", reads);
-        json.kv("seconds", seconds);
-        json.kv("reads_per_s", static_cast<double>(reads) / seconds);
-        json.kv("blocks_decoded",
-                static_cast<std::size_t>(reader.blocks_decoded()));
-        json.kv("cache_hit_rate", 0.0);
-        json.end_record();
-        std::fprintf(stderr,
-                     "serving %-7s  %zu threads: %7.1f reads/s, %llu "
-                     "decodes (mmap fetch)\n",
-                     sharded ? "sharded" : "mmap", threads,
-                     static_cast<double>(reads) / seconds,
-                     static_cast<unsigned long long>(
-                         reader.blocks_decoded()));
-        if (sharded) {
-          std::remove(mpath.c_str());
-          for (std::size_t i = 0; i < 4096; ++i) {
-            const std::string sp = archive::shard_file_name(mpath, i);
-            if (std::remove(sp.c_str()) != 0) break;
-          }
-        }
-      }
-
-      // Serving daemon end-to-end: the same skewed mix pushed through a
-      // real Server + Client pair over the loopback transport — protocol
-      // framing, event loop, pool dispatch, coalescing and cache all in
-      // the measured path, exactly what `sz14 serve` runs in production.
-      // Per-request wall latency feeds the p50/p99 records; every response
-      // is verified bit-identical to a direct reader, and the coalescing
-      // invariant (decodes <= unique blocks after warm-up) is asserted,
-      // not assumed.
-      if (w_serve_daemon) {
+      // Serving daemon end-to-end: the same mix through a real Server and
+      // one Client per worker over the loopback transport — protocol
+      // framing, event loop, pool dispatch, coalescing and cache all in the
+      // measured path, exactly what `sz14 serve` runs in production.  The
+      // per-read latencies feed the p50/p99 record, and the coalescing
+      // invariant (decodes <= blocks in the field) is asserted.
+      if (want("serving/daemon")) {
         const std::size_t clients = std::max<std::size_t>(2, threads);
         const std::size_t requests_per_client = smoke ? 6 : 48;
         serve::ServerConfig cfg;
@@ -794,68 +615,32 @@ int main(int argc, char** argv) {
         serve::Server server(apath, cfg);
         server.start();
 
-        std::vector<std::vector<float>> want;
+        std::vector<std::vector<float>> truth;
         {
           archive::ArchiveReader direct(apath, threads);
-          want.reserve(regions.size());
-          for (const auto& r : regions)
-            want.push_back(direct.read_region("v", r));
+          truth = read_all(direct, regions);
         }
-
-        std::atomic<std::size_t> diverged{0};
-        std::vector<std::vector<double>> lat_ms(clients);
-        std::vector<std::thread> workers;
-        Timer t;
-        for (std::size_t c = 0; c < clients; ++c) {
-          workers.emplace_back([&, c] {
-            try {
-              serve::Client client("loopback", server.endpoint());
-              Rng wr(7000 + c);
-              lat_ms[c].reserve(requests_per_client);
-              for (std::size_t k = 0; k < requests_per_client; ++k) {
-                const std::size_t i =
-                    bench::serving_pick(wr, kHot, regions.size());
-                Timer rt;
-                const auto got = client.read_region("v", regions[i]);
-                lat_ms[c].push_back(rt.seconds() * 1e3);
-                if (got != want[i]) ++diverged;
-              }
-            } catch (const std::exception& e) {
-              if (diverged.fetch_add(1) == 0)
-                std::fprintf(stderr, "serving client threw: %s\n", e.what());
-            }
-          });
-        }
-        for (auto& th : workers) th.join();
-        const double seconds = t.seconds();
+        bench::ServingRun r = bench::run_serving(
+            clients, requests_per_client, 7000, kHot, regions, truth,
+            [&](std::size_t) {
+              return [client = std::make_unique<serve::Client>(
+                          "loopback", server.endpoint())](
+                         const archive::Region& region) {
+                return client->read_region("v", region);
+              };
+            });
         server.stop();
-        if (diverged.load() != 0) {
-          std::fprintf(stderr, "run_perf_suite: DAEMON SERVING DIVERGENCE\n");
-          exit_code = 1;
-        }
+        check(r.failed == 0, "SERVING DIVERGENCE", "daemon");
 
         const serve::ServerStats st = server.stats();
-        // Cold burst + warm steady state: the single-flight map and cache
-        // together bound decodes by the number of blocks the region set
-        // touches, regardless of client count.
         const std::size_t total_blocks =
             server.reader().field("v").blocks.size();
-        if (st.blocks_decoded > total_blocks) {
-          std::fprintf(stderr,
-                       "run_perf_suite: COALESCING LEAK (%llu decodes > "
-                       "%zu blocks)\n",
-                       static_cast<unsigned long long>(st.blocks_decoded),
-                       total_blocks);
-          exit_code = 1;
-        }
+        check(st.blocks_decoded <= total_blocks, "COALESCING LEAK",
+              "daemon, " + std::to_string(st.blocks_decoded) +
+                  " decodes > " + std::to_string(total_blocks) + " blocks");
 
-        std::vector<double> all_ms;
-        for (const auto& v : lat_ms)
-          all_ms.insert(all_ms.end(), v.begin(), v.end());
-        const double p50 = bench::percentile(all_ms, 50.0);
-        const double p99 = bench::percentile(all_ms, 99.0);
-        const std::size_t reads = all_ms.size();
-
+        const double p50 = bench::percentile(r.latency_ms, 50.0);
+        const double p99 = bench::percentile(r.latency_ms, 99.0);
         json.begin_record();
         json.kv("bench", "perf_suite_serving_daemon");
         json.kv("field", "hurricane3d");
@@ -863,9 +648,9 @@ int main(int argc, char** argv) {
         json.kv("clients", clients);
         json.kv("threads", threads);
         json.kv("regions", regions.size());
-        json.kv("reads", reads);
-        json.kv("seconds", seconds);
-        json.kv("reads_per_s", static_cast<double>(reads) / seconds);
+        json.kv("reads", r.reads);
+        json.kv("seconds", r.seconds);
+        json.kv("reads_per_s", r.reads_per_s());
         json.kv("latency_p50_ms", p50);
         json.kv("latency_p99_ms", p99);
         json.kv("blocks_decoded",
@@ -878,14 +663,26 @@ int main(int argc, char** argv) {
         json.end_record();
         std::fprintf(stderr,
                      "serving daemon  %zu clients: %7.1f reads/s, p50 "
-                     "%.2f ms, p99 %.2f ms, %llu decodes, %llu coalesced\n",
-                     clients, static_cast<double>(reads) / seconds, p50, p99,
+                     "%.2f ms, p99 %.2f ms, %llu decodes of %zu blocks, "
+                     "%llu coalesced\n",
+                     clients, r.reads_per_s(), p50, p99,
                      static_cast<unsigned long long>(st.blocks_decoded),
+                     total_blocks,
                      static_cast<unsigned long long>(st.coalesced_reads));
       }
-      std::remove(apath.c_str());
     }
   }
   if (out != stdout) std::fclose(out);
   return exit_code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "run_perf_suite: error: %s\n", e.what());
+    return 1;
+  }
 }

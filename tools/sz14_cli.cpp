@@ -48,6 +48,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -193,15 +194,38 @@ EntropyBackend parse_entropy(const std::string& value) {
   usage("--entropy must be huffman|rans");
 }
 
-Dims parse_dims(const std::string& text) {
+/// Upper bound for every -t: far above any core count, low enough that a
+/// typo cannot ask for billions of workers.
+constexpr std::size_t kMaxThreads = 1024;
+
+/// The value of integer flag `flag`: plain decimal digits (no sign, no
+/// trailing characters) no larger than `max`; anything else is a usage
+/// error.
+template <class T = std::size_t>
+T parse_count(const std::string& flag, const std::string& text,
+              T max = std::numeric_limits<T>::max()) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end ||
+      v > static_cast<std::uint64_t>(max))
+    usage((flag + " expects an integer in [0, " + std::to_string(max) +
+           "], got '" + text + "'")
+              .c_str());
+  return static_cast<T>(v);
+}
+
+/// 'x'-separated extents of `flag` (-d, --block, --shape, --field), slowest
+/// first.
+Dims parse_dims(const std::string& flag, const std::string& text) {
   std::vector<std::size_t> ext;
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t end = text.find('x', pos);
     if (end == std::string::npos) end = text.size();
     const std::string part = text.substr(pos, end - pos);
-    if (part.empty()) usage("empty dimension in -d");
-    ext.push_back(std::stoull(part));
+    if (part.empty()) usage(("empty dimension in " + flag).c_str());
+    ext.push_back(parse_count(flag, part));
     pos = end + 1;
   }
   return Dims(std::span<const std::size_t>(ext));
@@ -211,14 +235,11 @@ Dims parse_dims(const std::string& text) {
 /// (binary multiples; a trailing B/iB is accepted, so 64M == 64MB ==
 /// 64MiB).
 std::size_t parse_size_bytes(const std::string& text) {
-  std::size_t pos = 0;
   unsigned long long v = 0;
-  try {
-    v = std::stoull(text, &pos);
-  } catch (const std::exception&) {
-    usage(("bad size: " + text).c_str());
-  }
-  std::string suffix = text.substr(pos);
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc()) usage(("bad size: " + text).c_str());
+  std::string suffix(ptr, text.data() + text.size());
   for (char& c : suffix) c = static_cast<char>(std::tolower(c));
   if (!suffix.empty() && suffix.back() == 'b') {
     suffix.pop_back();
@@ -259,13 +280,13 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--pwrel") {
       a.pwrel = std::stod(next());
     } else if (flag == "-m") {
-      a.opts.interval_bits = static_cast<unsigned>(std::stoul(next()));
+      a.opts.interval_bits = parse_count<unsigned>(flag, next());
     } else if (flag == "-n") {
-      a.opts.layers = static_cast<unsigned>(std::stoul(next()));
+      a.opts.layers = parse_count<unsigned>(flag, next());
     } else if (flag == "--decorrelate") {
       a.opts.decorrelate = true;
     } else if (flag == "-t") {
-      a.threads = std::stoull(next());
+      a.threads = parse_count(flag, next(), kMaxThreads);
     } else if (flag == "--turbo") {
       a.turbo = true;
     } else if (flag == "--entropy") {
@@ -291,7 +312,7 @@ std::vector<double> read_f64(const std::string& path) {
 int cmd_compress(const Args& a) {
   if (a.output.empty() || a.dims_text.empty())
     usage("compress needs -o and -d");
-  const Dims dims = parse_dims(a.dims_text);
+  const Dims dims = parse_dims("-d", a.dims_text);
   // --turbo selects the reciprocal-multiply kernels for this call via the
   // per-call ExecPolicy; the stream stays |x - x'| <= eb conformant and
   // decodes normally.  Nothing process-wide is touched.
@@ -418,7 +439,7 @@ int cmd_info(const Args& a) {
 int cmd_analyze(const Args& a) {
   if (a.dims_text.empty()) usage("analyze needs -d");
   if (a.dtype != "f32") usage("analyze currently supports --dtype f32 only");
-  const Dims dims = parse_dims(a.dims_text);
+  const Dims dims = parse_dims("-d", a.dims_text);
   const auto values = data::read_f32(a.input);
   if (values.size() != dims.count()) usage("file size does not match -d");
   double lo = values[0], hi = values[0];
@@ -464,7 +485,7 @@ FieldSpec parse_field_spec(const std::string& text) {
   FieldSpec s;
   s.name = text.substr(0, eq);
   s.file = text.substr(eq + 1, colon - eq - 1);
-  s.dims = parse_dims(text.substr(colon + 1));
+  s.dims = parse_dims("--field", text.substr(colon + 1));
   if (s.name.empty() || s.file.empty()) usage("--field expects NAME=FILE:DIMS");
   return s;
 }
@@ -484,7 +505,7 @@ struct ArchiveArgs {
   double eb_rel = std::numeric_limits<double>::quiet_NaN();
   std::size_t threads = 0;
   std::size_t limit = 0;  // 0 = no limit
-  std::size_t parity_group = 0;  // 0 = parity off
+  std::uint32_t parity_group = 0;  // 0 = parity off
   std::uint64_t shard_size = 0;  // 0 = single-file .sza layout
   EntropyBackend entropy = EntropyBackend::kHuffman;
   bool turbo = false;
@@ -529,13 +550,13 @@ ArchiveArgs parse_archive(int argc, char** argv) {
     } else if (flag == "--rel") {
       a.eb_rel = std::stod(next());
     } else if (flag == "-t") {
-      a.threads = std::stoull(next());
+      a.threads = parse_count(flag, next(), kMaxThreads);
     } else if (flag == "--turbo") {
       a.turbo = true;
     } else if (flag == "--entropy") {
       a.entropy = parse_entropy(next());
     } else if (flag == "--limit") {
-      a.limit = std::stoull(next());
+      a.limit = parse_count(flag, next());
     } else if (flag == "--repair") {
       a.repair = true;
     } else if (flag == "--salvage") {
@@ -545,7 +566,7 @@ ArchiveArgs parse_archive(int argc, char** argv) {
     } else if (flag == "--parity") {
       if (a.parity_group == 0) a.parity_group = archive::kDefaultParityGroup;
     } else if (flag == "--parity-group") {
-      a.parity_group = std::stoull(next());
+      a.parity_group = parse_count<std::uint32_t>(flag, next());
       if (a.parity_group == 0) usage("--parity-group must be >= 1");
     } else if (flag == "--shard-size") {
       a.shard_size = parse_size_bytes(next());
@@ -576,14 +597,15 @@ std::optional<archive::Region> parse_region_texts(
   if (origin_text.empty() && shape_text.empty()) return std::nullopt;
   if (origin_text.empty() || shape_text.empty())
     usage("--origin and --shape must be given together");
-  const Dims shape = parse_dims(shape_text);
+  const Dims shape = parse_dims("--shape", shape_text);
   // Origins may legitimately contain 0, which Dims rejects; parse by hand.
   std::vector<std::size_t> origin;
   std::size_t pos = 0;
   while (pos <= origin_text.size()) {
     std::size_t end = origin_text.find('x', pos);
     if (end == std::string::npos) end = origin_text.size();
-    origin.push_back(std::stoull(origin_text.substr(pos, end - pos)));
+    origin.push_back(
+        parse_count("--origin", origin_text.substr(pos, end - pos)));
     pos = end + 1;
   }
   if (origin.size() != shape.rank())
@@ -623,8 +645,7 @@ int cmd_archive_create(const ArchiveArgs& a) {
   ExecPolicy policy;
   if (a.turbo) policy.mode = HotPathMode::kTurbo;
   policy.entropy = a.entropy;
-  archive::ArchiveWriter writer(a.output, a.threads, policy,
-                                static_cast<std::uint32_t>(a.parity_group),
+  archive::ArchiveWriter writer(a.output, a.threads, policy, a.parity_group,
                                 a.shard_size);
   Timer timer;
   const auto do_append = [&](const FieldSpec& spec, const Dims& block,
@@ -642,7 +663,7 @@ int cmd_archive_create(const ArchiveArgs& a) {
   for (const auto& spec : a.fields) {
     const Dims block =
         a.block_text.empty() ? default_block(spec.dims)
-                             : parse_dims(a.block_text);
+                             : parse_dims("--block", a.block_text);
     if (a.dtype == "f32")
       do_append(spec, block, data::read_f32(spec.file));
     else
@@ -901,12 +922,12 @@ int cmd_serve(int argc, char** argv) {
       cfg.endpoint = next();
       listen_given = true;
     } else if (flag == "-t") {
-      cfg.threads = std::stoull(next());
+      cfg.threads = parse_count(flag, next(), kMaxThreads);
     } else if (flag == "--cache") {
       cfg.cache_bytes = parse_size_bytes(next());
       cache_given = true;
     } else if (flag == "--max-sessions") {
-      cfg.max_sessions = std::stoull(next());
+      cfg.max_sessions = parse_count(flag, next());
     } else if (flag == "--no-coalesce") {
       cfg.coalescing = false;
     } else if (flag == "--degraded") {
@@ -914,9 +935,9 @@ int cmd_serve(int argc, char** argv) {
     } else if (flag == "--mmap") {
       cfg.fetch = FetchMode::kMmap;
     } else if (flag == "--idle-timeout") {
-      cfg.idle_timeout_ms = std::stoi(next());
+      cfg.idle_timeout_ms = parse_count<int>(flag, next());
     } else if (flag == "--drain-grace") {
-      drain_grace_ms = std::stoi(next());
+      drain_grace_ms = parse_count<int>(flag, next());
     } else {
       usage(("unknown flag " + flag).c_str());
     }
@@ -1004,7 +1025,7 @@ int run_get(int argc, char** argv) {
     } else if (flag == "--shape") {
       shape_text = next();
     } else if (flag == "--limit") {
-      limit = std::stoull(next());
+      limit = parse_count(flag, next());
     } else if (flag == "--ls") {
       do_ls = true;
     } else if (flag == "--stat") {
@@ -1016,11 +1037,11 @@ int run_get(int argc, char** argv) {
     } else if (flag == "--repair") {
       scrub_repair = true;
     } else if (flag == "--timeout") {
-      ccfg.request_timeout_ms = std::stoi(next());
+      ccfg.request_timeout_ms = parse_count<int>(flag, next());
     } else if (flag == "--connect-timeout") {
-      ccfg.connect_timeout_ms = std::stoi(next());
+      ccfg.connect_timeout_ms = parse_count<int>(flag, next());
     } else if (flag == "--retries") {
-      ccfg.retries = static_cast<unsigned>(std::stoul(next()));
+      ccfg.retries = parse_count<unsigned>(flag, next());
     } else {
       usage(("unknown flag " + flag).c_str());
     }
