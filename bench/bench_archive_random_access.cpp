@@ -140,8 +140,7 @@ int run() {
       // One untimed sweep so the cached config measures steady state.
       const bench::ServingRun warm = sweep();
       const bench::ServingRun hot = sweep();
-      const double hit_rate = bench::cache_hit_rate(reader.cache_hits(),
-                                                    reader.cache_misses());
+      const double hit_rate = bench::cache_hit_rate(reader.metrics());
       json.begin_record();
       json.kv("codec", "sz14");
       json.kv("scenario", cached ? "serving_cache" : "serving_nocache");

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "archive/blocking.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "data/generators.hpp"
@@ -131,7 +132,11 @@ inline double percentile(std::vector<double>& samples, double pct) {
   return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
-inline double cache_hit_rate(std::uint64_t hits, std::uint64_t misses) {
+/// cache_hits / (cache_hits + cache_misses) of a reader's or server's
+/// counter records (0 when the cache saw no lookups).
+inline double cache_hit_rate(const Metrics& m) {
+  const std::uint64_t hits = metric(m, "cache_hits");
+  const std::uint64_t misses = metric(m, "cache_misses");
   return hits + misses ? static_cast<double>(hits) /
                              static_cast<double>(hits + misses)
                        : 0.0;

@@ -570,11 +570,11 @@ int run(int argc, char** argv) {
                 return reader.read_region("v", region);
               };
             });
-        check(r.failed == 0 && reader.read_repairs() == 0,
-              "SERVING DIVERGENCE", row.mode);
+        const Metrics m = reader.metrics();
+        const std::uint64_t repairs = metric(m, "read_repairs");
+        check(r.failed == 0 && repairs == 0, "SERVING DIVERGENCE", row.mode);
 
-        const double hit_rate = bench::cache_hit_rate(reader.cache_hits(),
-                                                      reader.cache_misses());
+        const double hit_rate = bench::cache_hit_rate(m);
         json.begin_record();
         json.kv("bench", "perf_suite_archive_serving");
         json.kv("field", "hurricane3d");
@@ -594,8 +594,7 @@ int run(int argc, char** argv) {
                      "decodes, hit rate %.2f, %llu repairs\n",
                      row.mode, threads, r.reads_per_s(),
                      static_cast<unsigned long long>(reader.blocks_decoded()),
-                     hit_rate,
-                     static_cast<unsigned long long>(reader.read_repairs()));
+                     hit_rate, static_cast<unsigned long long>(repairs));
       }
 
       // Serving daemon end-to-end: the same mix through a real Server and
@@ -632,12 +631,14 @@ int run(int argc, char** argv) {
         server.stop();
         check(r.failed == 0, "SERVING DIVERGENCE", "daemon");
 
-        const serve::ServerStats st = server.stats();
+        const Metrics st = server.stats();
+        const std::uint64_t decoded = metric(st, "blocks_decoded");
+        const std::uint64_t coalesced = metric(st, "coalesced_reads");
         const std::size_t total_blocks =
             server.reader().field("v").blocks.size();
-        check(st.blocks_decoded <= total_blocks, "COALESCING LEAK",
-              "daemon, " + std::to_string(st.blocks_decoded) +
-                  " decodes > " + std::to_string(total_blocks) + " blocks");
+        check(decoded <= total_blocks, "COALESCING LEAK",
+              "daemon, " + std::to_string(decoded) + " decodes > " +
+                  std::to_string(total_blocks) + " blocks");
 
         const double p50 = bench::percentile(r.latency_ms, 50.0);
         const double p99 = bench::percentile(r.latency_ms, 99.0);
@@ -653,22 +654,19 @@ int run(int argc, char** argv) {
         json.kv("reads_per_s", r.reads_per_s());
         json.kv("latency_p50_ms", p50);
         json.kv("latency_p99_ms", p99);
-        json.kv("blocks_decoded",
-                static_cast<std::size_t>(st.blocks_decoded));
-        json.kv("coalesced_reads",
-                static_cast<std::size_t>(st.coalesced_reads));
-        json.kv("cache_hit_rate",
-                bench::cache_hit_rate(st.cache_hits, st.cache_misses));
-        json.kv("bytes_out", static_cast<std::size_t>(st.bytes_out));
+        json.kv("blocks_decoded", static_cast<std::size_t>(decoded));
+        json.kv("coalesced_reads", static_cast<std::size_t>(coalesced));
+        json.kv("cache_hit_rate", bench::cache_hit_rate(st));
+        json.kv("bytes_out",
+                static_cast<std::size_t>(metric(st, "bytes_out")));
         json.end_record();
         std::fprintf(stderr,
                      "serving daemon  %zu clients: %7.1f reads/s, p50 "
                      "%.2f ms, p99 %.2f ms, %llu decodes of %zu blocks, "
                      "%llu coalesced\n",
                      clients, r.reads_per_s(), p50, p99,
-                     static_cast<unsigned long long>(st.blocks_decoded),
-                     total_blocks,
-                     static_cast<unsigned long long>(st.coalesced_reads));
+                     static_cast<unsigned long long>(decoded), total_blocks,
+                     static_cast<unsigned long long>(coalesced));
       }
     }
   }

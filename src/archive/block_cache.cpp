@@ -11,6 +11,14 @@ void BlockCache::set_capacity(std::size_t bytes) {
   }
 }
 
+Metrics BlockCache::metrics() const {
+  return {{"cache_hits", hits_.load(std::memory_order_relaxed)},
+          {"cache_misses", misses_.load(std::memory_order_relaxed)},
+          {"cache_evictions", evictions_.load(std::memory_order_relaxed)},
+          {"cache_resident_bytes", bytes_.load(std::memory_order_relaxed)},
+          {"cache_capacity_bytes", capacity()}};
+}
+
 void BlockCache::clear() {
   std::vector<std::shared_ptr<const void>> graveyard;
   {

@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
+
 namespace sz14::archive {
 
 class BlockCache {
@@ -36,20 +38,10 @@ class BlockCache {
   }
   [[nodiscard]] bool enabled() const noexcept { return capacity() > 0; }
 
-  /// Decoded bytes currently resident.
-  [[nodiscard]] std::size_t resident_bytes() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  /// Hit, miss and eviction counts (since construction or reset_stats()),
+  /// the decoded bytes resident now and the byte budget.
+  [[nodiscard]] Metrics metrics() const;
 
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t evictions() const noexcept {
-    return evictions_.load(std::memory_order_relaxed);
-  }
   void reset_stats() noexcept {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);

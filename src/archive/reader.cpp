@@ -206,6 +206,20 @@ const FieldEntry& ArchiveReader::field(std::string_view name) const {
   return fields_[field_index(name)];
 }
 
+Metrics ArchiveReader::metrics() const {
+  const auto load = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  Metrics m = {{"blocks_decoded", blocks_decoded()},
+               {"crc_failures", load(crc_failures_)},
+               {"read_repairs", load(read_repairs_)},
+               {"unrecoverable_blocks", load(unrecoverable_blocks_)},
+               {"degraded_reads", load(degraded_reads_)}};
+  for (const Metrics& part : {cache_.metrics(), flight_.metrics()})
+    m.insert(m.end(), part.begin(), part.end());
+  return m;
+}
+
 ThreadPool& ArchiveReader::serving_pool() const {
   std::call_once(pool_once_, [this] {
     if (policy_.pool != nullptr) {

@@ -33,6 +33,7 @@
 #include "archive/shard.hpp"
 #include "archive/single_flight.hpp"
 #include "common/exec_policy.hpp"
+#include "common/metrics.hpp"
 #include "common/pread_file.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -51,7 +52,7 @@ enum class OpenMode : std::uint8_t {
   kSalvage,
   /// kSalvage's open semantics, plus degraded READS: a block that fails
   /// its CRC and cannot be read-repaired from parity no longer throws —
-  /// the plain read calls zero-fill it (degraded_reads() counts the
+  /// the plain read calls zero-fill it (`degraded_reads` counts the
   /// affected reads), and the ReadDamage& overloads report exactly which
   /// blocks are holes.  The mode for serving what survives of a damaged
   /// archive while it is being repaired.
@@ -225,22 +226,6 @@ class ArchiveReader {
   /// while reads are in flight.
   void set_cache_capacity(std::size_t bytes) { cache_.set_capacity(bytes); }
 
-  [[nodiscard]] std::uint64_t cache_hits() const noexcept {
-    return cache_.hits();
-  }
-  [[nodiscard]] std::uint64_t cache_misses() const noexcept {
-    return cache_.misses();
-  }
-  [[nodiscard]] std::uint64_t cache_evictions() const noexcept {
-    return cache_.evictions();
-  }
-  [[nodiscard]] std::size_t cache_resident_bytes() const noexcept {
-    return cache_.resident_bytes();
-  }
-  [[nodiscard]] std::size_t cache_capacity() const noexcept {
-    return cache_.capacity();
-  }
-
   /// Opt into single-flight request coalescing: concurrent decodes of the
   /// same (field, block) share ONE pread+CRC+decode instead of N (the
   /// serving daemon's hot-burst path).  With the cache also enabled, a
@@ -255,43 +240,18 @@ class ArchiveReader {
     return coalesce_.load(std::memory_order_relaxed);
   }
 
-  /// Reads served by piggybacking on another thread's in-flight decode of
-  /// the same block (since construction or reset_counters()).
-  [[nodiscard]] std::uint64_t coalesced_reads() const noexcept {
-    return flight_.coalesced();
-  }
-
   /// Blocks decoded since construction or reset_counters() (cache hits
   /// decode nothing and do not count).
   [[nodiscard]] std::uint64_t blocks_decoded() const noexcept {
     return blocks_decoded_.load(std::memory_order_relaxed);
   }
 
-  /// Block payloads that failed their stored CRC-32 at decode time (each
-  /// is then either read-repaired or reported unrecoverable).
-  [[nodiscard]] std::uint64_t crc_failures() const noexcept {
-    return crc_failures_.load(std::memory_order_relaxed);
-  }
+  /// Every counter as a named record: the reader's own five (the
+  /// atomics at the end of this class), then the cache's and the
+  /// single-flight map's.
+  [[nodiscard]] Metrics metrics() const;
 
-  /// CRC-failed blocks transparently reconstructed from their parity
-  /// group (the returned data is exact, verified against the stored CRC).
-  [[nodiscard]] std::uint64_t read_repairs() const noexcept {
-    return read_repairs_.load(std::memory_order_relaxed);
-  }
-
-  /// CRC-failed blocks that could NOT be reconstructed (no parity, or a
-  /// second damaged member in the group).
-  [[nodiscard]] std::uint64_t unrecoverable_blocks() const noexcept {
-    return unrecoverable_blocks_.load(std::memory_order_relaxed);
-  }
-
-  /// Read calls that completed with at least one zero-filled hole
-  /// (degraded mode or the ReadDamage& overloads).
-  [[nodiscard]] std::uint64_t degraded_reads() const noexcept {
-    return degraded_reads_.load(std::memory_order_relaxed);
-  }
-
-  /// Zero blocks_decoded(), coalesced_reads(), the damage counters and
+  /// Zero blocks_decoded(), the damage counters, coalesced_reads and
   /// the cache hit/miss/eviction counters (cached DATA stays resident —
   /// only the statistics reset).
   void reset_counters() noexcept {
@@ -357,9 +317,16 @@ class ArchiveReader {
   mutable SingleFlight flight_;
   std::atomic<bool> coalesce_{false};
   mutable std::atomic<std::uint64_t> blocks_decoded_{0};
+  // Payloads that failed their stored CRC-32 at decode time; each is then
+  // read-repaired or counted unrecoverable.
   mutable std::atomic<std::uint64_t> crc_failures_{0};
+  // CRC-failed blocks rebuilt from their parity group (the data is exact).
   mutable std::atomic<std::uint64_t> read_repairs_{0};
+  // CRC-failed blocks parity could not rebuild (no parity, or a second
+  // damaged member in the group).
   mutable std::atomic<std::uint64_t> unrecoverable_blocks_{0};
+  // Read calls that returned at least one zero-filled hole (degraded mode
+  // or the ReadDamage& overloads).
   mutable std::atomic<std::uint64_t> degraded_reads_{0};
 };
 

@@ -2,6 +2,10 @@
 
 namespace sz14::archive {
 
+Metrics SingleFlight::metrics() const {
+  return {{"coalesced_reads", coalesced_.load(std::memory_order_relaxed)}};
+}
+
 std::pair<std::shared_ptr<SingleFlight::Entry>, bool> SingleFlight::begin(
     std::size_t field, std::size_t block) {
   const Key key{field, block};

@@ -30,6 +30,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/metrics.hpp"
+
 namespace sz14::archive {
 
 class SingleFlight {
@@ -46,7 +48,7 @@ class SingleFlight {
 
   /// Join the flight for (field, block).  Returns the entry and whether
   /// the caller is the leader (first thread in).  A follower is counted in
-  /// coalesced() immediately.  The leader MUST eventually call publish()
+  /// `coalesced_reads` immediately.  The leader MUST eventually call publish()
   /// exactly once — on every path, including failure.
   [[nodiscard]] std::pair<std::shared_ptr<Entry>, bool> begin(
       std::size_t field, std::size_t block);
@@ -63,9 +65,7 @@ class SingleFlight {
 
   /// Reads that piggybacked on another thread's in-flight decode since
   /// construction or the last reset.
-  [[nodiscard]] std::uint64_t coalesced() const noexcept {
-    return coalesced_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] Metrics metrics() const;
   void reset_stats() noexcept {
     coalesced_.store(0, std::memory_order_relaxed);
   }

@@ -178,10 +178,10 @@ archive::FieldStat Client::stat(const std::string& field) {
   return archive::decode_field_stat(in);
 }
 
-ServerStats Client::stats() {
+Metrics Client::stats() {
   const auto body = roundtrip(kOpStats, {});
   ByteReader in(body);
-  return decode_server_stats(in);
+  return decode_stats_response(in);
 }
 
 ReadResponse Client::read_raw(const std::string& field,

@@ -87,8 +87,8 @@ class Client {
   /// Full stat for one field, per-block rows included.
   [[nodiscard]] archive::FieldStat stat(const std::string& field);
 
-  /// Server counter snapshot.
-  [[nodiscard]] ServerStats stats();
+  /// Server counter snapshot (Server::stats() records).
+  [[nodiscard]] Metrics stats();
 
   /// Decoded values for a hyperslab / whole field.  The f32 variants
   /// throw if the remote field is f64 and vice versa.

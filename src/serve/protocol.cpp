@@ -246,31 +246,26 @@ ScrubResponse decode_scrub_response(ByteReader& in) {
 
 // --- stats -----------------------------------------------------------------
 
-void encode_server_stats(const ServerStats& s, ByteWriter& out) {
-  for (const std::uint64_t v :
-       {s.sessions_accepted, s.sessions_rejected, s.sessions_active,
-        s.requests_ok, s.requests_error, s.bytes_in, s.bytes_out,
-        s.blocks_decoded, s.coalesced_reads, s.cache_hits, s.cache_misses,
-        s.cache_evictions, s.cache_resident_bytes, s.cache_capacity_bytes,
-        s.sessions_idle_reaped, s.crc_failures, s.read_repairs,
-        s.unrecoverable_blocks, s.degraded_reads, s.scrubs_started,
-        s.scrubs_completed, s.scrub_blocks_repaired})
-    out.put_varint(v);
+void encode_stats_response(const Metrics& records, ByteWriter& out) {
+  out.put_varint(records.size());
+  for (const auto& [name, value] : records) {
+    out.put_string(name);
+    out.put_varint(value);
+  }
 }
 
-ServerStats decode_server_stats(ByteReader& in) {
+Metrics decode_stats_response(ByteReader& in) {
   return guarded("stats response", [&] {
-    ServerStats s;
-    for (std::uint64_t* v :
-         {&s.sessions_accepted, &s.sessions_rejected, &s.sessions_active,
-          &s.requests_ok, &s.requests_error, &s.bytes_in, &s.bytes_out,
-          &s.blocks_decoded, &s.coalesced_reads, &s.cache_hits,
-          &s.cache_misses, &s.cache_evictions, &s.cache_resident_bytes,
-          &s.cache_capacity_bytes, &s.sessions_idle_reaped, &s.crc_failures,
-          &s.read_repairs, &s.unrecoverable_blocks, &s.degraded_reads,
-          &s.scrubs_started, &s.scrubs_completed, &s.scrub_blocks_repaired})
-      *v = in.get_varint();
-    return s;
+    const std::uint64_t n = in.get_varint();
+    // A record is at least two body bytes (name length + value); bound
+    // the reserve by what the frame can actually carry.
+    if (n > in.remaining() / 2)
+      throw ProtocolError("stats response: record count exceeds frame");
+    Metrics records;
+    records.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+      records.push_back({in.get_string(), in.get_varint()});  // name first
+    return records;
   });
 }
 

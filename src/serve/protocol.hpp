@@ -4,8 +4,9 @@
 //
 // Frame layout (both directions, all scalars little-endian):
 //
-//   magic     u32   "SZR1" — protocol identity AND version (bump the
-//                   trailing digit for incompatible revisions)
+//   magic     u32   "SZR1" — protocol identity (an incompatible change to
+//                   an op body bumps kProtocolVersion instead, which the
+//                   open handshake checks)
 //   kind      u8    request: opcode (kOp*); response: status (kStatus*)
 //   reserved  u8    must be 0
 //   body_len  u32   body bytes that follow
@@ -23,7 +24,7 @@
 //   stat(field)                   -> FieldStat with per-block coverage
 //   read_region(field, region)    -> dtype + shape + raw LE values
 //   read_field(field)             -> same, whole field
-//   stats()                       -> ServerStats counters
+//   stats()                       -> (name, value) counter records
 //   scrub(repair)                 -> accepted flag (background scrub task)
 //
 // Read responses carry a flags byte: a degraded server (one serving a
@@ -45,11 +46,13 @@
 #include "archive/stat_format.hpp"
 #include "common/bytebuffer.hpp"
 #include "common/dims.hpp"
+#include "common/metrics.hpp"
 
 namespace sz14::serve {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x31'52'5A'53u;  // "SZR1"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// 2: the stats body became self-describing (name, value) records.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 10;
 
 /// Requests are metadata-only (names, region coordinates); anything bigger
@@ -168,33 +171,6 @@ struct ScrubResponse {
   bool accepted = false;
 };
 
-/// Serving-side counter snapshot (the `stats` op and ServerStats struct of
-/// the daemon are the same wire object).
-struct ServerStats {
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t sessions_rejected = 0;  ///< bounced off the session cap
-  std::uint64_t sessions_active = 0;
-  std::uint64_t requests_ok = 0;
-  std::uint64_t requests_error = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t blocks_decoded = 0;
-  std::uint64_t coalesced_reads = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_resident_bytes = 0;
-  std::uint64_t cache_capacity_bytes = 0;
-  std::uint64_t sessions_idle_reaped = 0;  ///< closed by the idle timeout
-  std::uint64_t crc_failures = 0;      ///< payloads that failed their CRC
-  std::uint64_t read_repairs = 0;      ///< blocks reconstructed from parity
-  std::uint64_t unrecoverable_blocks = 0;  ///< CRC failures parity missed
-  std::uint64_t degraded_reads = 0;    ///< reads answered with holes
-  std::uint64_t scrubs_started = 0;    ///< background scrubs accepted
-  std::uint64_t scrubs_completed = 0;  ///< background scrubs finished
-  std::uint64_t scrub_blocks_repaired = 0;  ///< payloads healed by scrubs
-};
-
 // Encoders produce the frame BODY; pair them with encode_frame(kOp*/
 // kStatus*, body).  Decoders throw ProtocolError on malformed input.
 void encode_open_request(const OpenRequest& r, ByteWriter& out);
@@ -215,8 +191,10 @@ void encode_scrub_request(const ScrubRequest& r, ByteWriter& out);
 void encode_scrub_response(const ScrubResponse& r, ByteWriter& out);
 [[nodiscard]] ScrubResponse decode_scrub_response(ByteReader& in);
 
-void encode_server_stats(const ServerStats& s, ByteWriter& out);
-[[nodiscard]] ServerStats decode_server_stats(ByteReader& in);
+/// stats response: varint record count, then (string name, varint value)
+/// per record — Server::stats() as it is, no fixed field list.
+void encode_stats_response(const Metrics& records, ByteWriter& out);
+[[nodiscard]] Metrics decode_stats_response(ByteReader& in);
 
 /// ls response: FieldStat summaries (block rows omitted).
 void encode_ls_response(const std::vector<archive::FieldStat>& fields,

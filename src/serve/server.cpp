@@ -63,33 +63,24 @@ Server::Server(const std::string& archive_path, ServerConfig config)
 
 Server::~Server() { stop(); }
 
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.sessions_accepted = sessions_accepted_.load(std::memory_order_relaxed);
-  s.sessions_rejected = sessions_rejected_.load(std::memory_order_relaxed);
-  s.sessions_active = sessions_active_.load(std::memory_order_relaxed);
-  s.requests_ok = requests_ok_.load(std::memory_order_relaxed);
-  s.requests_error = requests_error_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  s.blocks_decoded = reader_.blocks_decoded();
-  s.coalesced_reads = reader_.coalesced_reads();
-  s.cache_hits = reader_.cache_hits();
-  s.cache_misses = reader_.cache_misses();
-  s.cache_evictions = reader_.cache_evictions();
-  s.cache_resident_bytes = reader_.cache_resident_bytes();
-  s.cache_capacity_bytes = reader_.cache_capacity();
-  s.sessions_idle_reaped =
-      sessions_idle_reaped_.load(std::memory_order_relaxed);
-  s.crc_failures = reader_.crc_failures();
-  s.read_repairs = reader_.read_repairs();
-  s.unrecoverable_blocks = reader_.unrecoverable_blocks();
-  s.degraded_reads = reader_.degraded_reads();
-  s.scrubs_started = scrubs_started_.load(std::memory_order_relaxed);
-  s.scrubs_completed = scrubs_completed_.load(std::memory_order_relaxed);
-  s.scrub_blocks_repaired =
-      scrub_blocks_repaired_.load(std::memory_order_relaxed);
-  return s;
+Metrics Server::stats() const {
+  const auto load = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  Metrics m = {{"sessions_accepted", load(sessions_accepted_)},
+               {"sessions_rejected", load(sessions_rejected_)},
+               {"sessions_active", load(sessions_active_)},
+               {"sessions_idle_reaped", load(sessions_idle_reaped_)},
+               {"requests_ok", load(requests_ok_)},
+               {"requests_error", load(requests_error_)},
+               {"bytes_in", load(bytes_in_)},
+               {"bytes_out", load(bytes_out_)},
+               {"scrubs_started", load(scrubs_started_)},
+               {"scrubs_completed", load(scrubs_completed_)},
+               {"scrub_blocks_repaired", load(scrub_blocks_repaired_)}};
+  const Metrics reader = reader_.metrics();
+  m.insert(m.end(), reader.begin(), reader.end());
+  return m;
 }
 
 #if !defined(_WIN32)
@@ -177,6 +168,26 @@ void Server::event_loop() {
                              drain_grace_ms_.load(std::memory_order_relaxed));
       listener_.reset();
       for (const auto& [id, s] : sessions_) s->input_dead = true;
+    }
+    if (drain_started) {
+      // Before blocking: close each session the moment it has nothing left
+      // to say, and leave the loop when the table is empty or the grace
+      // budget is gone.  (Checked after the poll instead, an idle server
+      // would sleep through its whole grace budget: nothing rings the
+      // wake pipe again once drain() has.)
+      doomed.clear();
+      const bool expired = Clock::now() >= drain_deadline;
+      for (const auto& [id, s] : sessions_) {
+        if (expired) {
+          doomed.push_back(id);
+          continue;
+        }
+        if (s->inflight.load(std::memory_order_acquire) > 0) continue;
+        std::lock_guard<std::mutex> lock(s->out_mutex);
+        if (s->outbox.empty()) doomed.push_back(id);
+      }
+      for (const auto id : doomed) close_session(id);
+      if (sessions_.empty()) break;
     }
 
     pfds.clear();
@@ -273,23 +284,6 @@ void Server::event_loop() {
       }
     }
 
-    if (drain_started) {
-      // Close each session the moment it has nothing left to say; leave
-      // the loop when the table is empty or the grace budget is gone.
-      doomed.clear();
-      const bool expired = now >= drain_deadline;
-      for (const auto& [id, s] : sessions_) {
-        if (expired) {
-          doomed.push_back(id);
-          continue;
-        }
-        if (s->inflight.load(std::memory_order_acquire) > 0) continue;
-        std::lock_guard<std::mutex> lock(s->out_mutex);
-        if (s->outbox.empty()) doomed.push_back(id);
-      }
-      for (const auto id : doomed) close_session(id);
-      if (sessions_.empty()) break;
-    }
   }
   // Orderly shutdown: drop every session now so client recv sees EOF
   // promptly (stop() clears the table again after the pool drains).
@@ -399,7 +393,7 @@ void Server::dispatch(const std::shared_ptr<Session>& s, const Frame& frame) {
       }
       case kOpStats: {
         ByteWriter w;
-        encode_server_stats(stats(), w);
+        encode_stats_response(stats(), w);
         enqueue(s, kStatusOk, w.view());
         return;
       }

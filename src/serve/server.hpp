@@ -97,8 +97,9 @@ class Server {
     return endpoint_;
   }
 
-  /// Counter snapshot (the `stats` op returns exactly this).
-  [[nodiscard]] ServerStats stats() const;
+  /// Counter snapshot (the `stats` op returns exactly this): the
+  /// server's own counters as named records, then reader().metrics().
+  [[nodiscard]] Metrics stats() const;
 
   /// The underlying reader — tests use its decode/coalesce counters to
   /// prove coalescing did the work.
@@ -151,17 +152,17 @@ class Server {
   std::uint64_t next_session_id_ = 1;
 
   std::atomic<std::uint64_t> sessions_accepted_{0};
-  std::atomic<std::uint64_t> sessions_rejected_{0};
+  std::atomic<std::uint64_t> sessions_rejected_{0};  // over max_sessions
   std::atomic<std::uint64_t> sessions_active_{0};
   std::atomic<std::uint64_t> requests_ok_{0};
   std::atomic<std::uint64_t> requests_error_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> sessions_idle_reaped_{0};
+  std::atomic<std::uint64_t> sessions_idle_reaped_{0};  // idle timeout
   std::atomic<bool> scrub_running_{false};
   std::atomic<std::uint64_t> scrubs_started_{0};
   std::atomic<std::uint64_t> scrubs_completed_{0};
-  std::atomic<std::uint64_t> scrub_blocks_repaired_{0};
+  std::atomic<std::uint64_t> scrub_blocks_repaired_{0};  // payloads healed
 };
 
 }  // namespace sz14::serve

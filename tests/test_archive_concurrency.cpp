@@ -148,7 +148,7 @@ TEST(ArchiveConcurrency, CacheHitsSkipDecodeAndStayBitIdentical) {
   const auto second = reader.read_region("lossy32", hot);
   EXPECT_EQ(second, first);                           // cache is invisible
   EXPECT_EQ(reader.blocks_decoded(), decoded_once);   // ...and free
-  EXPECT_GT(reader.cache_hits(), 0u);
+  EXPECT_GT(metric(reader.metrics(), "cache_hits"), 0u);
 
   // The other dtype shares the cache without type confusion.
   const auto w64 = reader.read_region64("lossy64", hot);
@@ -184,7 +184,7 @@ TEST(ArchiveConcurrency, HammeredCachedReaderMatchesAndCounts) {
     });
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_LE(reader.cache_resident_bytes(), 6 * 8 * 8 * 8 * sizeof(float));
+  EXPECT_LE(metric(reader.metrics(), "cache_resident_bytes"), 6 * 8 * 8 * 8 * sizeof(float));
   std::remove(path.c_str());
 }
 
@@ -193,9 +193,9 @@ TEST(ArchiveConcurrency, DisabledCacheCountsNothing) {
   ArchiveReader reader(path);
   (void)reader.read_field("lossy32");
   (void)reader.read_field("lossy32");
-  EXPECT_EQ(reader.cache_hits(), 0u);
-  EXPECT_EQ(reader.cache_misses(), 0u);
-  EXPECT_EQ(reader.cache_resident_bytes(), 0u);
+  EXPECT_EQ(metric(reader.metrics(), "cache_hits"), 0u);
+  EXPECT_EQ(metric(reader.metrics(), "cache_misses"), 0u);
+  EXPECT_EQ(metric(reader.metrics(), "cache_resident_bytes"), 0u);
   std::remove(path.c_str());
 }
 
@@ -231,11 +231,11 @@ TEST(ArchiveConcurrency, ResetCountersClearsStatsNotCache) {
   const auto want = reader.read_field("lossy32");
   reader.reset_counters();
   EXPECT_EQ(reader.blocks_decoded(), 0u);
-  EXPECT_EQ(reader.cache_hits(), 0u);
+  EXPECT_EQ(metric(reader.metrics(), "cache_hits"), 0u);
   // Cached data survived the stats reset: the re-read decodes nothing.
   EXPECT_EQ(reader.read_field("lossy32"), want);
   EXPECT_EQ(reader.blocks_decoded(), 0u);
-  EXPECT_GT(reader.cache_hits(), 0u);
+  EXPECT_GT(metric(reader.metrics(), "cache_hits"), 0u);
   std::remove(path.c_str());
 }
 
@@ -264,7 +264,7 @@ TEST(SingleFlightMap, LeaderDecodesFollowersShare) {
   flight.publish(0, 7, *entry, value, nullptr);
   follower.join();
   EXPECT_EQ(seen.get(), static_cast<const void*>(value.get()));
-  EXPECT_EQ(flight.coalesced(), 1u);
+  EXPECT_EQ(metric(flight.metrics(), "coalesced_reads"), 1u);
 
   // publish() retired the entry: the next begin starts a fresh flight.
   auto [entry2, leader2] = flight.begin(0, 7);
@@ -336,7 +336,7 @@ TEST(ArchiveConcurrency, CoalescedColdBurstDecodesEachBlockExactlyOnce) {
   EXPECT_EQ(reader.blocks_decoded(), nblocks);
   // Every block visit beyond the unique decodes was served by the
   // single-flight map or the cache — the accounting is exact.
-  EXPECT_EQ(reader.coalesced_reads() + reader.cache_hits(),
+  EXPECT_EQ(metric(reader.metrics(), "coalesced_reads") + metric(reader.metrics(), "cache_hits"),
             kThreads * nblocks - nblocks);
   std::remove(path.c_str());
 }
@@ -362,7 +362,7 @@ TEST(ArchiveConcurrency, CoalescingAloneMergesSimultaneousDecodes) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(reader.blocks_decoded() + reader.coalesced_reads(),
+  EXPECT_EQ(reader.blocks_decoded() + metric(reader.metrics(), "coalesced_reads"),
             kThreads * nblocks);
   EXPECT_LE(reader.blocks_decoded(), kThreads * nblocks);
   std::remove(path.c_str());
@@ -374,7 +374,7 @@ TEST(ArchiveConcurrency, ResetCountersClearsCoalescedReads) {
   reader.set_coalescing(true);
   (void)reader.read_field("lossy32");
   reader.reset_counters();
-  EXPECT_EQ(reader.coalesced_reads(), 0u);
+  EXPECT_EQ(metric(reader.metrics(), "coalesced_reads"), 0u);
   EXPECT_EQ(reader.blocks_decoded(), 0u);
   std::remove(path.c_str());
 }

@@ -529,7 +529,7 @@ TEST(Sharded, BitFlipInShardIsReadRepairedAndScrubHealsOnDisk) {
   for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
     ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
     EXPECT_EQ(r.read_field("f"), ref);
-    EXPECT_GE(r.read_repairs(), 1u);
+    EXPECT_GE(metric(r.metrics(), "read_repairs"), 1u);
   }
 
   // scrub --repair heals the shard file itself.

@@ -105,4 +105,12 @@ expect 0 archive create -o inf.sza --field v=inf.f32:20x30x40 --codec sz14 \
 expect 0 archive extract -i inf.sza -f v -o inf_out.f32
 max_error inf.f32 inf_out.f32 2e-4
 
+# analyze resolves its bound the same way: finite range, tighter bound.
+expect 0 analyze -i inf.f32 -d 20x30x40 --rel 1e-4
+grep -q 'resolved absolute bound 0.0002$' out.txt ||
+  { echo "FAIL: analyze --rel over inf.f32"; cat out.txt; fail=1; }
+expect 0 analyze -i inf.f32 -d 20x30x40 --abs 1e-3 --rel 1e-4
+grep -q 'resolved absolute bound 0.0002$' out.txt ||
+  { echo "FAIL: analyze --abs --rel over inf.f32"; cat out.txt; fail=1; }
+
 exit $fail

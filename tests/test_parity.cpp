@@ -140,20 +140,20 @@ TEST(Parity, ReadRepairReturnsExactValuesAndCounts) {
 
   archive::ArchiveReader r(path);
   EXPECT_EQ(r.read_field("x"), want);
-  EXPECT_EQ(r.crc_failures(), 1u);
-  EXPECT_EQ(r.read_repairs(), 1u);
-  EXPECT_EQ(r.unrecoverable_blocks(), 0u);
-  EXPECT_EQ(r.degraded_reads(), 0u);
+  EXPECT_EQ(metric(r.metrics(), "crc_failures"), 1u);
+  EXPECT_EQ(metric(r.metrics(), "read_repairs"), 1u);
+  EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 0u);
+  EXPECT_EQ(metric(r.metrics(), "degraded_reads"), 0u);
 
   // Read-repair is transparent but NOT persistent: the on-disk bytes stay
   // damaged (scrub/fsck --repair heal them), so a second cold read repairs
   // again and the counters keep accounting.
   EXPECT_EQ(r.read_field("x"), want);
-  EXPECT_EQ(r.read_repairs(), 2u);
+  EXPECT_EQ(metric(r.metrics(), "read_repairs"), 2u);
 
   r.reset_counters();
-  EXPECT_EQ(r.crc_failures(), 0u);
-  EXPECT_EQ(r.read_repairs(), 0u);
+  EXPECT_EQ(metric(r.metrics(), "crc_failures"), 0u);
+  EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u);
   std::remove(path.c_str());
 }
 
@@ -188,8 +188,8 @@ TEST(Parity, NoParityArchiveStillThrowsOnDamage) {
 
   archive::ArchiveReader r(path);
   EXPECT_THROW((void)r.read_field("x"), archive::BlockDamagedError);
-  EXPECT_EQ(r.unrecoverable_blocks(), 1u);
-  EXPECT_EQ(r.read_repairs(), 0u);
+  EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 1u);
+  EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u);
   std::remove(path.c_str());
 }
 
@@ -217,8 +217,8 @@ TEST(Parity, DegradedOpenZeroFillsUnrecoverableBlocks) {
   ASSERT_EQ(out.size(), want.size());
   ASSERT_EQ(damage.holes.size(), 2u);
   EXPECT_EQ(damage.holes[0].field, "x");
-  EXPECT_EQ(r.degraded_reads(), 1u);
-  EXPECT_EQ(r.unrecoverable_blocks(), 2u);
+  EXPECT_EQ(metric(r.metrics(), "degraded_reads"), 1u);
+  EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 2u);
 
   // Blocks 0 and 1 of the 8x8 grid over 16x12 cover rows 0-7 entirely
   // (cols 0-7 and 8-11): zero-filled there, bit-exact elsewhere.
@@ -234,7 +234,7 @@ TEST(Parity, DegradedOpenZeroFillsUnrecoverableBlocks) {
   // Plain reads (no ReadDamage) also succeed in degraded mode.
   const auto plain = r.read_field("x");
   EXPECT_EQ(plain, out);
-  EXPECT_EQ(r.degraded_reads(), 2u);
+  EXPECT_EQ(metric(r.metrics(), "degraded_reads"), 2u);
   std::remove(path.c_str());
 }
 
@@ -518,11 +518,11 @@ TEST(Parity, ServeReadRepairCountsInStats) {
   EXPECT_EQ(client.read_field("x"), want);
   EXPECT_FALSE(client.last_read_degraded());
 
-  const serve::ServerStats s = client.stats();
-  EXPECT_EQ(s.crc_failures, 1u);
-  EXPECT_EQ(s.read_repairs, 1u);
-  EXPECT_EQ(s.unrecoverable_blocks, 0u);
-  EXPECT_EQ(s.degraded_reads, 0u);
+  const Metrics s = client.stats();
+  EXPECT_EQ(metric(s, "crc_failures"), 1u);
+  EXPECT_EQ(metric(s, "read_repairs"), 1u);
+  EXPECT_EQ(metric(s, "unrecoverable_blocks"), 0u);
+  EXPECT_EQ(metric(s, "degraded_reads"), 0u);
   server.stop();
   std::remove(path.c_str());
 }
@@ -552,9 +552,9 @@ TEST(Parity, ServeDegradedModeFlagsHolesToClient) {
   std::sort(holes.begin(), holes.end());
   EXPECT_EQ(holes, (std::vector<std::uint64_t>{0, 1}));
 
-  const serve::ServerStats s = client.stats();
-  EXPECT_EQ(s.unrecoverable_blocks, 2u);
-  EXPECT_EQ(s.degraded_reads, 1u);
+  const Metrics s = client.stats();
+  EXPECT_EQ(metric(s, "unrecoverable_blocks"), 2u);
+  EXPECT_EQ(metric(s, "degraded_reads"), 1u);
   server.stop();
   std::remove(path.c_str());
 }
@@ -574,7 +574,7 @@ TEST(Parity, ServeWithoutDegradedRefusesDamagedReadButSurvives) {
   server.start();
   serve::Client client("loopback", server.endpoint());
   EXPECT_THROW((void)client.read_field("x"), serve::RemoteError);
-  EXPECT_EQ(client.stats().requests_error, 1u);  // still answering
+  EXPECT_EQ(metric(client.stats(), "requests_error"), 1u);  // still answering
   server.stop();
   std::remove(path.c_str());
 }
@@ -595,15 +595,15 @@ TEST(Parity, ServeBackgroundScrubRepairsArchive) {
   ASSERT_TRUE(client.scrub(/*repair=*/true));
 
   // Background task: poll stats until it completes (bounded).
-  serve::ServerStats s;
+  Metrics s;
   for (int i = 0; i < 200; ++i) {
     s = client.stats();
-    if (s.scrubs_completed >= 1) break;
+    if (metric(s, "scrubs_completed") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(s.scrubs_started, 1u);
-  ASSERT_EQ(s.scrubs_completed, 1u);
-  EXPECT_EQ(s.scrub_blocks_repaired, 1u);
+  EXPECT_EQ(metric(s, "scrubs_started"), 1u);
+  ASSERT_EQ(metric(s, "scrubs_completed"), 1u);
+  EXPECT_EQ(metric(s, "scrub_blocks_repaired"), 1u);
   EXPECT_EQ(data::read_bytes(path), pristine);
 
   // A later scrub is admitted again (the single-flight latch released).
@@ -634,14 +634,14 @@ TEST(Parity, ServeRejectsConcurrentScrub) {
   ASSERT_TRUE(client.scrub(true));
   EXPECT_FALSE(client.scrub(true));  // busy: one scrub at a time
 
-  serve::ServerStats s;
+  Metrics s;
   for (int i = 0; i < 400; ++i) {
     s = client.stats();
-    if (s.scrubs_completed >= 1) break;
+    if (metric(s, "scrubs_completed") >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(s.scrubs_started, 1u);
-  EXPECT_EQ(s.scrubs_completed, 1u);
+  EXPECT_EQ(metric(s, "scrubs_started"), 1u);
+  EXPECT_EQ(metric(s, "scrubs_completed"), 1u);
   server.stop();
   std::remove(path.c_str());
 }

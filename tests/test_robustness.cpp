@@ -411,9 +411,9 @@ TEST(Robustness, ArchiveParityFlipSweepEveryPayloadFlipReadRepairs) {
       for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(r.read_field(names[i]), want[i])
             << "read-repair failed for flip at byte " << pos;
-      EXPECT_GE(r.crc_failures(), 1u) << "flip at byte " << pos;
-      EXPECT_GE(r.read_repairs(), 1u) << "flip at byte " << pos;
-      EXPECT_EQ(r.unrecoverable_blocks(), 0u) << "flip at byte " << pos;
+      EXPECT_GE(metric(r.metrics(), "crc_failures"), 1u) << "flip at byte " << pos;
+      EXPECT_GE(metric(r.metrics(), "read_repairs"), 1u) << "flip at byte " << pos;
+      EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 0u) << "flip at byte " << pos;
     } else if (find_span(parities, pos) != parities.end()) {
       // Parity payload flip: data is intact, plain reads never consult
       // parity — everything reads clean with zero repairs.
@@ -421,7 +421,7 @@ TEST(Robustness, ArchiveParityFlipSweepEveryPayloadFlipReadRepairs) {
       for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(r.read_field(names[i]), want[i])
             << "parity flip at byte " << pos;
-      EXPECT_EQ(r.read_repairs(), 0u) << "parity flip at byte " << pos;
+      EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u) << "parity flip at byte " << pos;
     } else {
       // Superblock/footer/trailer flips: may throw, must never crash.
       must_not_crash([&] {
@@ -477,8 +477,8 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
       EXPECT_EQ(e.field_name(), "lossy");
       EXPECT_LT(e.block(), 2u);
     }
-    EXPECT_GE(r.unrecoverable_blocks(), 1u);
-    EXPECT_EQ(r.read_repairs(), 0u);
+    EXPECT_GE(metric(r.metrics(), "unrecoverable_blocks"), 1u);
+    EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u);
     // The undamaged field still reads exactly.
     EXPECT_EQ(r.read_field("exact"),
               want[std::find(names.begin(), names.end(), "exact") -

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,10 +136,39 @@ TEST(ServeDaemon, LoopbackRoundTripMatchesDirectReader) {
 
   // open + ls + stat + 4 reads = 7 (the stats op itself snapshots before
   // its own response is counted).
-  const ServerStats s = client.stats();
-  EXPECT_GE(s.requests_ok, 7u);
-  EXPECT_EQ(s.requests_error, 0u);
-  EXPECT_EQ(s.sessions_accepted, 1u);
+  const Metrics s = client.stats();
+  EXPECT_GE(metric(s, "requests_ok"), 7u);
+  EXPECT_EQ(metric(s, "requests_error"), 0u);
+  EXPECT_EQ(metric(s, "sessions_accepted"), 1u);
+  server.stop();
+}
+
+TEST(ServeDaemon, StatsNameEveryCounterExactlyOnce) {
+  // The counters the daemon has always reported, each under one name:
+  // a counter dropped or renamed in a component fails here.
+  const std::multiset<std::string> want = {
+      "sessions_accepted", "sessions_rejected",    "sessions_active",
+      "requests_ok",       "requests_error",       "bytes_in",
+      "bytes_out",         "blocks_decoded",       "coalesced_reads",
+      "cache_hits",        "cache_misses",         "cache_evictions",
+      "cache_resident_bytes", "cache_capacity_bytes",
+      "sessions_idle_reaped", "crc_failures",      "read_repairs",
+      "unrecoverable_blocks", "degraded_reads",    "scrubs_started",
+      "scrubs_completed",  "scrub_blocks_repaired"};
+  ASSERT_EQ(want.size(), 22u);
+  const std::string path = make_archive("stats_names.sza");
+  Server server(path, loopback_config("stats_names"));
+  server.start();
+  Client client("loopback", server.endpoint());
+  (void)client.read_field("lossy32");
+  for (const Metrics& stats : {client.stats(), server.stats()}) {
+    std::multiset<std::string> names;
+    for (const Metric& m : stats) names.insert(m.name);
+    EXPECT_EQ(names, want);
+  }
+  const Metrics s = client.stats();
+  EXPECT_EQ(metric(s, "blocks_decoded"), 18u);
+  EXPECT_EQ(metric(s, "cache_capacity_bytes"), 64u << 20);
   server.stop();
 }
 
@@ -234,7 +264,7 @@ TEST(ServeDaemon, NotFoundAndWrongDtypeKeepSessionUsable) {
                std::runtime_error);
   // After four rejected requests the same connection still serves.
   EXPECT_EQ(client.read_field("lossy32").size(), 24u * 20 * 16);
-  EXPECT_GE(client.stats().requests_error, 3u);
+  EXPECT_GE(metric(client.stats(), "requests_error"), 3u);
   server.stop();
 }
 
@@ -321,7 +351,7 @@ TEST(ServeDaemon, AbruptDisconnectsNeverWedgeTheServer) {
   Client client("loopback", server.endpoint());
   EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
   server.stop();
-  EXPECT_EQ(server.stats().sessions_active, 0u);
+  EXPECT_EQ(metric(server.stats(), "sessions_active"), 0u);
 }
 
 TEST(ServeDaemon, SessionTableIsBounded) {
@@ -340,7 +370,7 @@ TEST(ServeDaemon, SessionTableIsBounded) {
   no_retry.retries = 0;
   EXPECT_THROW(Client("loopback", server.endpoint(), no_retry),
                std::runtime_error);
-  EXPECT_EQ(server.stats().sessions_rejected, 1u);
+  EXPECT_EQ(metric(server.stats(), "sessions_rejected"), 1u);
   // Existing sessions are unaffected by the shed one.
   EXPECT_EQ(a.ls().size(), 2u);
   EXPECT_EQ(b.ls().size(), 2u);
@@ -353,10 +383,18 @@ TEST(ServeDaemon, VersionMismatchRejected) {
   server.start();
   auto conn = raw_dial(server, "loopback");
 
-  ByteWriter w;
-  encode_open_request(OpenRequest{kProtocolVersion + 7}, w);
-  conn->send_all(encode_frame(kOpOpen, w.view()));
-  EXPECT_EQ(recv_frame(*conn).kind, kStatusBadRequest);
+  // Version 1 is the fixed-field stats body: such a peer must be refused
+  // at open, not misdecode stats later.
+  for (const std::uint16_t version : {std::uint16_t{1},
+                                      std::uint16_t(kProtocolVersion + 7)}) {
+    ByteWriter w;
+    encode_open_request(OpenRequest{version}, w);
+    conn->send_all(encode_frame(kOpOpen, w.view()));
+    const Frame reply = recv_frame(*conn);
+    EXPECT_EQ(reply.kind, kStatusBadRequest);
+    EXPECT_EQ(std::string(reply.body.begin(), reply.body.end()),
+              "unsupported protocol version " + std::to_string(version));
+  }
   server.stop();
 }
 
@@ -387,12 +425,12 @@ TEST(ServeDaemon, ConcurrentOverlappingReadsCoalesceToOneDecodePerBlock) {
 
   // 18 unique blocks touched; decodes == 18 regardless of client count.
   EXPECT_EQ(server.reader().blocks_decoded(), 18u);
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.blocks_decoded, 18u);
+  const Metrics s = server.stats();
+  EXPECT_EQ(metric(s, "blocks_decoded"), 18u);
   // Everything beyond the first decode of a block was served by the
   // single-flight map or the cache, and the split is visible in stats.
-  EXPECT_EQ(s.coalesced_reads + s.cache_hits,
-            kClients * 18u - s.blocks_decoded);
+  EXPECT_EQ(metric(s, "coalesced_reads") + metric(s, "cache_hits"),
+            kClients * 18u - metric(s, "blocks_decoded"));
   server.stop();
 }
 
@@ -410,7 +448,7 @@ TEST(ServeDaemon, CoalescingKnobIsObservable) {
   archive::ArchiveReader direct(path, 2);
   Client client("loopback", server.endpoint());
   EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
-  EXPECT_EQ(server.stats().coalesced_reads, 0u);
+  EXPECT_EQ(metric(server.stats(), "coalesced_reads"), 0u);
   server.stop();
 }
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -189,10 +190,10 @@ TEST(ServeFailures, IdleSessionsAreReaped) {
   auto conn = transport_by_name("loopback")->connect(server.endpoint(), 1000);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().sessions_idle_reaped == 0 &&
+  while (metric(server.stats(), "sessions_idle_reaped") == 0 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(server.stats().sessions_idle_reaped, 1u);
+  EXPECT_EQ(metric(server.stats(), "sessions_idle_reaped"), 1u);
 
   // The reap is visible client-side as EOF.
   std::uint8_t buf[64];
@@ -263,6 +264,32 @@ TEST(ServeFailures, DrainFinishesInFlightWorkAndRefusesNewConnections) {
   // The drained server is down: fresh dials are refused outright.
   EXPECT_ANY_THROW(Client("loopback", server.endpoint(), quick(0)));
 
+  std::remove(path.c_str());
+}
+
+TEST(ServeFailures, DrainWithNothingInFlightReturnsPromptly) {
+  // Nothing to finish means nothing to wait for: drain must not sleep out
+  // its grace budget, with no session and with one idle session alike.
+  const std::string path = make_archive("drain_idle.sza");
+  for (const bool with_client : {false, true}) {
+    Server server(path, loopback_config(with_client ? "drain_idle1"
+                                                    : "drain_idle0"));
+    server.start();
+    std::optional<Client> client;
+    if (with_client) {
+      client.emplace("loopback", server.endpoint(), quick(0));
+      (void)client->ls();  // the session is open and idle
+    }
+    // Let the event loop settle into its blocking poll, where a drain
+    // request has to wake it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const auto t0 = std::chrono::steady_clock::now();
+    server.drain(/*grace_ms=*/5000);
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_LT(ms, 1000) << (with_client ? "one idle session" : "no session");
+  }
   std::remove(path.c_str());
 }
 

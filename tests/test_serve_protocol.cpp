@@ -187,22 +187,23 @@ TEST(ServeProtocol, ReadResponseTruncatedValuesThrow) {
   EXPECT_THROW(decode_read_response(in), ProtocolError);
 }
 
-TEST(ServeProtocol, ServerStatsRoundTrip) {
-  ServerStats s;
-  s.sessions_accepted = 3;
-  s.requests_ok = 1000;
-  s.bytes_out = (1ull << 40) + 7;  // exercises multi-byte varints
-  s.coalesced_reads = 12;
-  s.cache_capacity_bytes = 64u << 20;
+TEST(ServeProtocol, StatsRecordsRoundTrip) {
+  const Metrics sent = {{"sessions_accepted", 3},
+                        {"requests_ok", 1000},
+                        {"bytes_out", (1ull << 40) + 7},  // multi-byte varint
+                        {"coalesced_reads", 0}};
   ByteWriter w;
-  encode_server_stats(s, w);
+  encode_stats_response(sent, w);
   ByteReader in(w.view());
-  const ServerStats back = decode_server_stats(in);
-  EXPECT_EQ(back.sessions_accepted, 3u);
-  EXPECT_EQ(back.requests_ok, 1000u);
-  EXPECT_EQ(back.bytes_out, (1ull << 40) + 7);
-  EXPECT_EQ(back.coalesced_reads, 12u);
-  EXPECT_EQ(back.cache_capacity_bytes, 64u << 20);
+  const Metrics back = decode_stats_response(in);
+  EXPECT_TRUE(in.exhausted());
+  ASSERT_EQ(back.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(back[i].name, sent[i].name);
+    EXPECT_EQ(back[i].value, sent[i].value);
+  }
+  EXPECT_EQ(metric(back, "bytes_out"), (1ull << 40) + 7);
+  EXPECT_THROW((void)metric(back, "no_such_counter"), std::out_of_range);
 }
 
 TEST(ServeProtocol, FieldStatAndLsRoundTrip) {
@@ -238,6 +239,34 @@ TEST(ServeProtocol, HostileLsCountRejected) {
   w.put_varint(0xFFFFFFFFu);  // claims 4G field stats in a tiny frame
   ByteReader in(w.view());
   EXPECT_THROW(decode_ls_response(in), ProtocolError);
+}
+
+TEST(ServeProtocol, HostileStatsCountRejected) {
+  ByteWriter w;
+  w.put_varint(0xFFFFFFFFu);  // claims 4G records in a tiny frame
+  w.put_string("requests_ok");
+  w.put_varint(1);
+  ByteReader in(w.view());
+  EXPECT_THROW(decode_stats_response(in), ProtocolError);
+}
+
+TEST(ServeProtocol, HostileStatsNameLengthRejected) {
+  ByteWriter w;
+  w.put_varint(1);
+  w.put_varint(1000);  // name length past the end of the frame
+  w.put_bytes(std::vector<std::uint8_t>(8, 'x'));
+  ByteReader in(w.view());
+  EXPECT_THROW(decode_stats_response(in), ProtocolError);
+}
+
+TEST(ServeProtocol, TruncatedStatsValueRejected) {
+  ByteWriter w;
+  encode_stats_response({{"bytes_out", (1ull << 40) + 7}}, w);
+  // Drop the last byte: the value varint now ends with a continuation bit.
+  const auto full = w.view();
+  const std::vector<std::uint8_t> cut(full.begin(), full.end() - 1);
+  ByteReader in(cut);
+  EXPECT_THROW(decode_stats_response(in), ProtocolError);
 }
 
 TEST(ServeProtocol, HostileBlockCountRejected) {

@@ -36,6 +36,7 @@
 #include "archive/archive.hpp"
 #include "common/exec_policy.hpp"
 #include "common/failpoint.hpp"
+#include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "core/adaptive.hpp"
 #include "core/analysis.hpp"
@@ -471,15 +472,12 @@ int cmd_analyze(const Args& a) {
   const Dims dims = parse_dims("-d", a.dims_text);
   const auto values = data::read_f32(a.input);
   if (values.size() != dims.count()) usage("file size does not match -d");
-  double lo = values[0], hi = values[0];
-  for (float v : values) {
-    lo = std::min<double>(lo, v);
-    hi = std::max<double>(hi, v);
-  }
-  const double eb = resolve_error_bound(a.opts, hi - lo);
+  // The range for --rel is taken over the finite values, as in compress.
+  const double eb =
+      resolve_error_bound_for(std::span<const float>(values), a.opts);
   if (std::isnan(eb)) usage("analyze needs --abs or --rel");
 
-  std::printf("value range %.6g, resolved absolute bound %.6g\n", hi - lo, eb);
+  std::printf("resolved absolute bound %.6g\n", eb);
   std::printf("layer sweep (Table II analysis):\n");
   for (const auto& row : layer_sweep(values, dims, 4, eb))
     std::printf("  n=%u  R_orig %5.1f%%  R_decomp %5.1f%%\n", row.layers,
@@ -654,16 +652,16 @@ int cmd_archive_extract(const Args& a) {
               values,
               static_cast<unsigned long long>(reader.blocks_decoded()),
               f.blocks.size(), timer.seconds());
-  if (reader.read_repairs() > 0)
+  const Metrics m = reader.metrics();
+  if (const auto n = metric(m, "read_repairs"); n > 0)
     std::fprintf(stderr,
                  "warning: %llu damaged block(s) reconstructed from parity\n",
-                 static_cast<unsigned long long>(reader.read_repairs()));
-  if (reader.unrecoverable_blocks() > 0)
+                 static_cast<unsigned long long>(n));
+  if (const auto n = metric(m, "unrecoverable_blocks"); n > 0)
     std::fprintf(stderr,
                  "warning: DEGRADED output — %llu unrecoverable block(s) "
                  "zero-filled\n",
-                 static_cast<unsigned long long>(
-                     reader.unrecoverable_blocks()));
+                 static_cast<unsigned long long>(n));
   return 0;
 }
 
@@ -745,6 +743,15 @@ int cmd_archive_scrub(const Args& a) {
 
 // -------------------------------------------------------------------- serve
 
+/// One row per counter, shared by `get --stats` and the `serve` exit
+/// summary.
+void print_stats(const Metrics& stats) {
+  std::printf("server stats:\n");
+  for (const auto& [name, value] : stats)
+    std::printf("  %-22s %llu\n", name.c_str(),
+                static_cast<unsigned long long>(value));
+}
+
 /// Which signal asked us to go down (0 = still running): SIGTERM drains
 /// gracefully, SIGINT stops immediately.
 std::atomic<int> g_signal{0};
@@ -792,25 +799,7 @@ int cmd_serve(const Args& a) {
   } else {
     server.stop();
   }
-  const serve::ServerStats s = server.stats();
-  std::printf("served %llu requests (%llu errors) over %llu sessions; "
-              "%llu blocks decoded, %llu coalesced, %llu cache hits\n",
-              static_cast<unsigned long long>(s.requests_ok),
-              static_cast<unsigned long long>(s.requests_error),
-              static_cast<unsigned long long>(s.sessions_accepted),
-              static_cast<unsigned long long>(s.blocks_decoded),
-              static_cast<unsigned long long>(s.coalesced_reads),
-              static_cast<unsigned long long>(s.cache_hits));
-  if (s.crc_failures > 0 || s.scrubs_started > 0)
-    std::printf("integrity: %llu crc failures, %llu read repairs, "
-                "%llu unrecoverable, %llu degraded reads, %llu scrub(s) "
-                "(%llu payloads healed)\n",
-                static_cast<unsigned long long>(s.crc_failures),
-                static_cast<unsigned long long>(s.read_repairs),
-                static_cast<unsigned long long>(s.unrecoverable_blocks),
-                static_cast<unsigned long long>(s.degraded_reads),
-                static_cast<unsigned long long>(s.scrubs_completed),
-                static_cast<unsigned long long>(s.scrub_blocks_repaired));
+  print_stats(server.stats());
   return 0;
 }
 
@@ -832,33 +821,7 @@ int run_get(const Args& a) {
     return 0;
   }
   if (a.stats) {
-    const serve::ServerStats s = client.stats();
-    const auto row = [](const char* k, std::uint64_t v) {
-      std::printf("  %-22s %llu\n", k, static_cast<unsigned long long>(v));
-    };
-    std::printf("server stats:\n");
-    row("sessions accepted", s.sessions_accepted);
-    row("sessions rejected", s.sessions_rejected);
-    row("sessions active", s.sessions_active);
-    row("requests ok", s.requests_ok);
-    row("requests error", s.requests_error);
-    row("bytes in", s.bytes_in);
-    row("bytes out", s.bytes_out);
-    row("blocks decoded", s.blocks_decoded);
-    row("coalesced reads", s.coalesced_reads);
-    row("cache hits", s.cache_hits);
-    row("cache misses", s.cache_misses);
-    row("cache evictions", s.cache_evictions);
-    row("cache resident bytes", s.cache_resident_bytes);
-    row("cache capacity bytes", s.cache_capacity_bytes);
-    row("sessions idle reaped", s.sessions_idle_reaped);
-    row("crc failures", s.crc_failures);
-    row("read repairs", s.read_repairs);
-    row("unrecoverable blocks", s.unrecoverable_blocks);
-    row("degraded reads", s.degraded_reads);
-    row("scrubs started", s.scrubs_started);
-    row("scrubs completed", s.scrubs_completed);
-    row("scrub blocks repaired", s.scrub_blocks_repaired);
+    print_stats(client.stats());
     return 0;
   }
   if (a.stat) {
