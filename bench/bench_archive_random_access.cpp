@@ -69,10 +69,10 @@ int run() {
       const std::uint64_t bytes = r.field("v").payload_bytes();
 
       const double full_s =
-          bench::best_of(kReps, [&] { (void)r.read_field("v"); });
+          bench::best_of(kReps, [&] { (void)r.read<float>("v"); });
       r.reset_counters();
       const double region_s =
-          bench::best_of(kReps, [&] { (void)r.read_region("v", region); });
+          bench::best_of(kReps, [&] { (void)r.read<float>("v", region); });
       const std::size_t touched =
           static_cast<std::size_t>(r.blocks_decoded()) / kReps;
 
@@ -121,19 +121,19 @@ int run() {
     // first sweep still starts cold.
     std::vector<std::vector<float>> truth;
     {
-      ArchiveReader direct(path, 0);
-      for (const auto& r : regions) truth.push_back(direct.read_region("v", r));
+      ArchiveReader direct(path);
+      for (const auto& r : regions) truth.push_back(direct.read<float>("v", r));
     }
 
     for (const bool cached : {false, true}) {
-      ArchiveReader reader(path, 0);
+      ArchiveReader reader(path);
       if (cached) reader.set_cache_capacity(cache_budget);
       const auto sweep = [&] {
         reader.reset_counters();
         return bench::run_serving(kServeThreads, kReadsPerThread, 1000, kHot,
                                   regions, truth, [&](std::size_t) {
                                     return [&](const Region& r) {
-                                      return reader.read_region("v", r);
+                                      return reader.read<float>("v", r);
                                     };
                                   });
       };

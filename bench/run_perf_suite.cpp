@@ -302,7 +302,7 @@ std::vector<std::vector<float>> read_all(
     const std::vector<archive::Region>& regions) {
   std::vector<std::vector<float>> out;
   out.reserve(regions.size());
-  for (const auto& r : regions) out.push_back(reader.read_region("v", r));
+  for (const auto& r : regions) out.push_back(reader.read<float>("v", r));
   return out;
 }
 
@@ -529,7 +529,9 @@ int run(int argc, char** argv) {
       const auto write_archive = [&](const std::string& path,
                                      std::uint32_t parity_group,
                                      std::uint64_t shard_bytes) {
-        archive::ArchiveWriter w(path, threads, {}, parity_group, shard_bytes);
+        archive::ArchiveWriter w(path, {.exec = {.threads = threads},
+                                        .parity_group = parity_group,
+                                        .shard_size = shard_bytes});
         w.append_field("v", std::span<const float>(f3.values), f3.dims, block,
                        "sz14", 1e-3);
         w.finish();
@@ -555,8 +557,8 @@ int run(int argc, char** argv) {
                               (row.shard_bytes ? ".szm" : ".sza"));
           write_archive(path, row.parity_group, row.shard_bytes);
         }
-        archive::ArchiveReader reader(path, threads, {},
-                                      archive::OpenMode::kStrict, row.fetch);
+        archive::ArchiveReader reader(
+            path, {.threads = threads, .fetch = row.fetch});
         if (reader.fetch_mode() != row.fetch)
           std::fprintf(stderr,
                        "run_perf_suite: warning: mmap fell back to pread\n");
@@ -567,7 +569,7 @@ int run(int argc, char** argv) {
             threads, reads_per_thread, row.seed_base, kHot, regions, truth,
             [&](std::size_t) {
               return [&](const archive::Region& region) {
-                return reader.read_region("v", region);
+                return reader.read<float>("v", region);
               };
             });
         const Metrics m = reader.metrics();
@@ -616,7 +618,7 @@ int run(int argc, char** argv) {
 
         std::vector<std::vector<float>> truth;
         {
-          archive::ArchiveReader direct(apath, threads);
+          archive::ArchiveReader direct(apath, {.threads = threads});
           truth = read_all(direct, regions);
         }
         bench::ServingRun r = bench::run_serving(
@@ -625,7 +627,7 @@ int run(int argc, char** argv) {
               return [client = std::make_unique<serve::Client>(
                           "loopback", server.endpoint())](
                          const archive::Region& region) {
-                return client->read_region("v", region);
+                return client->read<float>("v", region);
               };
             });
         server.stop();

@@ -46,7 +46,7 @@ FsckReport fsck_scan(const std::string& path) {
   report.path = path;
 
   // Salvage-mode open: throws only when no checkpoint validates at all.
-  ArchiveReader reader(path, 1, {}, OpenMode::kSalvage);
+  ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
   const SalvageInfo& info = reader.salvage_info();
   report.file_bytes = info.file_bytes;
   report.consistent_bytes = info.consistent_bytes;

@@ -63,7 +63,7 @@ std::string ArchiveReader::try_open_at(std::uint64_t end) {
     std::uint64_t payload_end = end - kTrailerSize - footer_size;
     if (manifest_) {
       ShardSet candidate;
-      candidate.open_shards(file_.path(), shards_, fetch_);
+      candidate.open_shards(file_.path(), shards_, opts_.fetch);
       payload_lo = 0;
       payload_end = candidate.logical_size();
       source_ = std::move(candidate);
@@ -116,11 +116,8 @@ constexpr std::array<std::uint8_t, 4> kManifestFooterMagicBytes = {
 
 }  // namespace
 
-ArchiveReader::ArchiveReader(const std::string& path, std::size_t threads,
-                             ExecPolicy policy, OpenMode mode,
-                             FetchMode fetch)
-    : file_(path), threads_(threads), policy_(policy), mode_(mode),
-      fetch_(fetch) {
+ArchiveReader::ArchiveReader(const std::string& path, ReaderOptions options)
+    : file_(path), opts_(options) {
   salvage_.file_bytes = file_.size();
   if (file_.size() < kSuperblockSize + kTrailerSize)
     throw std::runtime_error("archive: file too small: " + path);
@@ -139,10 +136,10 @@ ArchiveReader::ArchiveReader(const std::string& path, std::size_t threads,
   flags_ = manifest_ ? read_manifest_superblock(sbr) : read_superblock(sbr);
 
   const auto open_source = [&] {
-    if (!manifest_) source_.open_single(path, fetch_);
+    if (!manifest_) source_.open_single(path, opts_.fetch);
     // Block scans are front-to-back sweeps within a field; tell the
     // kernel so mapped readahead matches the access pattern.
-    if (fetch_ == FetchMode::kMmap)
+    if (opts_.fetch == FetchMode::kMmap)
       source_.advise(0, source_.logical_size(),
                      PreadFile::Advice::kSequential);
   };
@@ -153,7 +150,7 @@ ArchiveReader::ArchiveReader(const std::string& path, std::size_t threads,
     open_source();
     return;
   }
-  if (mode == OpenMode::kStrict)
+  if (opts_.open == OpenMode::kStrict)
     throw std::runtime_error("archive: " + error + ": " + path);
 
   // Salvage: scan backwards, in chunks, for the newest footer-magic
@@ -222,12 +219,11 @@ Metrics ArchiveReader::metrics() const {
 
 ThreadPool& ArchiveReader::serving_pool() const {
   std::call_once(pool_once_, [this] {
-    if (policy_.pool != nullptr) {
-      pool_ = policy_.pool;
+    if (opts_.pool != nullptr) {
+      pool_ = opts_.pool;
       return;
     }
-    owned_pool_ = std::make_unique<ThreadPool>(
-        threads_ != 0 ? threads_ : policy_.threads);
+    owned_pool_ = std::make_unique<ThreadPool>(opts_.threads);
     pool_ = owned_pool_.get();
   });
   return *pool_;
@@ -280,19 +276,19 @@ std::vector<T> ArchiveReader::decode_block(
   return block;
 }
 
-template <typename T>
-std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
-                                               const Region& region,
-                                               ReadDamage* damage) const {
-  // Degraded-mode plain reads collect holes into a local report (the
-  // caller only sees zero-fill + counters); the ReadDamage& overloads
-  // collect into the caller's.
+template <class T>
+std::vector<T> ArchiveReader::read(std::string_view name,
+                                   const std::optional<Region>& wanted,
+                                   ReadDamage* damage) const {
+  // Degraded-mode reads without a report collect holes into a local one
+  // (the caller only sees zero-fill + counters).
   ReadDamage local_damage;
-  if (damage == nullptr && mode_ == OpenMode::kDegraded)
+  if (damage == nullptr && opts_.open == OpenMode::kDegraded)
     damage = &local_damage;
 
   const std::size_t fi = field_index(name);
   const FieldEntry& f = fields_[fi];
+  const Region region = wanted ? *wanted : Region::whole(f.dims);
   constexpr std::uint8_t want = std::is_same_v<T, double> ? kDtypeF64
                                                           : kDtypeF32;
   if (f.dtype != want)
@@ -329,10 +325,9 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
                    PreadFile::Advice::kWillNeed);
   }
 
-  // Per-read execution policy: scratch is the reader's arena.
-  ExecPolicy exec = policy_;
-  exec.pool = nullptr;  // block tasks are single-threaded
-  exec.scratch = &scratch_;
+  // Per-read execution policy: block tasks are single-threaded (no pool)
+  // and draw their buffers from the reader's arena.
+  const ExecPolicy exec{.scratch = &scratch_};
 
   // Intersection of block cuboid and region, then strided copy.
   const auto scatter_block = [&](std::size_t i, const std::vector<T>& block) {
@@ -486,48 +481,9 @@ std::vector<T> ArchiveReader::read_region_impl(std::string_view name,
   return out;
 }
 
-std::vector<float> ArchiveReader::read_region(std::string_view name,
-                                              const Region& region) const {
-  return read_region_impl<float>(name, region, nullptr);
-}
-
-std::vector<double> ArchiveReader::read_region64(std::string_view name,
-                                                 const Region& region) const {
-  return read_region_impl<double>(name, region, nullptr);
-}
-
-std::vector<float> ArchiveReader::read_field(std::string_view name) const {
-  return read_region_impl<float>(name, Region::whole(field(name).dims),
-                                 nullptr);
-}
-
-std::vector<double> ArchiveReader::read_field64(std::string_view name) const {
-  return read_region_impl<double>(name, Region::whole(field(name).dims),
-                                  nullptr);
-}
-
-std::vector<float> ArchiveReader::read_region(std::string_view name,
-                                              const Region& region,
-                                              ReadDamage& damage) const {
-  return read_region_impl<float>(name, region, &damage);
-}
-
-std::vector<double> ArchiveReader::read_region64(std::string_view name,
-                                                 const Region& region,
-                                                 ReadDamage& damage) const {
-  return read_region_impl<double>(name, region, &damage);
-}
-
-std::vector<float> ArchiveReader::read_field(std::string_view name,
-                                             ReadDamage& damage) const {
-  return read_region_impl<float>(name, Region::whole(field(name).dims),
-                                 &damage);
-}
-
-std::vector<double> ArchiveReader::read_field64(std::string_view name,
-                                                ReadDamage& damage) const {
-  return read_region_impl<double>(name, Region::whole(field(name).dims),
-                                  &damage);
-}
+template std::vector<float> ArchiveReader::read<float>(
+    std::string_view, const std::optional<Region>&, ReadDamage*) const;
+template std::vector<double> ArchiveReader::read<double>(
+    std::string_view, const std::optional<Region>&, ReadDamage*) const;
 
 }  // namespace sz14::archive

@@ -4,8 +4,8 @@
 // reader.  All state mutated after construction is synchronized — block
 // payload reads are positional (pread, no shared cursor), the decode pool
 // is once-initialized, scratch buffers are per-thread arena slots, and the
-// optional decoded-block cache is an internally locked LRU — so
-// read_region()/read_field() are const and data-race-free.
+// optional decoded-block cache is an internally locked LRU — so read<T>()
+// is const and data-race-free.
 //
 // Each intersecting block is served as ONE pool task that preads its
 // payload, checksums, decodes, and scatters — so block i's I/O overlaps
@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,10 +53,10 @@ enum class OpenMode : std::uint8_t {
   kSalvage,
   /// kSalvage's open semantics, plus degraded READS: a block that fails
   /// its CRC and cannot be read-repaired from parity no longer throws —
-  /// the plain read calls zero-fill it (`degraded_reads` counts the
-  /// affected reads), and the ReadDamage& overloads report exactly which
-  /// blocks are holes.  The mode for serving what survives of a damaged
-  /// archive while it is being repaired.
+  /// reads zero-fill it (`degraded_reads` counts the affected reads), and
+  /// a read given a ReadDamage report learns exactly which blocks are
+  /// holes.  The mode for serving what survives of a damaged archive
+  /// while it is being repaired.
   kDegraded,
 };
 
@@ -65,6 +66,28 @@ struct SalvageInfo {
   std::uint64_t file_bytes = 0;        ///< on-disk size at open
   std::uint64_t consistent_bytes = 0;  ///< end of the checkpoint in use
   std::string detail;  ///< why the strict open failed (empty when clean)
+};
+
+/// How an ArchiveReader opens and serves its archive, built with
+/// designated initializers: `ArchiveReader r(path, {.threads = 2})`.
+struct ReaderOptions {
+  /// Workers of the reader's own block-serving pool, built on the first
+  /// read (0 = hardware_concurrency()).  Unused when `pool` is set.
+  std::size_t threads = 0;
+  /// Borrowed block-serving pool (the daemon passes its serving pool, so
+  /// a request's block decodes run inline on one worker).  Decodes run
+  /// only on pool workers — a bounded thread set — so the reader's
+  /// scratch arena cannot grow with a stream of short-lived callers.
+  ThreadPool* pool = nullptr;
+  /// kStrict throws std::runtime_error on bad magic, truncated trailer,
+  /// footer checksum mismatch or malformed index; kSalvage and kDegraded
+  /// fall back to the last valid checkpoint instead (see OpenMode).
+  OpenMode open = OpenMode::kStrict;
+  /// kPread stages every payload through a scratch buffer; kMmap maps the
+  /// payload files and decodes straight from the mapping (zero-copy),
+  /// falling back to pread when mapping is unavailable.  Decoded values
+  /// are bit-identical either way.
+  FetchMode fetch = FetchMode::kPread;
 };
 
 /// One unrecoverable block in a damaged read: its region of the output
@@ -78,7 +101,7 @@ struct BlockHole {
   std::string detail;        ///< why reconstruction failed
 };
 
-/// Typed per-call damage report filled by the ReadDamage& read overloads.
+/// Typed per-call damage report filled by a read<T>() given one.
 /// `repaired` counts blocks this call transparently reconstructed from
 /// parity (their data is exact — not holes); `holes` lists the blocks
 /// that stayed unrecoverable and were zero-filled.  Reusable across
@@ -116,34 +139,20 @@ class BlockDamagedError : public std::runtime_error {
 
 class ArchiveReader {
  public:
-  /// Opens and indexes `path`.  In OpenMode::kStrict (the default) throws
-  /// std::runtime_error on bad magic, truncated trailer, footer checksum
-  /// mismatch, or malformed index; OpenMode::kSalvage falls back to the
-  /// last valid checkpoint instead (see above).
-  ///
-  /// `policy` is the reader's per-call execution strategy, applied to every
-  /// read (`policy.mode` plays no part — decoding is exact in every mode):
-  /// `policy.pool` supplies the block-serving pool (null: the reader lazily
-  /// owns a private pool of `threads` workers, falling back to
-  /// `policy.threads` when the ctor argument is 0; both 0 selects
-  /// hardware_concurrency()).  `policy.scratch` is ignored — the reader
-  /// keeps its own arena so repeated reads are allocation-free per block
-  /// regardless of caller discipline; its slots belong to the pool's
-  /// bounded worker set (decodes never run on caller threads), so serving
-  /// an unbounded stream of short-lived threads cannot grow reader state.
-  /// `fetch` selects the payload I/O path: FetchMode::kPread (default)
-  /// stages every payload through a scratch buffer; FetchMode::kMmap maps
-  /// the payload files and decodes straight from the mapping (zero-copy),
-  /// transparently falling back to pread when mapping is unavailable.
-  /// Decoded values are bit-identical in both modes.
-  ///
-  /// `path` may name a single-file `.sza` archive or an `.szm` manifest
-  /// (sniffed from the superblock magic); sharded archives resolve
-  /// (field, block) → (shard, offset) transparently behind the same API.
-  explicit ArchiveReader(const std::string& path, std::size_t threads = 0,
-                         ExecPolicy policy = {},
-                         OpenMode mode = OpenMode::kStrict,
-                         FetchMode fetch = FetchMode::kPread);
+  /// Opens and indexes `path`, which may name a single-file `.sza`
+  /// archive or an `.szm` manifest (sniffed from the superblock magic);
+  /// sharded archives resolve (field, block) → (shard, offset) behind the
+  /// same API.  Decoding is exact whatever policy wrote the archive.
+  explicit ArchiveReader(const std::string& path, ReaderOptions options = {});
+
+  /// Positional form kept for perfbench/bench.cpp; `threads` is the
+  /// worker count and only `policy.pool` is read from the policy.
+  [[deprecated("perfbench only; ROADMAP item 8")]]
+  ArchiveReader(const std::string& path, std::size_t threads,
+                ExecPolicy policy = {}, OpenMode mode = OpenMode::kStrict,
+                FetchMode fetch = FetchMode::kPread)
+      : ArchiveReader(path, {.threads = threads, .pool = policy.pool,
+                             .open = mode, .fetch = fetch}) {}
 
   ArchiveReader(const ArchiveReader&) = delete;
   ArchiveReader& operator=(const ArchiveReader&) = delete;
@@ -188,38 +197,32 @@ class ArchiveReader {
   /// Position of `name` in fields(); same lookup/throw as field().
   [[nodiscard]] std::size_t field_index(std::string_view name) const;
 
-  /// Decode an entire f32 field (all blocks).  Thread-safe.
-  [[nodiscard]] std::vector<float> read_field(std::string_view name) const;
+  /// Decode the blocks intersecting `region` (std::nullopt: the whole
+  /// field) and return the hyperslab row-major, shaped region.extent.  T
+  /// is float for an f32 field and double for an f64 one.  Throws
+  /// std::invalid_argument on a dtype mismatch, a region whose rank
+  /// mismatches, has a zero extent, or exceeds the field bounds;
+  /// std::runtime_error on checksum/decode failure.  Thread-safe: any
+  /// number of threads may call concurrently on one reader, with results
+  /// bit-identical to sequential calls.
+  ///
+  /// With a `damage` report a damaged BLOCK never throws (index and
+  /// argument errors still do): a CRC-failed block is reconstructed from
+  /// parity when possible (damage->repaired counts it; the data is
+  /// exact), and an unrecoverable block is zero-filled in the output and
+  /// appended to damage->holes.  Available in every OpenMode.
+  template <class T>
+  [[nodiscard]] std::vector<T> read(
+      std::string_view name,
+      const std::optional<Region>& region = std::nullopt,
+      ReadDamage* damage = nullptr) const;
 
-  /// Decode only the blocks intersecting `region`; returns the hyperslab
-  /// row-major, shaped region.extent.  Throws std::invalid_argument when
-  /// the region's rank mismatches, has a zero extent, or exceeds the field
-  /// bounds; std::runtime_error on checksum/decode failure.  Thread-safe:
-  /// any number of threads may call concurrently on one reader, with
-  /// results bit-identical to sequential calls.
-  [[nodiscard]] std::vector<float> read_region(std::string_view name,
-                                               const Region& region) const;
-
-  /// Double-precision variants for f64 fields.
-  [[nodiscard]] std::vector<double> read_field64(std::string_view name) const;
-  [[nodiscard]] std::vector<double> read_region64(std::string_view name,
-                                                  const Region& region) const;
-
-  /// Damage-reporting variants: never throw on a damaged BLOCK (index and
-  /// argument errors still throw).  A CRC-failed block is transparently
-  /// reconstructed from parity when possible (damage.repaired counts it;
-  /// data is exact); an unrecoverable block is zero-filled in the output
-  /// and appended to damage.holes.  Available in every OpenMode.
-  [[nodiscard]] std::vector<float> read_region(std::string_view name,
-                                               const Region& region,
-                                               ReadDamage& damage) const;
-  [[nodiscard]] std::vector<float> read_field(std::string_view name,
-                                              ReadDamage& damage) const;
-  [[nodiscard]] std::vector<double> read_region64(std::string_view name,
-                                                  const Region& region,
-                                                  ReadDamage& damage) const;
-  [[nodiscard]] std::vector<double> read_field64(std::string_view name,
-                                                 ReadDamage& damage) const;
+  /// read<float>(name, region), kept for perfbench/bench.cpp.
+  [[deprecated("perfbench only; ROADMAP item 8")]] [[nodiscard]]
+  std::vector<float> read_region(std::string_view name,
+                                 const Region& region) const {
+    return read<float>(name, region);
+  }
 
   /// Opt into the decoded-block LRU cache with a byte budget (decoded
   /// size); 0 (the default) disables it.  Safe to call at any time, also
@@ -265,10 +268,6 @@ class ArchiveReader {
   }
 
  private:
-  template <typename T>
-  std::vector<T> read_region_impl(std::string_view name, const Region& region,
-                                  ReadDamage* damage) const;
-
   /// pread + CRC + decode of one block (cache not consulted here).  A
   /// CRC failure attempts parity reconstruction; on success `*repairs`
   /// (when non-null) is bumped and the exact data is returned, otherwise
@@ -288,11 +287,8 @@ class ArchiveReader {
   [[nodiscard]] std::string try_open_at(std::uint64_t end);
 
   PreadFile file_;  // the container/manifest file (index reads, pread)
-  ShardSet source_;  // payload reads (single or sharded, per fetch_)
-  std::size_t threads_;
-  ExecPolicy policy_;
-  OpenMode mode_ = OpenMode::kStrict;
-  FetchMode fetch_ = FetchMode::kPread;
+  ShardSet source_;  // payload reads (single or sharded, per opts_.fetch)
+  ReaderOptions opts_;
   bool manifest_ = false;   // path is an .szm manifest
   std::vector<ShardEntry> shards_;  // manifest shard table in use
   std::uint8_t flags_ = 0;  // superblock flags (kFlagParity gates parity)
@@ -311,7 +307,7 @@ class ArchiveReader {
 
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> owned_pool_;
-  mutable ThreadPool* pool_ = nullptr;  // owned_pool_ or the policy borrow
+  mutable ThreadPool* pool_ = nullptr;  // owned_pool_ or opts_.pool
   mutable CodecScratch scratch_;        // per-thread slots, reused per read
   mutable BlockCache cache_;
   mutable SingleFlight flight_;
@@ -326,8 +322,13 @@ class ArchiveReader {
   // damaged member in the group).
   mutable std::atomic<std::uint64_t> unrecoverable_blocks_{0};
   // Read calls that returned at least one zero-filled hole (degraded mode
-  // or the ReadDamage& overloads).
+  // or a read given a ReadDamage report).
   mutable std::atomic<std::uint64_t> degraded_reads_{0};
 };
+
+extern template std::vector<float> ArchiveReader::read<float>(
+    std::string_view, const std::optional<Region>&, ReadDamage*) const;
+extern template std::vector<double> ArchiveReader::read<double>(
+    std::string_view, const std::optional<Region>&, ReadDamage*) const;
 
 }  // namespace sz14::archive

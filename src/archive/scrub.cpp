@@ -114,7 +114,7 @@ class PayloadRewriter {
 
 HealOutcome heal_damaged_payloads(const std::string& path) {
   HealOutcome out;
-  ArchiveReader reader(path, 1, {}, OpenMode::kSalvage);
+  ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
   // Heals read back through the same source they write through: a
   // logical offset resolves to (shard file, local offset) for sharded
   // archives and to the absolute offset for single-file ones.
@@ -187,7 +187,7 @@ ScrubReport scrub_archive(const std::string& path, bool repair,
   ScrubReport report;
   report.path = path;
 
-  ArchiveReader reader(path, 1, {}, OpenMode::kSalvage);
+  ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
   report.parity_enabled = reader.parity_enabled();
   report.fields_scanned = reader.fields().size();
 

@@ -33,25 +33,20 @@ std::vector<std::uint8_t> codec_compress(const CodecOps& ops,
 
 }  // namespace
 
-ArchiveWriter::ArchiveWriter(const std::string& path, std::size_t threads,
-                             ExecPolicy policy, std::uint32_t parity_group,
-                             std::uint64_t shard_size)
-    : path_(path), parity_group_(parity_group), shard_size_(shard_size),
-      out_(path, std::ios::binary | std::ios::trunc), policy_(policy) {
+ArchiveWriter::ArchiveWriter(const std::string& path, WriterOptions options)
+    : path_(path), opts_(options),
+      out_(path, std::ios::binary | std::ios::trunc) {
   if (!out_) throw std::runtime_error("archive: cannot create: " + path);
   ByteWriter sb;
   if (sharded())
-    write_manifest_superblock(sb, parity_group_ > 0 ? kFlagParity : 0);
+    write_manifest_superblock(sb, opts_.parity_group > 0 ? kFlagParity : 0);
   else
-    write_superblock(sb, parity_group_ > 0 ? kFlagParity : 0);
+    write_superblock(sb, opts_.parity_group > 0 ? kFlagParity : 0);
   raw_write(sb.view(), "superblock write");
-  if (policy_.pool != nullptr) {
-    pool_ = policy_.pool;
+  if (opts_.exec.pool != nullptr) {
+    pool_ = opts_.exec.pool;
   } else {
-    // The explicit ctor argument wins; otherwise the policy's worker
-    // count applies (0 = hardware_concurrency), per the ExecPolicy docs.
-    owned_pool_ = std::make_unique<ThreadPool>(
-        threads != 0 ? threads : policy_.threads);
+    owned_pool_ = std::make_unique<ThreadPool>(opts_.exec.threads);
     pool_ = owned_pool_.get();
   }
 }
@@ -172,7 +167,7 @@ void ArchiveWriter::payload_write(std::span<const std::uint8_t> data,
   // never spans shards (one bigger than the threshold gets its own shard).
   if (!shard_out_.is_open() ||
       (shards_.back().size > 0 &&
-       shards_.back().size + data.size() > shard_size_))
+       shards_.back().size + data.size() > opts_.shard_size))
     roll_shard();
   funnel_write(shard_out_, shard_path_, &shard_file_offset_, data, what);
   shards_.back().size += data.size();
@@ -193,7 +188,7 @@ void ArchiveWriter::write_checkpoint() {
   }
   ByteWriter footer;
   if (sharded()) write_shard_table(shards_, footer);
-  write_footer(fields_, footer, parity_group_ > 0 ? kFlagParity : 0);
+  write_footer(fields_, footer, opts_.parity_group > 0 ? kFlagParity : 0);
   ByteWriter trailer;
   trailer.put<std::uint64_t>(footer.size());
   trailer.put<std::uint32_t>(crc32(footer.view()));
@@ -250,7 +245,7 @@ void ArchiveWriter::append_impl(const std::string& name,
   // Each block task is a complete walk+encode, so with several blocks in
   // flight block i+1's prediction pass naturally overlaps block i's
   // entropy encode — the same pipeline shape as the parallel slab codec.
-  ExecPolicy block_exec = policy_;
+  ExecPolicy block_exec = opts_.exec;
   block_exec.pool = nullptr;  // block tasks are single-threaded
   block_exec.scratch = &scratch_;
 
@@ -298,13 +293,13 @@ void ArchiveWriter::append_impl(const std::string& name,
   }
   // Parity payloads ride AFTER the field's data payloads and BEFORE the
   // checkpoint, so a checkpoint never indexes parity that is not on disk.
-  if (parity_group_ > 0) {
-    f.parity_group = parity_group_;
-    const std::size_t n_groups = parity_group_count(n, parity_group_);
+  if (opts_.parity_group > 0) {
+    f.parity_group = opts_.parity_group;
+    const std::size_t n_groups = parity_group_count(n, opts_.parity_group);
     f.parity.reserve(n_groups);
     for (std::size_t g = 0; g < n_groups; ++g) {
-      const std::size_t lo = g * parity_group_;
-      const std::size_t hi = std::min(lo + parity_group_, n);
+      const std::size_t lo = g * opts_.parity_group;
+      const std::size_t hi = std::min(lo + opts_.parity_group, n);
       const std::vector<std::uint8_t> par = compute_group_parity(
           std::span<const std::vector<std::uint8_t>>(payloads.data() + lo,
                                                      hi - lo));

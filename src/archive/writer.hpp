@@ -3,16 +3,17 @@
 // in parallel on a thread pool (batch API), and appends the payloads to the
 // container.  finish() seals the file with the footer index + trailer.
 //
-// With `shard_size` > 0 the writer produces a SHARDED archive instead: the
-// named path becomes a small `.szm` manifest and the payload bytes land in
-// rolling shard files next to it (see shard.hpp for the on-disk layout).
+// With WriterOptions::shard_size > 0 the writer produces a SHARDED archive
+// instead: the named path becomes a small `.szm` manifest and the payload
+// bytes land in rolling shard files next to it (see shard.hpp for the
+// on-disk layout).
 // The writer rolls to a new shard before any payload that would push the
 // current shard past the threshold (payloads never span shards; one
 // oversized payload gets a shard to itself), keeps a running CRC-32 per
 // shard, and the per-append checkpoint — shard table + field footer +
 // trailer — goes into the manifest after the shard stream is flushed, so
 // a checkpoint never indexes shard bytes that are not on disk.
-// `shard_size` == 0 (the default) writes the single-file `.sza` format
+// shard_size == 0 (the default) writes the single-file `.sza` format
 // through the exact same code path as before — byte-identical output.
 //
 // Incremental snapshot workflows simply append one field per timestep
@@ -51,38 +52,53 @@
 
 namespace sz14::archive {
 
+/// How an ArchiveWriter lays out and compresses its archive, built with
+/// designated initializers: `ArchiveWriter w(path, {.parity_group = 4})`.
+struct WriterOptions {
+  /// Per-call execution strategy of every append_field(): `exec.mode`
+  /// selects the compress hot path (e.g. HotPathMode::kTurbo for
+  /// maximum-throughput ingest), `exec.entropy` the entropy backend,
+  /// `exec.pool` the block-compression pool and, when it is null,
+  /// `exec.threads` the workers of the writer's own pool
+  /// (0 = hardware_concurrency()).  `exec.scratch` is ignored: the writer
+  /// keeps one per-worker arena across appends, so batch ingest stops
+  /// paying per-block buffer allocation.  (`= {}` spares callers that
+  /// set only the fields below GCC's -Wmissing-field-initializers.)
+  ExecPolicy exec = {};
+  /// > 0 enables XOR block-group parity: every group of that many
+  /// consecutive blocks of a field gets one parity payload (XOR of the
+  /// members zero-padded to the largest), written after the data payloads
+  /// and indexed in the footer, so any single damaged payload per group is
+  /// recoverable (read-repair / fsck / scrub).  Space overhead is roughly
+  /// 1/parity_group of the compressed size (kDefaultParityGroup = 16 →
+  /// ~6.25%).  0 writes the parity-less format, byte-identical to
+  /// pre-parity archives.
+  std::uint32_t parity_group = 0;
+  /// > 0 selects the sharded container: the path is written as an `.szm`
+  /// manifest and payloads roll into shard files of roughly that many
+  /// bytes each (see the file comment).  0 keeps the single-file format.
+  std::uint64_t shard_size = 0;
+};
+
 class ArchiveWriter {
  public:
-  /// Creates (truncates) `path` and writes the superblock.  `policy` is
-  /// this writer's per-call execution strategy, applied to every
-  /// append_field(): `policy.mode` selects the hot path for block
-  /// compression (e.g. HotPathMode::kTurbo for maximum-throughput ingest),
-  /// `policy.pool` supplies the block-compression pool (null: the writer
-  /// owns a private pool of `threads` workers, falling back to
-  /// `policy.threads` when the ctor argument is 0; both 0 selects
-  /// hardware_concurrency()).  The policy is plain per-writer state —
-  /// concurrent codec work elsewhere in the process is unaffected.  The
-  /// writer keeps one scratch arena across appends, so batch ingest stops
-  /// paying per-block buffer allocation; `policy.scratch` is ignored (the
-  /// writer's own arena is already per-worker).
-  ///
-  /// `parity_group` > 0 enables XOR block-group parity: every group of
-  /// that many consecutive blocks of a field gets one parity payload (XOR
-  /// of the members zero-padded to the largest), written after the data
-  /// payloads and indexed in the footer, so any single damaged payload per
-  /// group is recoverable (read-repair / fsck / scrub).  Space overhead is
-  /// roughly 1/parity_group of the compressed size
-  /// (kDefaultParityGroup = 16 → ~6.25%).  0 (the default) writes the
-  /// parity-less format, byte-identical to pre-parity archives.
-  ///
-  /// `shard_size` > 0 selects the sharded container: `path` is written as
-  /// an `.szm` manifest and payloads roll into shard files of roughly
-  /// that many bytes each (see the class comment).  0 keeps the
-  /// single-file format.
-  explicit ArchiveWriter(const std::string& path, std::size_t threads = 0,
-                         ExecPolicy policy = {},
-                         std::uint32_t parity_group = 0,
-                         std::uint64_t shard_size = 0);
+  /// Creates (truncates) `path` and writes the superblock.  The options
+  /// are plain per-writer state — concurrent codec work elsewhere in the
+  /// process is unaffected.
+  explicit ArchiveWriter(const std::string& path, WriterOptions options = {});
+
+  /// Positional form kept for perfbench/bench.cpp; `threads` is the
+  /// worker count (policy.threads and policy.scratch are not read).
+  [[deprecated("perfbench only; ROADMAP item 8")]]
+  ArchiveWriter(const std::string& path, std::size_t threads,
+                ExecPolicy policy = {}, std::uint32_t parity_group = 0,
+                std::uint64_t shard_size = 0)
+      : ArchiveWriter(path, {.exec = {.mode = policy.mode,
+                                      .pool = policy.pool,
+                                      .threads = threads,
+                                      .entropy = policy.entropy},
+                             .parity_group = parity_group,
+                             .shard_size = shard_size}) {}
 
   /// Seals the archive on destruction if finish() was not called.
   /// Best-effort: a failure to seal is reported on stderr (a destructor
@@ -129,7 +145,7 @@ class ArchiveWriter {
   }
 
   /// True when this writer emits the sharded (manifest + shards) format.
-  [[nodiscard]] bool sharded() const noexcept { return shard_size_ > 0; }
+  [[nodiscard]] bool sharded() const noexcept { return opts_.shard_size > 0; }
 
   /// Manifest shard table built so far (empty for single-file writers).
   [[nodiscard]] const std::vector<ShardEntry>& shards() const noexcept {
@@ -171,8 +187,7 @@ class ArchiveWriter {
   void write_checkpoint();
 
   std::string path_;
-  std::uint32_t parity_group_ = 0;  // data blocks per parity group (0 = off)
-  std::uint64_t shard_size_ = 0;    // payload bytes per shard (0 = one file)
+  WriterOptions opts_;
   std::ofstream out_;
   std::uint64_t offset_ = 0;      // absolute file offset of the next write
   std::uint64_t clean_size_ = 0;  // end of the last flushed checkpoint
@@ -185,8 +200,7 @@ class ArchiveWriter {
   std::vector<FieldEntry> fields_;
   std::unordered_set<std::string> names_;  // O(1) duplicate-append rejection
   std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;  // owned_pool_ or the policy's borrow
-  ExecPolicy policy_;
+  ThreadPool* pool_ = nullptr;  // owned_pool_ or opts_.exec.pool
   CodecScratch scratch_;  // reused across appends (per-worker slots)
   bool finished_ = false;
   bool broken_ = false;

@@ -4,7 +4,7 @@
 // use pread(2) on a single descriptor; the portable fallback keeps one
 // std::ifstream behind a mutex (correct, merely serialized).
 //
-// This is what lets ArchiveReader::read_region() be const and thread-safe:
+// This is what lets ArchiveReader::read<T>() be const and thread-safe:
 // the old shared-ifstream path interleaved seekg/read pairs from different
 // threads, which is a data race on the stream state AND silently pairs one
 // thread's seek with another's read.

@@ -4,21 +4,12 @@
 #include <cstring>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "core/format.hpp"
 
 namespace sz14::serve {
 namespace {
-
-template <typename T>
-std::vector<T> typed_values(const ReadResponse& resp, std::uint8_t want,
-                            const char* want_name) {
-  if (resp.dtype != want)
-    throw std::runtime_error(std::string("serve: field is not ") + want_name);
-  std::vector<T> out(resp.values.size() / sizeof(T));
-  std::memcpy(out.data(), resp.values.data(), resp.values.size());
-  return out;
-}
 
 /// Config timeouts use "0 or negative = wait forever"; poll wants -1.
 int poll_budget(int timeout_ms) { return timeout_ms > 0 ? timeout_ms : -1; }
@@ -205,23 +196,22 @@ bool Client::scrub(bool repair) {
   return decode_scrub_response(in).accepted;
 }
 
-std::vector<float> Client::read_region(const std::string& field,
-                                       const archive::Region& region) {
-  return typed_values<float>(read_raw(field, region), kDtypeF32, "f32");
+template <class T>
+std::vector<T> Client::read(const std::string& field,
+                            const std::optional<archive::Region>& region) {
+  constexpr bool f64 = std::is_same_v<T, double>;
+  const ReadResponse resp = read_raw(field, region);
+  if (resp.dtype != (f64 ? kDtypeF64 : kDtypeF32))
+    throw std::runtime_error(std::string("serve: field is not ") +
+                             (f64 ? "f64" : "f32"));
+  std::vector<T> out(resp.values.size() / sizeof(T));
+  std::memcpy(out.data(), resp.values.data(), resp.values.size());
+  return out;
 }
 
-std::vector<float> Client::read_field(const std::string& field) {
-  return typed_values<float>(read_raw(field, std::nullopt), kDtypeF32, "f32");
-}
-
-std::vector<double> Client::read_region64(const std::string& field,
-                                          const archive::Region& region) {
-  return typed_values<double>(read_raw(field, region), kDtypeF64, "f64");
-}
-
-std::vector<double> Client::read_field64(const std::string& field) {
-  return typed_values<double>(read_raw(field, std::nullopt), kDtypeF64,
-                              "f64");
-}
+template std::vector<float> Client::read<float>(
+    const std::string&, const std::optional<archive::Region>&);
+template std::vector<double> Client::read<double>(
+    const std::string&, const std::optional<archive::Region>&);
 
 }  // namespace sz14::serve

@@ -90,14 +90,20 @@ class Client {
   /// Server counter snapshot (Server::stats() records).
   [[nodiscard]] Metrics stats();
 
-  /// Decoded values for a hyperslab / whole field.  The f32 variants
-  /// throw if the remote field is f64 and vice versa.
-  [[nodiscard]] std::vector<float> read_region(const std::string& field,
-                                               const archive::Region& region);
-  [[nodiscard]] std::vector<float> read_field(const std::string& field);
-  [[nodiscard]] std::vector<double> read_region64(
-      const std::string& field, const archive::Region& region);
-  [[nodiscard]] std::vector<double> read_field64(const std::string& field);
+  /// Decoded values of `region` of `field` (std::nullopt: the whole
+  /// field).  T is float for an f32 field and double for an f64 one;
+  /// throws std::runtime_error on a mismatch.
+  template <class T>
+  [[nodiscard]] std::vector<T> read(
+      const std::string& field,
+      const std::optional<archive::Region>& region = std::nullopt);
+
+  /// read<float>(field, region), kept for perfbench/bench.cpp.
+  [[deprecated("perfbench only; ROADMAP item 8")]] [[nodiscard]]
+  std::vector<float> read_region(const std::string& field,
+                                 const archive::Region& region) {
+    return read<float>(field, region);
+  }
 
   /// Raw variant the CLI uses: dtype + shape + LE payload, no typing.
   [[nodiscard]] ReadResponse read_raw(
@@ -109,9 +115,9 @@ class Client {
   [[nodiscard]] bool scrub(bool repair);
 
   /// True when the most recent read (typed or raw) was served DEGRADED:
-  /// one or more unrecoverable blocks came back zero-filled.  The typed
-  /// read_* calls return plain vectors, so this flag is how a caller
-  /// notices the data has holes; last_read_holes() lists them.
+  /// one or more unrecoverable blocks came back zero-filled.  read<T>()
+  /// returns a plain vector, so this flag is how a caller notices the
+  /// data has holes; last_read_holes() lists them.
   [[nodiscard]] bool last_read_degraded() const noexcept {
     return last_degraded_;
   }
@@ -160,5 +166,10 @@ class Client {
   bool last_degraded_ = false;
   std::vector<std::uint64_t> last_holes_;
 };
+
+extern template std::vector<float> Client::read<float>(
+    const std::string&, const std::optional<archive::Region>&);
+extern template std::vector<double> Client::read<double>(
+    const std::string&, const std::optional<archive::Region>&);
 
 }  // namespace sz14::serve

@@ -190,6 +190,9 @@ ReadResponse decode_read_response(ByteReader& in) {
   return guarded("read response", [&] {
     ReadResponse r;
     r.dtype = in.get<std::uint8_t>();
+    if (r.dtype != kDtypeF32 && r.dtype != kDtypeF64)
+      throw ProtocolError("read response: unknown dtype " +
+                          std::to_string(r.dtype));
     const auto flags = in.get<std::uint8_t>();
     if (flags > 1)
       throw ProtocolError("read response: unknown flags " +
@@ -211,8 +214,11 @@ ReadResponse decode_read_response(ByteReader& in) {
       throw ProtocolError("read response: value bytes exceed frame");
     const auto raw = in.get_bytes(n);
     r.values.assign(raw.begin(), raw.end());
+    // Division, not shape.count() * elem: the product wraps for a hostile
+    // shape.
     const std::size_t elem = r.dtype == kDtypeF64 ? 8 : 4;
-    if (r.values.size() != r.shape.count() * elem)
+    if (r.values.size() % elem != 0 ||
+        r.values.size() / elem != r.shape.count())
       throw ProtocolError("read response: payload size does not match shape");
     return r;
   });

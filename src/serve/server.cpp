@@ -45,18 +45,14 @@ Server::Server(const std::string& archive_path, ServerConfig config)
     : config_(std::move(config)),
       archive_path_(archive_path),
       pool_(config_.threads),
-      reader_(archive_path, 0,
-              [this] {
-                // The reader borrows the serving pool, so a read request is
-                // one worker task whose block decodes run inline (run_batch
-                // reentrancy) — the worker set stays bounded.
-                ExecPolicy p = config_.policy;
-                p.pool = &pool_;
-                return p;
-              }(),
-              config_.degraded ? archive::OpenMode::kDegraded
-                               : archive::OpenMode::kStrict,
-              config_.fetch) {
+      // The reader borrows the serving pool, so a read request is one
+      // worker task whose block decodes run inline (run_batch reentrancy)
+      // — the worker set stays bounded.
+      reader_(archive_path,
+              {.pool = &pool_,
+               .open = config_.degraded ? archive::OpenMode::kDegraded
+                                        : archive::OpenMode::kStrict,
+               .fetch = config_.fetch}) {
   reader_.set_cache_capacity(config_.cache_bytes);
   reader_.set_coalescing(config_.coalescing);
 }
@@ -456,25 +452,16 @@ void Server::handle_read(const std::shared_ptr<Session>& s,
       // are exact and are NOT reported — only true holes are).
       archive::ReadDamage damage;
       archive::ReadDamage* const dmg = config_.degraded ? &damage : nullptr;
-      if (fe.dtype == kDtypeF64) {
-        const std::vector<double> v =
-            req.region
-                ? (dmg ? reader_.read_region64(req.field, *req.region, *dmg)
-                       : reader_.read_region64(req.field, *req.region))
-                : (dmg ? reader_.read_field64(req.field, *dmg)
-                       : reader_.read_field64(req.field));
-        resp.values.resize(v.size() * sizeof(double));
+      const auto read_as = [&](auto zero) {
+        using T = decltype(zero);
+        const std::vector<T> v = reader_.read<T>(req.field, req.region, dmg);
+        resp.values.resize(v.size() * sizeof(T));
         std::memcpy(resp.values.data(), v.data(), resp.values.size());
-      } else {
-        const std::vector<float> v =
-            req.region
-                ? (dmg ? reader_.read_region(req.field, *req.region, *dmg)
-                       : reader_.read_region(req.field, *req.region))
-                : (dmg ? reader_.read_field(req.field, *dmg)
-                       : reader_.read_field(req.field));
-        resp.values.resize(v.size() * sizeof(float));
-        std::memcpy(resp.values.data(), v.data(), resp.values.size());
-      }
+      };
+      if (fe.dtype == kDtypeF64)
+        read_as(0.0);
+      else
+        read_as(0.0f);
       if (!damage.clean()) {
         resp.degraded = true;
         resp.holes.reserve(damage.holes.size());

@@ -33,7 +33,6 @@
 #include <unordered_map>
 
 #include "archive/reader.hpp"
-#include "common/exec_policy.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/transport.hpp"
@@ -62,7 +61,6 @@ struct ServerConfig {
   /// back to pread when mapping is unavailable; kPread is the classic
   /// staged-read path.  Reader::fetch_mode() reports what actually took.
   FetchMode fetch = FetchMode::kPread;
-  ExecPolicy policy;              ///< decode hot-path mode etc.
 };
 
 class Server {

@@ -101,7 +101,7 @@ TEST(Archive, MultiFieldRoundTripF32AndF64) {
   const auto f64_data = smooth_field64(dims);
   const double eb = 1e-4;
   {
-    ArchiveWriter w(path, 2);
+    ArchiveWriter w(path, {.exec = {.threads = 2}});
     w.append_field("lossy32", std::span<const float>(f32_data), dims,
                    Dims{4, 8, 8}, "sz14", eb);
     w.append_field("lossy64", std::span<const double>(f64_data), dims,
@@ -112,23 +112,23 @@ TEST(Archive, MultiFieldRoundTripF32AndF64) {
                    Dims{4, 4, 4}, "gzip_like", 0.0);
     w.finish();
   }
-  ArchiveReader r(path, 2);
+  ArchiveReader r(path, {.threads = 2});
   ASSERT_EQ(r.fields().size(), 4u);
   EXPECT_EQ(r.field("lossy32").dims, dims);
   EXPECT_EQ(r.field("lossy64").dtype, kDtypeF64);
 
-  const auto lossy32 = r.read_field("lossy32");
+  const auto lossy32 = r.read<float>("lossy32");
   ASSERT_EQ(lossy32.size(), dims.count());
   for (std::size_t i = 0; i < lossy32.size(); ++i)
     EXPECT_LE(std::abs(lossy32[i] - f32_data[i]), eb) << "at " << i;
 
-  const auto lossy64 = r.read_field64("lossy64");
+  const auto lossy64 = r.read<double>("lossy64");
   ASSERT_EQ(lossy64.size(), dims.count());
   for (std::size_t i = 0; i < lossy64.size(); ++i)
     EXPECT_LE(std::abs(lossy64[i] - f64_data[i]), eb) << "at " << i;
 
-  EXPECT_EQ(r.read_field("exact32"), f32_data);
-  EXPECT_EQ(r.read_field64("exact64"), f64_data);
+  EXPECT_EQ(r.read<float>("exact32"), f32_data);
+  EXPECT_EQ(r.read<double>("exact64"), f64_data);
   std::remove(path.c_str());
 }
 
@@ -160,11 +160,11 @@ TEST(Archive, ReadRegionDecodesOnlyIntersectingBlocks) {
     ASSERT_GT(expected_touched, 0u);
     ASSERT_LT(expected_touched, grid.block_count());
 
-    const auto full = r.read_field("v");
+    const auto full = r.read<float>("v");
     EXPECT_EQ(r.blocks_decoded(), grid.block_count()) << codec;
 
     r.reset_counters();
-    const auto slab = r.read_region("v", region);
+    const auto slab = r.read<float>("v", region);
     EXPECT_EQ(r.blocks_decoded(), expected_touched) << codec;
 
     ASSERT_EQ(slab.size(), region.count());
@@ -202,7 +202,7 @@ TEST(Archive, Rank1AndSingleBlockEdgeCases) {
   EXPECT_EQ(r.field("many").blocks.size(), 7u);
 
   // Whole-field region on a single-block field touches that one block.
-  const auto out = r.read_region("one", Region::whole(dims));
+  const auto out = r.read<float>("one", Region::whole(dims));
   EXPECT_EQ(out.size(), 100u);
   EXPECT_EQ(r.blocks_decoded(), 1u);
 
@@ -212,7 +212,7 @@ TEST(Archive, Rank1AndSingleBlockEdgeCases) {
   mid.origin = {40};
   mid.extent = {10};
   r.reset_counters();
-  const auto slice = r.read_region("many", mid);
+  const auto slice = r.read<float>("many", mid);
   EXPECT_EQ(r.blocks_decoded(), 2u);  // elements 40..49 span blocks 2 and 3
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(slice[i], data[40 + i]);
   std::remove(path.c_str());
@@ -238,7 +238,7 @@ TEST(Archive, CorruptedBlockPayloadRejected) {
   data::write_bytes(path, bytes);
 
   ArchiveReader r(path);  // footer itself is intact, open succeeds
-  EXPECT_THROW((void)r.read_field("v"), std::runtime_error);
+  EXPECT_THROW((void)r.read<float>("v"), std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -311,23 +311,23 @@ TEST(Archive, ReaderRejectsBadRegionsAndNames) {
     w.finish();
   }
   ArchiveReader r(path);
-  EXPECT_THROW((void)r.read_field("missing"), std::invalid_argument);
-  EXPECT_THROW((void)r.read_field64("v"), std::invalid_argument);
+  EXPECT_THROW((void)r.read<float>("missing"), std::invalid_argument);
+  EXPECT_THROW((void)r.read<double>("v"), std::invalid_argument);
 
   Region bad;
   bad.rank = 1;  // rank mismatch
   bad.origin = {0};
   bad.extent = {4};
-  EXPECT_THROW((void)r.read_region("v", bad), std::invalid_argument);
+  EXPECT_THROW((void)r.read<float>("v", bad), std::invalid_argument);
 
   bad.rank = 2;
   bad.origin = {6, 0};
   bad.extent = {4, 4};  // exceeds bounds
-  EXPECT_THROW((void)r.read_region("v", bad), std::invalid_argument);
+  EXPECT_THROW((void)r.read<float>("v", bad), std::invalid_argument);
 
   bad.origin = {0, 0};
   bad.extent = {4, 0};  // empty extent
-  EXPECT_THROW((void)r.read_region("v", bad), std::invalid_argument);
+  EXPECT_THROW((void)r.read<float>("v", bad), std::invalid_argument);
   std::remove(path.c_str());
 }
 

@@ -44,7 +44,7 @@ std::vector<double> wavy_field64(const Dims& dims) {
 std::string make_archive(const std::string& name) {
   const std::string path = tmp_path(name);
   const Dims dims{24, 20, 16};
-  ArchiveWriter w(path, 2);
+  ArchiveWriter w(path, {.exec = {.threads = 2}});
   const auto f32 = wavy_field(dims);
   const auto f64 = wavy_field64(dims);
   w.append_field("lossy32", std::span<const float>(f32), dims, Dims{8, 8, 8},
@@ -74,7 +74,7 @@ TEST(ArchiveConcurrency, HammeredReaderMatchesSequentialReads) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRegions = 24;
 
-  ArchiveReader reader(path, 2);
+  ArchiveReader reader(path, {.threads = 2});
 
   // Sequential ground truth, one result set per (region, field).
   Rng rng(1234);
@@ -84,9 +84,9 @@ TEST(ArchiveConcurrency, HammeredReaderMatchesSequentialReads) {
   std::vector<std::vector<float>> want32, want_exact;
   std::vector<std::vector<double>> want64;
   for (const auto& r : regions) {
-    want32.push_back(reader.read_region("lossy32", r));
-    want64.push_back(reader.read_region64("lossy64", r));
-    want_exact.push_back(reader.read_region("exact32", r));
+    want32.push_back(reader.read<float>("lossy32", r));
+    want64.push_back(reader.read<double>("lossy64", r));
+    want_exact.push_back(reader.read<float>("exact32", r));
   }
 
   // N threads hammer the SAME reader, each walking the regions from a
@@ -97,11 +97,11 @@ TEST(ArchiveConcurrency, HammeredReaderMatchesSequentialReads) {
     threads.emplace_back([&, t] {
       for (std::size_t k = 0; k < kRegions; ++k) {
         const std::size_t i = (k + t * 3) % kRegions;
-        if (reader.read_region("lossy32", regions[i]) != want32[i])
+        if (reader.read<float>("lossy32", regions[i]) != want32[i])
           ++mismatches;
-        if (reader.read_region64("lossy64", regions[i]) != want64[i])
+        if (reader.read<double>("lossy64", regions[i]) != want64[i])
           ++mismatches;
-        if (reader.read_region("exact32", regions[i]) != want_exact[i])
+        if (reader.read<float>("exact32", regions[i]) != want_exact[i])
           ++mismatches;
       }
     });
@@ -113,8 +113,8 @@ TEST(ArchiveConcurrency, HammeredReaderMatchesSequentialReads) {
 
 TEST(ArchiveConcurrency, ConcurrentWholeFieldReadsAreExact) {
   const std::string path = make_archive("fullfield.sza");
-  ArchiveReader reader(path, 2);
-  const auto want = reader.read_field("exact32");
+  ArchiveReader reader(path, {.threads = 2});
+  const auto want = reader.read<float>("exact32");
   reader.reset_counters();
 
   constexpr std::size_t kThreads = 6;
@@ -122,7 +122,7 @@ TEST(ArchiveConcurrency, ConcurrentWholeFieldReadsAreExact) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      if (reader.read_field("exact32") != want) ++mismatches;
+      if (reader.read<float>("exact32") != want) ++mismatches;
     });
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
@@ -134,32 +134,32 @@ TEST(ArchiveConcurrency, ConcurrentWholeFieldReadsAreExact) {
 
 TEST(ArchiveConcurrency, CacheHitsSkipDecodeAndStayBitIdentical) {
   const std::string path = make_archive("cache.sza");
-  ArchiveReader reader(path, 2);
+  ArchiveReader reader(path, {.threads = 2});
   reader.set_cache_capacity(64u << 20);  // roomy: whole archive fits
 
   Region hot;
   hot.rank = 3;
   hot.origin = {9, 6, 3};
   hot.extent = {8, 9, 10};
-  const auto first = reader.read_region("lossy32", hot);
+  const auto first = reader.read<float>("lossy32", hot);
   const auto decoded_once = reader.blocks_decoded();
   EXPECT_GT(decoded_once, 0u);
 
-  const auto second = reader.read_region("lossy32", hot);
+  const auto second = reader.read<float>("lossy32", hot);
   EXPECT_EQ(second, first);                           // cache is invisible
   EXPECT_EQ(reader.blocks_decoded(), decoded_once);   // ...and free
   EXPECT_GT(metric(reader.metrics(), "cache_hits"), 0u);
 
   // The other dtype shares the cache without type confusion.
-  const auto w64 = reader.read_region64("lossy64", hot);
-  EXPECT_EQ(reader.read_region64("lossy64", hot), w64);
+  const auto w64 = reader.read<double>("lossy64", hot);
+  EXPECT_EQ(reader.read<double>("lossy64", hot), w64);
   std::remove(path.c_str());
 }
 
 TEST(ArchiveConcurrency, HammeredCachedReaderMatchesAndCounts) {
   const std::string path = make_archive("cache_hammer.sza");
   const Dims dims{24, 20, 16};
-  ArchiveReader reader(path, 2);
+  ArchiveReader reader(path, {.threads = 2});
   // Deliberately tight budget so eviction churns under concurrency.
   reader.set_cache_capacity(6 * 8 * 8 * 8 * sizeof(float));
 
@@ -169,7 +169,7 @@ TEST(ArchiveConcurrency, HammeredCachedReaderMatchesAndCounts) {
     regions.push_back(random_region(rng, dims));
   std::vector<std::vector<float>> want;
   for (const auto& r : regions)
-    want.push_back(reader.read_region("lossy32", r));
+    want.push_back(reader.read<float>("lossy32", r));
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -178,7 +178,7 @@ TEST(ArchiveConcurrency, HammeredCachedReaderMatchesAndCounts) {
       for (std::size_t rep = 0; rep < 3; ++rep)
         for (std::size_t k = 0; k < regions.size(); ++k) {
           const std::size_t i = (k + t) % regions.size();
-          if (reader.read_region("lossy32", regions[i]) != want[i])
+          if (reader.read<float>("lossy32", regions[i]) != want[i])
             ++mismatches;
         }
     });
@@ -191,8 +191,8 @@ TEST(ArchiveConcurrency, HammeredCachedReaderMatchesAndCounts) {
 TEST(ArchiveConcurrency, DisabledCacheCountsNothing) {
   const std::string path = make_archive("nocache.sza");
   ArchiveReader reader(path);
-  (void)reader.read_field("lossy32");
-  (void)reader.read_field("lossy32");
+  (void)reader.read<float>("lossy32");
+  (void)reader.read<float>("lossy32");
   EXPECT_EQ(metric(reader.metrics(), "cache_hits"), 0u);
   EXPECT_EQ(metric(reader.metrics(), "cache_misses"), 0u);
   EXPECT_EQ(metric(reader.metrics(), "cache_resident_bytes"), 0u);
@@ -200,25 +200,25 @@ TEST(ArchiveConcurrency, DisabledCacheCountsNothing) {
 }
 
 TEST(ArchiveConcurrency, ServesFromBorrowedPoolEvenReentrantly) {
-  // The reader can borrow the caller's pool via its ExecPolicy — including
-  // when read_region is itself called FROM a task on that pool (nested
-  // fan-out runs inline instead of deadlocking; thread_pool reentrancy).
+  // The reader can borrow the caller's pool via ReaderOptions::pool —
+  // including when read<T> is itself called FROM a task on that pool
+  // (nested fan-out runs inline instead of deadlocking; thread_pool
+  // reentrancy).
   const std::string path = make_archive("borrowed.sza");
   const Dims dims{24, 20, 16};
-  ExecPolicy policy;
-  policy.pool = &shared_pool();
-  ArchiveReader reader(path, 0, policy);
+  ArchiveReader reader(path, {.pool = &shared_pool()});
 
   Rng rng(5);
   std::vector<Region> regions;
   for (std::size_t i = 0; i < 6; ++i)
     regions.push_back(random_region(rng, dims));
   std::vector<std::vector<float>> want;
-  for (const auto& r : regions) want.push_back(reader.read_region("lossy32", r));
+  for (const auto& r : regions)
+    want.push_back(reader.read<float>("lossy32", r));
 
   std::atomic<int> mismatches{0};
   shared_pool().run_batch(regions.size(), [&](std::size_t i) {
-    if (reader.read_region("lossy32", regions[i]) != want[i]) ++mismatches;
+    if (reader.read<float>("lossy32", regions[i]) != want[i]) ++mismatches;
   });
   EXPECT_EQ(mismatches.load(), 0);
   std::remove(path.c_str());
@@ -228,12 +228,12 @@ TEST(ArchiveConcurrency, ResetCountersClearsStatsNotCache) {
   const std::string path = make_archive("reset.sza");
   ArchiveReader reader(path);
   reader.set_cache_capacity(64u << 20);
-  const auto want = reader.read_field("lossy32");
+  const auto want = reader.read<float>("lossy32");
   reader.reset_counters();
   EXPECT_EQ(reader.blocks_decoded(), 0u);
   EXPECT_EQ(metric(reader.metrics(), "cache_hits"), 0u);
   // Cached data survived the stats reset: the re-read decodes nothing.
-  EXPECT_EQ(reader.read_field("lossy32"), want);
+  EXPECT_EQ(reader.read<float>("lossy32"), want);
   EXPECT_EQ(reader.blocks_decoded(), 0u);
   EXPECT_GT(metric(reader.metrics(), "cache_hits"), 0u);
   std::remove(path.c_str());
@@ -316,8 +316,8 @@ TEST(SingleFlightMap, LeaderFailurePropagatesToFollowersNotHangs) {
 // equality deterministic rather than flaky.
 TEST(ArchiveConcurrency, CoalescedColdBurstDecodesEachBlockExactlyOnce) {
   const std::string path = make_archive("coalesce_cold.sza");
-  ArchiveReader reader(path, 4);
-  const auto want = reader.read_field("lossy32");
+  ArchiveReader reader(path, {.threads = 4});
+  const auto want = reader.read<float>("lossy32");
   const std::size_t nblocks = reader.field("lossy32").blocks.size();
   reader.set_cache_capacity(64u << 20);
   reader.set_coalescing(true);
@@ -328,7 +328,7 @@ TEST(ArchiveConcurrency, CoalescedColdBurstDecodesEachBlockExactlyOnce) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      if (reader.read_field("lossy32") != want) ++mismatches;
+      if (reader.read<float>("lossy32") != want) ++mismatches;
     });
   for (auto& th : threads) th.join();
 
@@ -346,8 +346,8 @@ TEST(ArchiveConcurrency, CoalescedColdBurstDecodesEachBlockExactlyOnce) {
 // coalesced wait — the two counters partition the total exactly.
 TEST(ArchiveConcurrency, CoalescingAloneMergesSimultaneousDecodes) {
   const std::string path = make_archive("coalesce_nocache.sza");
-  ArchiveReader reader(path, 4);
-  const auto want = reader.read_field("lossy32");
+  ArchiveReader reader(path, {.threads = 4});
+  const auto want = reader.read<float>("lossy32");
   const std::size_t nblocks = reader.field("lossy32").blocks.size();
   reader.set_coalescing(true);
   reader.reset_counters();
@@ -357,7 +357,7 @@ TEST(ArchiveConcurrency, CoalescingAloneMergesSimultaneousDecodes) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
-      if (reader.read_field("lossy32") != want) ++mismatches;
+      if (reader.read<float>("lossy32") != want) ++mismatches;
     });
   for (auto& th : threads) th.join();
 
@@ -370,9 +370,9 @@ TEST(ArchiveConcurrency, CoalescingAloneMergesSimultaneousDecodes) {
 
 TEST(ArchiveConcurrency, ResetCountersClearsCoalescedReads) {
   const std::string path = make_archive("coalesce_reset.sza");
-  ArchiveReader reader(path, 2);
+  ArchiveReader reader(path, {.threads = 2});
   reader.set_coalescing(true);
-  (void)reader.read_field("lossy32");
+  (void)reader.read<float>("lossy32");
   reader.reset_counters();
   EXPECT_EQ(metric(reader.metrics(), "coalesced_reads"), 0u);
   EXPECT_EQ(reader.blocks_decoded(), 0u);

@@ -32,12 +32,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "archive/scrub.hpp"
 #include "archive/shard.hpp"
 #include "common/failpoint.hpp"
+#include "core/format.hpp"
 
 namespace sz14::archive {
 namespace {
@@ -97,6 +99,102 @@ TEST(Sharded, ShardHeaderRejectsWrongIndex) {
 }
 
 // ---------------------------------------------------------------------------
+// The options API against the deprecated positional forwarders.
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// Every file an archive consists of: the container or manifest, then its
+/// shards in order.
+std::vector<std::vector<std::uint8_t>> archive_bytes(const std::string& path) {
+  std::vector<std::vector<std::uint8_t>> out{file_bytes(path)};
+  for (std::size_t i = 0; std::filesystem::exists(shard_file_name(path, i));
+       ++i)
+    out.push_back(file_bytes(shard_file_name(path, i)));
+  return out;
+}
+
+TEST(Sharded, WriterOptionsMatchPositionalForwarderByteForByte) {
+  const Dims dims{48, 40};
+  const Dims block{8, 8};
+  const auto f32v = field_values(dims.count(), 0.7f);
+  const auto f64v = field_values64(dims.count(), 0.3);
+  const auto fill = [&](ArchiveWriter& w) {
+    w.append_field("a32", std::span<const float>(f32v), dims, block, "sz14",
+                   1e-3);
+    w.append_field("b64", std::span<const double>(f64v), dims, block, "sz14",
+                   1e-6);
+    w.finish();
+  };
+  struct Config {
+    const char* name;
+    WriterOptions opts;
+  };
+  const Config configs[] = {
+      {"single", {.exec = {.threads = 2}}},
+      {"sharded", {.exec = {.threads = 2}, .shard_size = 4096}},
+      {"parity", {.exec = {.threads = 2}, .parity_group = 4}},
+      {"turbo_rans",
+       {.exec = {.mode = HotPathMode::kTurbo,
+                 .threads = 2,
+                 .entropy = EntropyBackend::kRans}}},
+  };
+  std::vector<std::vector<std::uint8_t>> single;
+  for (const Config& c : configs) {
+    SCOPED_TRACE(c.name);
+    // One path for both writers: a manifest names its shard files.
+    const std::string path =
+        tmp_path(std::string("forwarder_") + c.name +
+                 (c.opts.shard_size > 0 ? ".szm" : ".sza"));
+    remove_archive_files(path);
+    {
+      ArchiveWriter w(path, c.opts);
+      fill(w);
+    }
+    const auto via_options = archive_bytes(path);
+    {
+      ArchiveReader r(path);
+      for (const auto& f : r.fields()) {
+        const auto whole = Region::whole(f.dims);
+        if (f.dtype == kDtypeF64)
+          EXPECT_EQ(r.read<double>(f.name), r.read<double>(f.name, whole));
+        else
+          EXPECT_EQ(r.read<float>(f.name), r.read<float>(f.name, whole));
+      }
+      EXPECT_THROW((void)r.read<double>("a32"), std::invalid_argument);
+      EXPECT_THROW((void)r.read<float>("b64"), std::invalid_argument);
+    }
+    remove_archive_files(path);
+    {
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+      ArchiveWriter w(path, c.opts.exec.threads, c.opts.exec,
+                      c.opts.parity_group, c.opts.shard_size);
+#pragma GCC diagnostic pop
+      fill(w);
+    }
+    const auto via_positional = archive_bytes(path);
+    remove_archive_files(path);
+
+    ASSERT_EQ(via_options.size(), via_positional.size());
+    if (c.opts.shard_size > 0) {
+      EXPECT_GT(via_options.size(), 2u);
+    }
+    for (std::size_t i = 0; i < via_options.size(); ++i)
+      EXPECT_EQ(via_options[i], via_positional[i]) << "file " << i;
+    // Each configuration reaches the bytes: none writes the plain archive.
+    if (single.empty()) {
+      single = via_options;
+    } else {
+      EXPECT_NE(via_options, single);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Round-trip identity across layout (single vs sharded) and fetch mode.
 // ---------------------------------------------------------------------------
 
@@ -111,7 +209,9 @@ TEST(Sharded, RoundTripsBitIdenticalToSingleFileAcrossFetchModes) {
   for (const std::string& path : {single, manifest}) {
     // 4 KiB shards force many rolls; 0 keeps the classic layout.
     const std::uint64_t shard_size = path == manifest ? 4096 : 0;
-    ArchiveWriter w(path, 1, {}, /*parity_group=*/4, shard_size);
+    ArchiveWriter w(path, {.exec = {.threads = 1},
+                           .parity_group = 4,
+                           .shard_size = shard_size});
     w.append_field("a32", f32v, dims, block, "sz14", 1e-3);
     w.append_field("b64", f64v, dims, block, "sz14", 1e-6);
     w.finish();
@@ -119,18 +219,18 @@ TEST(Sharded, RoundTripsBitIdenticalToSingleFileAcrossFetchModes) {
     if (shard_size > 0) EXPECT_GT(w.shards().size(), 1u);
   }
 
-  ArchiveReader base(single, 1);
+  ArchiveReader base(single, {.threads = 1});
   EXPECT_FALSE(base.sharded());
-  const auto ref32 = base.read_field("a32");
-  const auto ref64 = base.read_field64("b64");
+  const auto ref32 = base.read<float>("a32");
+  const auto ref64 = base.read<double>("b64");
 
   for (const std::string& path : {single, manifest}) {
     for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
+      ArchiveReader r(path, {.threads = 1, .fetch = mode});
       EXPECT_EQ(r.sharded(), path == manifest);
       EXPECT_EQ(r.fetch_mode(), mode);  // POSIX CI: the mapping must take
-      EXPECT_EQ(r.read_field("a32"), ref32);
-      EXPECT_EQ(r.read_field64("b64"), ref64);
+      EXPECT_EQ(r.read<float>("a32"), ref32);
+      EXPECT_EQ(r.read<double>("b64"), ref64);
     }
   }
 
@@ -146,7 +246,8 @@ TEST(Sharded, RegionReadsMatchAcrossLayoutAndFetchMode) {
   const auto vals = field_values(dims.count(), 2.2f);
 
   for (const std::string& path : {single, manifest}) {
-    ArchiveWriter w(path, 1, {}, 0, path == manifest ? 8192 : 0);
+    ArchiveWriter w(path, {.exec = {.threads = 1},
+                           .shard_size = path == manifest ? 8192u : 0u});
     w.append_field("f", vals, dims, block, "sz14", 1e-3);
     w.finish();
   }
@@ -155,12 +256,12 @@ TEST(Sharded, RegionReadsMatchAcrossLayoutAndFetchMode) {
   reg.rank = 2;
   reg.origin = {10, 22};
   reg.extent = {33, 17};
-  ArchiveReader base(single, 1);
-  const auto ref = base.read_region("f", reg);
+  ArchiveReader base(single, {.threads = 1});
+  const auto ref = base.read<float>("f", reg);
   for (const std::string& path : {single, manifest})
     for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-      EXPECT_EQ(r.read_region("f", reg), ref);
+      ArchiveReader r(path, {.threads = 1, .fetch = mode});
+      EXPECT_EQ(r.read<float>("f", reg), ref);
     }
 
   remove_archive_files(single);
@@ -178,20 +279,20 @@ TEST(Sharded, MmapMapFailureFallsBackToPreadSilently) {
   const Dims dims{32, 32};
   const auto vals = field_values(dims.count(), 0.9f);
   {
-    ArchiveWriter w(path, 1);
+    ArchiveWriter w(path, {.exec = {.threads = 1}});
     w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
+  ArchiveReader pristine(path, {.threads = 1});
+  const auto ref = pristine.read<float>("f");
 
   // Every mmap() attempt fails at open: the reader must come up in pread
   // mode and decode identically.
   fail::arm("pread_file.mmap.map", {fail::Kind::kError, 0, 1000, 0});
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
+  ArchiveReader r(path, {.threads = 1, .fetch = FetchMode::kMmap});
   fail::disarm_all();
   EXPECT_EQ(r.fetch_mode(), FetchMode::kPread);
-  EXPECT_EQ(r.read_field("f"), ref);
+  EXPECT_EQ(r.read<float>("f"), ref);
   std::remove(path.c_str());
 }
 
@@ -201,21 +302,21 @@ TEST(Sharded, ShortMapSurrogateStagesTailReadsThroughPread) {
   const Dims dims{32, 32};
   const auto vals = field_values(dims.count(), 1.7f);
   {
-    ArchiveWriter w(path, 1);
+    ArchiveWriter w(path, {.exec = {.threads = 1}});
     w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
+  ArchiveReader pristine(path, {.threads = 1});
+  const auto ref = pristine.read<float>("f");
 
   // Map only the first 64 bytes (the SIGBUS-free stand-in for a mapping
   // the kernel later shrinks): every payload view beyond it comes back
   // empty and the decode stages through pread instead.
   fail::arm("pread_file.mmap.map", {fail::Kind::kShort, 0, 1000, 64});
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
+  ArchiveReader r(path, {.threads = 1, .fetch = FetchMode::kMmap});
   fail::disarm_all();
   EXPECT_EQ(r.fetch_mode(), FetchMode::kMmap);  // mapped, just short
-  EXPECT_EQ(r.read_field("f"), ref);
+  EXPECT_EQ(r.read<float>("f"), ref);
   std::remove(path.c_str());
 }
 
@@ -225,19 +326,19 @@ TEST(Sharded, PerViewFaultFallsBackToStagedReads) {
   const Dims dims{48, 48};
   const auto vals = field_values(dims.count(), 2.8f);
   {
-    ArchiveWriter w(path, 1, {}, 0, 4096);
+    ArchiveWriter w(path, {.exec = {.threads = 1}, .shard_size = 4096});
     w.append_field("f", vals, dims, Dims{16, 16}, "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
+  ArchiveReader pristine(path, {.threads = 1});
+  const auto ref = pristine.read<float>("f");
 
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
+  ArchiveReader r(path, {.threads = 1, .fetch = FetchMode::kMmap});
   ASSERT_EQ(r.fetch_mode(), FetchMode::kMmap);
   // Every view() refuses for a while mid-life — decode must transparently
   // stage those blocks and still match.
   fail::arm("pread_file.mmap.fault", {fail::Kind::kError, 0, 1000, 0});
-  const auto out = r.read_field("f");
+  const auto out = r.read<float>("f");
   fail::disarm_all();
   EXPECT_EQ(out, ref);
   remove_archive_files(path);
@@ -249,7 +350,7 @@ TEST(Sharded, PerViewFaultFallsBackToStagedReads) {
 
 void expect_clean_everywhere(const std::string& path) {
   for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
+    ArchiveReader r(path, {.threads = 1, .fetch = mode});
     EXPECT_FALSE(r.salvage_info().fallback);
   }
   const FsckReport fr = fsck_scan(path);
@@ -263,11 +364,12 @@ TEST(Sharded, ZeroFieldArchiveOpensFscksAndScrubsBothLayouts) {
     const std::string path =
         tmp_path(sharded ? "empty.szm" : "empty.sza");
     {
-      ArchiveWriter w(path, 1, {}, 0, sharded ? 4096 : 0);
+      ArchiveWriter w(path, {.exec = {.threads = 1},
+                             .shard_size = sharded ? 4096u : 0u});
       w.finish();
     }
     for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
+      ArchiveReader r(path, {.threads = 1, .fetch = mode});
       EXPECT_EQ(r.fields().size(), 0u);
       EXPECT_EQ(r.sharded(), sharded);
     }
@@ -283,16 +385,17 @@ TEST(Sharded, SingleBlockFieldRoundTripsBothLayoutsAndModes) {
     const std::string path =
         tmp_path(sharded ? "oneblock.szm" : "oneblock.sza");
     {
-      ArchiveWriter w(path, 1, {}, 0, sharded ? 1u << 20 : 0);
+      ArchiveWriter w(path, {.exec = {.threads = 1},
+                             .shard_size = sharded ? 1u << 20 : 0u});
       w.append_field("f", vals, dims, dims, "sz14", 1e-3);
       w.finish();
     }
-    ArchiveReader base(path, 1);
+    ArchiveReader base(path, {.threads = 1});
     ASSERT_EQ(base.fields().front().blocks.size(), 1u);
-    const auto ref = base.read_field("f");
+    const auto ref = base.read<float>("f");
     for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-      ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-      EXPECT_EQ(r.read_field("f"), ref);
+      ArchiveReader r(path, {.threads = 1, .fetch = mode});
+      EXPECT_EQ(r.read<float>("f"), ref);
     }
     expect_clean_everywhere(path);
     remove_archive_files(path);
@@ -309,7 +412,7 @@ TEST(Sharded, ShardBoundaryExactlyOnBlockBoundary) {
   const auto vals = field_values(dims.count(), 3.3f);
   std::uint64_t first_payload = 0;
   {
-    ArchiveWriter w(probe, 1);
+    ArchiveWriter w(probe, {.exec = {.threads = 1}});
     w.append_field("f", vals, dims, block, "sz14", 1e-3);
     w.finish();
     first_payload = w.fields().front().blocks.front().size;
@@ -319,17 +422,18 @@ TEST(Sharded, ShardBoundaryExactlyOnBlockBoundary) {
 
   const std::string path = tmp_path("exact.szm");
   {
-    ArchiveWriter w(path, 1, {}, 0, first_payload);
+    ArchiveWriter w(path,
+                    {.exec = {.threads = 1}, .shard_size = first_payload});
     w.append_field("f", vals, dims, block, "sz14", 1e-3);
     w.finish();
     ASSERT_EQ(w.shards().size(), 2u);
     EXPECT_EQ(w.shards()[0].size, first_payload);
   }
-  ArchiveReader base(path, 1);
-  const auto ref = base.read_field("f");
+  ArchiveReader base(path, {.threads = 1});
+  const auto ref = base.read<float>("f");
   for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-    EXPECT_EQ(r.read_field("f"), ref);
+    ArchiveReader r(path, {.threads = 1, .fetch = mode});
+    EXPECT_EQ(r.read<float>("f"), ref);
   }
   expect_clean_everywhere(path);
   remove_archive_files(path);
@@ -342,15 +446,15 @@ TEST(Sharded, OversizedPayloadGetsItsOwnShard) {
   const Dims dims{64, 64};
   const auto vals = field_values(dims.count(), 0.6f);
   {
-    ArchiveWriter w(path, 1, {}, 0, /*shard_size=*/16);
+    ArchiveWriter w(path, {.exec = {.threads = 1}, .shard_size = 16});
     w.append_field("f", vals, dims, Dims{32, 32}, "sz14", 1e-3);
     w.finish();
     // One shard per block payload: none could share a 16-byte budget.
     EXPECT_EQ(w.shards().size(), w.fields().front().blocks.size());
   }
-  ArchiveReader r(path, 1, {}, OpenMode::kStrict, FetchMode::kMmap);
-  ArchiveReader base(path, 1);
-  EXPECT_EQ(r.read_field("f"), base.read_field("f"));
+  ArchiveReader r(path, {.threads = 1, .fetch = FetchMode::kMmap});
+  ArchiveReader base(path, {.threads = 1});
+  EXPECT_EQ(r.read<float>("f"), base.read<float>("f"));
   expect_clean_everywhere(path);
   remove_archive_files(path);
 }
@@ -376,7 +480,7 @@ TEST(Sharded, WriterKilledMidShardSalvagesAndFsckRepairsAllFiles) {
     // — payload bytes (and possibly a fresh shard file) are on disk with
     // no checkpoint sealing them.
     try {
-      ArchiveWriter w(path, 1, {}, 0, 4096);
+      ArchiveWriter w(path, {.exec = {.threads = 1}, .shard_size = 4096});
       w.append_field("f0", f0, dims, block, "sz14", 1e-3);
       w.append_field("f1", f1, dims, block, "sz14", 1e-3);
       fail::arm("archive.writer.write", {fail::Kind::kAbort, 2, 1, 0});
@@ -392,10 +496,10 @@ TEST(Sharded, WriterKilledMidShardSalvagesAndFsckRepairsAllFiles) {
 
   // Salvage open lands on the post-f1 checkpoint and serves both fields.
   {
-    ArchiveReader r(path, 1, {}, OpenMode::kSalvage);
+    ArchiveReader r(path, {.threads = 1, .open = OpenMode::kSalvage});
     ASSERT_EQ(r.fields().size(), 2u);
-    (void)r.read_field("f0");
-    (void)r.read_field("f1");
+    (void)r.read<float>("f0");
+    (void)r.read<float>("f1");
   }
 
   // fsck sees the torn state: trailing manifest bytes and/or torn shard
@@ -411,17 +515,18 @@ TEST(Sharded, WriterKilledMidShardSalvagesAndFsckRepairsAllFiles) {
   const std::string pristine_path = tmp_path("killed_pristine.szm");
   remove_archive_files(pristine_path);
   {
-    ArchiveWriter w(pristine_path, 1, {}, 0, 4096);
+    ArchiveWriter w(pristine_path,
+                    {.exec = {.threads = 1}, .shard_size = 4096});
     w.append_field("f0", f0, dims, block, "sz14", 1e-3);
     w.append_field("f1", f1, dims, block, "sz14", 1e-3);
     w.finish();
   }
   for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader repaired(path, 1, {}, OpenMode::kStrict, mode);
-    ArchiveReader pristine(pristine_path, 1);
+    ArchiveReader repaired(path, {.threads = 1, .fetch = mode});
+    ArchiveReader pristine(pristine_path, {.threads = 1});
     EXPECT_FALSE(repaired.salvage_info().fallback);
-    EXPECT_EQ(repaired.read_field("f0"), pristine.read_field("f0"));
-    EXPECT_EQ(repaired.read_field("f1"), pristine.read_field("f1"));
+    EXPECT_EQ(repaired.read<float>("f0"), pristine.read<float>("f0"));
+    EXPECT_EQ(repaired.read<float>("f1"), pristine.read<float>("f1"));
   }
 
   remove_archive_files(path);
@@ -439,14 +544,14 @@ TEST(Sharded, TornManifestCheckpointFallsBackAndOrphanShardIsRemoved) {
 
   std::uint64_t first_checkpoint = 0;
   {
-    ArchiveWriter w(path, 1, {}, 0, 4096);
+    ArchiveWriter w(path, {.exec = {.threads = 1}, .shard_size = 4096});
     w.append_field("f0", f0, dims, block, "sz14", 1e-3);
     first_checkpoint = w.consistent_bytes();
     w.append_field("f1", f1, dims, block, "sz14", 1e-3);
     w.finish();
   }
   const std::size_t sealed_shards = [&] {
-    ArchiveReader r(path, 1);
+    ArchiveReader r(path, {.threads = 1});
     return r.shards().size();
   }();
 
@@ -462,9 +567,9 @@ TEST(Sharded, TornManifestCheckpointFallsBackAndOrphanShardIsRemoved) {
     orphan << "garbage";
   }
 
-  EXPECT_THROW(ArchiveReader(path, 1), std::runtime_error);
+  EXPECT_THROW(ArchiveReader(path, {.threads = 1}), std::runtime_error);
   {
-    ArchiveReader r(path, 1, {}, OpenMode::kSalvage);
+    ArchiveReader r(path, {.threads = 1, .open = OpenMode::kSalvage});
     EXPECT_TRUE(r.salvage_info().fallback);
     EXPECT_EQ(r.salvage_info().consistent_bytes, first_checkpoint);
     ASSERT_EQ(r.fields().size(), 1u);
@@ -479,10 +584,10 @@ TEST(Sharded, TornManifestCheckpointFallsBackAndOrphanShardIsRemoved) {
   // The f0-only archive may legitimately index fewer shards than the
   // sealed two-field one did.
   {
-    ArchiveReader r(path, 1);
+    ArchiveReader r(path, {.threads = 1});
     EXPECT_LE(r.shards().size(), sealed_shards);
     ASSERT_EQ(r.fields().size(), 1u);
-    (void)r.read_field("f0");
+    (void)r.read<float>("f0");
   }
 
   remove_archive_files(path);
@@ -499,12 +604,14 @@ TEST(Sharded, BitFlipInShardIsReadRepairedAndScrubHealsOnDisk) {
   const Dims block{16, 16};
   const auto vals = field_values(dims.count(), 1.1f);
   {
-    ArchiveWriter w(path, 1, {}, /*parity_group=*/4, 4096);
+    ArchiveWriter w(path, {.exec = {.threads = 1},
+                           .parity_group = 4,
+                           .shard_size = 4096});
     w.append_field("f", vals, dims, block, "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader pristine(path, 1);
-  const auto ref = pristine.read_field("f");
+  ArchiveReader pristine(path, {.threads = 1});
+  const auto ref = pristine.read<float>("f");
   const BlockEntry& victim = pristine.fields().front().blocks[3];
 
   // Flip one byte in the middle of block 3's payload, going through the
@@ -527,8 +634,8 @@ TEST(Sharded, BitFlipInShardIsReadRepairedAndScrubHealsOnDisk) {
 
   // Read-repair: both fetch modes reconstruct through parity in memory.
   for (const FetchMode mode : {FetchMode::kPread, FetchMode::kMmap}) {
-    ArchiveReader r(path, 1, {}, OpenMode::kStrict, mode);
-    EXPECT_EQ(r.read_field("f"), ref);
+    ArchiveReader r(path, {.threads = 1, .fetch = mode});
+    EXPECT_EQ(r.read<float>("f"), ref);
     EXPECT_GE(metric(r.metrics(), "read_repairs"), 1u);
   }
 
@@ -571,12 +678,12 @@ TEST(Sharded, ShardSetPastEndReadNamesLogicalOffset) {
   const std::string path = tmp_path("past.szm");
   remove_archive_files(path);
   {
-    ArchiveWriter w(path, 1, {}, 0, 4096);
+    ArchiveWriter w(path, {.exec = {.threads = 1}, .shard_size = 4096});
     w.append_field("f", field_values(256, 0.2f), Dims{16, 16}, Dims{16, 16},
                    "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader r(path, 1);
+  ArchiveReader r(path, {.threads = 1});
   const ShardSet& src = r.source();
   std::vector<std::uint8_t> buf(16);
   try {

@@ -200,8 +200,8 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
 
   const std::string path = testing::TempDir() + "exec_policy_turbo.sza";
   {
-    archive::ArchiveWriter writer(path, 2,
-                                  ExecPolicy{.mode = HotPathMode::kTurbo});
+    archive::ArchiveWriter writer(
+        path, {.exec = {.mode = HotPathMode::kTurbo, .threads = 2}});
     std::vector<std::uint8_t> racing;
     std::thread racer(
         [&] { racing = compress(f.values, f.dims, fast); });
@@ -214,7 +214,7 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
   }
   // The turbo archive itself stays bound-conformant.
   archive::ArchiveReader reader(path);
-  const auto back = reader.read_field("v/t1");
+  const auto back = reader.read<float>("v/t1");
   ASSERT_EQ(back.size(), f.values.size());
   for (std::size_t i = 0; i < f.values.size(); ++i)
     ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -

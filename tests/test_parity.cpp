@@ -43,7 +43,7 @@ std::string make_archive(const std::string& name, std::uint32_t parity_group,
                          const Dims& dims = Dims{16, 12}) {
   const std::string path = tmp_path(name);
   const auto v = wavy(dims);
-  archive::ArchiveWriter w(path, 0, {}, parity_group);
+  archive::ArchiveWriter w(path, {.parity_group = parity_group});
   w.append_field("x", std::span<const float>(v), dims, Dims{8, 8}, "sz14",
                  1e-3);
   w.finish();
@@ -133,13 +133,13 @@ TEST(Parity, ReadRepairReturnsExactValuesAndCounts) {
   std::uint64_t target = 0;
   {
     archive::ArchiveReader probe(path);
-    want = probe.read_field("x");
+    want = probe.read<float>("x");
     target = probe.field("x").blocks[2].offset + 3;
   }
   flip_byte(path, static_cast<std::size_t>(target));
 
   archive::ArchiveReader r(path);
-  EXPECT_EQ(r.read_field("x"), want);
+  EXPECT_EQ(r.read<float>("x"), want);
   EXPECT_EQ(metric(r.metrics(), "crc_failures"), 1u);
   EXPECT_EQ(metric(r.metrics(), "read_repairs"), 1u);
   EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 0u);
@@ -148,7 +148,7 @@ TEST(Parity, ReadRepairReturnsExactValuesAndCounts) {
   // Read-repair is transparent but NOT persistent: the on-disk bytes stay
   // damaged (scrub/fsck --repair heal them), so a second cold read repairs
   // again and the counters keep accounting.
-  EXPECT_EQ(r.read_field("x"), want);
+  EXPECT_EQ(r.read<float>("x"), want);
   EXPECT_EQ(metric(r.metrics(), "read_repairs"), 2u);
 
   r.reset_counters();
@@ -163,14 +163,14 @@ TEST(Parity, ReadDamageOverloadReportsRepairsPerCall) {
   std::uint64_t target = 0;
   {
     archive::ArchiveReader probe(path);
-    want = probe.read_field("x");
+    want = probe.read<float>("x");
     target = probe.field("x").blocks[0].offset;
   }
   flip_byte(path, static_cast<std::size_t>(target));
 
   archive::ArchiveReader r(path);
   archive::ReadDamage damage;
-  EXPECT_EQ(r.read_field("x", damage), want);
+  EXPECT_EQ(r.read<float>("x", std::nullopt, &damage), want);
   EXPECT_EQ(damage.repaired, 1u);
   EXPECT_TRUE(damage.holes.empty());
   EXPECT_TRUE(damage.clean());  // repaired blocks are exact, not holes
@@ -187,7 +187,7 @@ TEST(Parity, NoParityArchiveStillThrowsOnDamage) {
   flip_byte(path, static_cast<std::size_t>(target));
 
   archive::ArchiveReader r(path);
-  EXPECT_THROW((void)r.read_field("x"), archive::BlockDamagedError);
+  EXPECT_THROW((void)r.read<float>("x"), archive::BlockDamagedError);
   EXPECT_EQ(metric(r.metrics(), "unrecoverable_blocks"), 1u);
   EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u);
   std::remove(path.c_str());
@@ -205,15 +205,15 @@ TEST(Parity, DegradedOpenZeroFillsUnrecoverableBlocks) {
   std::vector<std::uint64_t> targets;
   {
     archive::ArchiveReader probe(path);
-    want = probe.read_field("x");
+    want = probe.read<float>("x");
     targets.push_back(probe.field("x").blocks[0].offset + 1);
     targets.push_back(probe.field("x").blocks[1].offset + 1);
   }
   for (const auto t : targets) flip_byte(path, static_cast<std::size_t>(t));
 
-  archive::ArchiveReader r(path, 0, {}, archive::OpenMode::kDegraded);
+  archive::ArchiveReader r(path, {.open = archive::OpenMode::kDegraded});
   archive::ReadDamage damage;
-  const auto out = r.read_field("x", damage);
+  const auto out = r.read<float>("x", std::nullopt, &damage);
   ASSERT_EQ(out.size(), want.size());
   ASSERT_EQ(damage.holes.size(), 2u);
   EXPECT_EQ(damage.holes[0].field, "x");
@@ -232,7 +232,7 @@ TEST(Parity, DegradedOpenZeroFillsUnrecoverableBlocks) {
     }
 
   // Plain reads (no ReadDamage) also succeed in degraded mode.
-  const auto plain = r.read_field("x");
+  const auto plain = r.read<float>("x");
   EXPECT_EQ(plain, out);
   EXPECT_EQ(metric(r.metrics(), "degraded_reads"), 2u);
   std::remove(path.c_str());
@@ -435,7 +435,8 @@ TEST(Parity, FsckZeroFieldArchiveIsClean) {
   for (const std::uint32_t pg : {0u, 4u}) {
     const std::string path = tmp_path("fsck_empty_" + std::to_string(pg));
     {
-      archive::ArchiveWriter w(path, 1, {}, pg);
+      archive::ArchiveWriter w(path,
+                               {.exec = {.threads = 1}, .parity_group = pg});
       w.finish();
     }
     const auto scan = archive::fsck_scan(path);
@@ -507,7 +508,7 @@ TEST(Parity, ServeReadRepairCountsInStats) {
   std::uint64_t target = 0;
   {
     archive::ArchiveReader probe(path);
-    want = probe.read_field("x");
+    want = probe.read<float>("x");
     target = probe.field("x").blocks[1].offset + 2;
   }
   flip_byte(path, static_cast<std::size_t>(target));
@@ -515,7 +516,7 @@ TEST(Parity, ServeReadRepairCountsInStats) {
   serve::Server server(path, loopback_config("parity_repair"));
   server.start();
   serve::Client client("loopback", server.endpoint());
-  EXPECT_EQ(client.read_field("x"), want);
+  EXPECT_EQ(client.read<float>("x"), want);
   EXPECT_FALSE(client.last_read_degraded());
 
   const Metrics s = client.stats();
@@ -533,7 +534,7 @@ TEST(Parity, ServeDegradedModeFlagsHolesToClient) {
   std::vector<std::uint64_t> targets;
   {
     archive::ArchiveReader probe(path);
-    want = probe.read_field("x");
+    want = probe.read<float>("x");
     targets.push_back(probe.field("x").blocks[0].offset + 1);
     targets.push_back(probe.field("x").blocks[1].offset + 1);
   }
@@ -545,7 +546,7 @@ TEST(Parity, ServeDegradedModeFlagsHolesToClient) {
   server.start();
   serve::Client client("loopback", server.endpoint());
 
-  const auto out = client.read_field("x");
+  const auto out = client.read<float>("x");
   ASSERT_EQ(out.size(), want.size());
   EXPECT_TRUE(client.last_read_degraded());
   std::vector<std::uint64_t> holes = client.last_read_holes();
@@ -573,7 +574,7 @@ TEST(Parity, ServeWithoutDegradedRefusesDamagedReadButSurvives) {
   serve::Server server(path, loopback_config("parity_strict"));
   server.start();
   serve::Client client("loopback", server.endpoint());
-  EXPECT_THROW((void)client.read_field("x"), serve::RemoteError);
+  EXPECT_THROW((void)client.read<float>("x"), serve::RemoteError);
   EXPECT_EQ(metric(client.stats(), "requests_error"), 1u);  // still answering
   server.stop();
   std::remove(path.c_str());

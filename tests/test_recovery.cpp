@@ -76,7 +76,7 @@ TEST(Recovery, WriterKilledMidAppendRecoversAllSealedFieldsBitIdentical) {
     // f2 byte landed, leaving a file that is simply a sealed 2-field
     // archive — no salvage needed, nothing to test.)
     try {
-      ArchiveWriter w(path, 1);
+      ArchiveWriter w(path, {.exec = {.threads = 1}});
       w.append_field("f0", f0, dims, block, "sz14", 1e-3);
       w.append_field("f1", f1, dims, block, "sz14", 1e-3);
       fail::arm("archive.writer.write", {fail::Kind::kAbort, 2, 1, 0});
@@ -93,15 +93,15 @@ TEST(Recovery, WriterKilledMidAppendRecoversAllSealedFieldsBitIdentical) {
       << "child was not killed by the abort failpoint";
 
   // The file ends in a torn third append: strict open must fail...
-  EXPECT_THROW(ArchiveReader(path, 1), std::runtime_error);
+  EXPECT_THROW(ArchiveReader(path, {.threads = 1}), std::runtime_error);
 
   // ...salvage open must land on the post-f1 checkpoint...
   {
-    ArchiveReader r(path, 1, {}, OpenMode::kSalvage);
+    ArchiveReader r(path, {.threads = 1, .open = OpenMode::kSalvage});
     EXPECT_TRUE(r.salvage_info().fallback);
     ASSERT_EQ(r.fields().size(), 2u);
-    (void)r.read_field("f0");
-    (void)r.read_field("f1");
+    (void)r.read<float>("f0");
+    (void)r.read<float>("f1");
   }
 
   // ...and fsck --repair must make the archive strictly readable again
@@ -112,17 +112,17 @@ TEST(Recovery, WriterKilledMidAppendRecoversAllSealedFieldsBitIdentical) {
 
   const std::string pristine_path = tmp_path("killed_pristine.sza");
   {
-    ArchiveWriter w(pristine_path, 1);
+    ArchiveWriter w(pristine_path, {.exec = {.threads = 1}});
     w.append_field("f0", f0, dims, block, "sz14", 1e-3);
     w.append_field("f1", f1, dims, block, "sz14", 1e-3);
     w.finish();
   }
-  ArchiveReader repaired(path, 1);
-  ArchiveReader pristine(pristine_path, 1);
+  ArchiveReader repaired(path, {.threads = 1});
+  ArchiveReader pristine(pristine_path, {.threads = 1});
   EXPECT_FALSE(repaired.salvage_info().fallback);
   ASSERT_EQ(repaired.fields().size(), 2u);
-  EXPECT_EQ(repaired.read_field("f0"), pristine.read_field("f0"));
-  EXPECT_EQ(repaired.read_field("f1"), pristine.read_field("f1"));
+  EXPECT_EQ(repaired.read<float>("f0"), pristine.read<float>("f0"));
+  EXPECT_EQ(repaired.read<float>("f1"), pristine.read<float>("f1"));
 
   std::remove(path.c_str());
   std::remove(pristine_path.c_str());
@@ -142,7 +142,7 @@ TEST(Recovery, InjectedEnospcMarksWriterBrokenButPrefixSalvages) {
   const auto f0 = field_values(dims.count(), 0.2f);
   const auto f1 = field_values(dims.count(), 4.1f);
 
-  ArchiveWriter w(path, 1);
+  ArchiveWriter w(path, {.exec = {.threads = 1}});
   w.append_field("ok", f0, dims, block, "sz14", 1e-3);
   const std::uint64_t sealed = w.consistent_bytes();
 
@@ -160,11 +160,11 @@ TEST(Recovery, InjectedEnospcMarksWriterBrokenButPrefixSalvages) {
   EXPECT_THROW(w.finish(), std::runtime_error);
 
   // The salvage path recovers the sealed prefix.
-  ArchiveReader r(path, 1, {}, OpenMode::kSalvage);
+  ArchiveReader r(path, {.threads = 1, .open = OpenMode::kSalvage});
   EXPECT_EQ(r.salvage_info().consistent_bytes, sealed);
   ASSERT_EQ(r.fields().size(), 1u);
   EXPECT_EQ(r.fields()[0].name, "ok");
-  (void)r.read_field("ok");
+  (void)r.read<float>("ok");
 
   std::remove(path.c_str());
 }
@@ -179,7 +179,7 @@ TEST(Recovery, TornWriteLeavesSalvageablePrefixAndFsckRepairs) {
 
   std::uint64_t sealed = 0;
   {
-    ArchiveWriter w(path, 1);
+    ArchiveWriter w(path, {.exec = {.threads = 1}});
     w.append_field("keep", f0, dims, block, "gzip_like", 0.0);
     sealed = w.consistent_bytes();
     // Tear the next write after 3 bytes: a real partial payload lands on
@@ -203,9 +203,9 @@ TEST(Recovery, TornWriteLeavesSalvageablePrefixAndFsckRepairs) {
   EXPECT_TRUE(repaired.truncated);
   EXPECT_EQ(std::filesystem::file_size(path), sealed);
 
-  ArchiveReader r(path, 1);  // strict open succeeds post-repair
+  ArchiveReader r(path, {.threads = 1});  // strict open succeeds post-repair
   ASSERT_EQ(r.fields().size(), 1u);
-  (void)r.read_field("keep");
+  (void)r.read<float>("keep");
 
   std::remove(path.c_str());
 }
@@ -218,7 +218,7 @@ TEST(Recovery, FsckScanIsCleanOnSealedArchive) {
   const std::string path = tmp_path("clean.sza");
   const Dims dims{24, 24};
   {
-    ArchiveWriter w(path, 1);
+    ArchiveWriter w(path, {.exec = {.threads = 1}});
     w.append_field("a", field_values(dims.count(), 0.1f), dims, Dims{8, 8},
                    "sz14", 1e-3);
     w.finish();
@@ -237,7 +237,7 @@ TEST(Recovery, FsckReportsCorruptPayloadAndRepairRefusesToHideIt) {
   const std::string path = tmp_path("crc.sza");
   const Dims dims{24, 24};
   {
-    ArchiveWriter w(path, 1);
+    ArchiveWriter w(path, {.exec = {.threads = 1}});
     w.append_field("a", field_values(dims.count(), 0.4f), dims, Dims{8, 8},
                    "sz14", 1e-3);
     w.finish();
@@ -281,7 +281,7 @@ TEST(Recovery, SalvageOpenRejectsFileWithNoCheckpoint) {
     std::vector<char> noise(512, '\x5a');
     f.write(noise.data(), static_cast<std::streamsize>(noise.size()));
   }
-  EXPECT_THROW(ArchiveReader(path, 1, {}, OpenMode::kSalvage),
+  EXPECT_THROW(ArchiveReader(path, {.threads = 1, .open = OpenMode::kSalvage}),
                std::runtime_error);
   EXPECT_THROW((void)fsck_scan(path), std::runtime_error);
   std::remove(path.c_str());

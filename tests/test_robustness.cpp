@@ -224,7 +224,7 @@ TEST(Robustness, EveryTruncationOfArchiveContainerOpensPrefixOrRejects) {
   std::vector<std::vector<float>> want;
   {
     archive::ArchiveReader pristine(path);
-    for (const auto& n : names) want.push_back(pristine.read_field(n));
+    for (const auto& n : names) want.push_back(pristine.read<float>(n));
   }
   const auto bytes = data::read_bytes(path);
   ASSERT_GT(bytes.size(), archive::kSuperblockSize + archive::kTrailerSize);
@@ -249,7 +249,7 @@ TEST(Robustness, EveryTruncationOfArchiveContainerOpensPrefixOrRejects) {
       EXPECT_FALSE(r.salvage_info().fallback);
       ASSERT_EQ(r.fields().size(), n_ok) << "truncation at " << len;
       for (std::size_t i = 0; i < n_ok; ++i)
-        EXPECT_EQ(r.read_field(names[i]), want[i])
+        EXPECT_EQ(r.read<float>(names[i]), want[i])
             << "field " << names[i] << " at truncation " << len;
     } else {
       EXPECT_THROW(archive::ArchiveReader{cut_path}, std::runtime_error)
@@ -257,19 +257,18 @@ TEST(Robustness, EveryTruncationOfArchiveContainerOpensPrefixOrRejects) {
     }
 
     if (n_ok > 0) {
-      archive::ArchiveReader r(cut_path, 0, {},
-                               archive::OpenMode::kSalvage);
+      archive::ArchiveReader r(cut_path, {.open = archive::OpenMode::kSalvage});
       EXPECT_EQ(r.salvage_info().fallback, !at_boundary);
       EXPECT_EQ(r.salvage_info().consistent_bytes, ckpt[n_ok - 1])
           << "truncation at " << len;
       ASSERT_EQ(r.fields().size(), n_ok) << "truncation at " << len;
       for (std::size_t i = 0; i < n_ok; ++i)
-        EXPECT_EQ(r.read_field(names[i]), want[i])
+        EXPECT_EQ(r.read<float>(names[i]), want[i])
             << "salvaged field " << names[i] << " at truncation " << len;
     } else {
       EXPECT_THROW(
-          (archive::ArchiveReader{cut_path, 0, {},
-                                  archive::OpenMode::kSalvage}),
+          (archive::ArchiveReader{cut_path,
+                                  {.open = archive::OpenMode::kSalvage}}),
           std::runtime_error)
           << "salvage open at truncation " << len;
     }
@@ -313,14 +312,14 @@ TEST(Robustness, ArchiveSingleByteCorruptionNeverCrashesAndCrcCatchesPayload) {
       // A payload flip leaves the footer intact: the open succeeds and the
       // block CRC must catch the damage on read — silence is a bug.
       archive::ArchiveReader r(flip_path);
-      EXPECT_THROW((void)r.read_field(in_payload->field), std::runtime_error)
+      EXPECT_THROW((void)r.read<float>(in_payload->field), std::runtime_error)
           << "undetected payload flip at byte " << pos;
     } else {
       // Superblock/footer/trailer flips: open (or any read) may throw, but
       // must never crash.
       must_not_crash([&] {
         archive::ArchiveReader r(flip_path);
-        for (const auto& f : r.fields()) (void)r.read_field(f.name);
+        for (const auto& f : r.fields()) (void)r.read<float>(f.name);
       });
     }
     // Salvage mode must survive the same flip: a damaged final footer
@@ -328,9 +327,10 @@ TEST(Robustness, ArchiveSingleByteCorruptionNeverCrashesAndCrcCatchesPayload) {
     // payload flip is still caught by the block CRC on read — and nothing
     // may crash.
     must_not_crash([&] {
-      archive::ArchiveReader r(flip_path, 0, {}, archive::OpenMode::kSalvage);
+      archive::ArchiveReader r(flip_path,
+                               {.open = archive::OpenMode::kSalvage});
       for (const auto& f : r.fields())
-        must_not_crash([&] { (void)r.read_field(f.name); });
+        must_not_crash([&] { (void)r.read<float>(f.name); });
     });
   }
   std::remove(flip_path.c_str());
@@ -345,7 +345,7 @@ std::string make_parity_archive(const std::string& name) {
   std::vector<float> v(dims.count());
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = std::sin(0.05f * static_cast<float>(i));
-  archive::ArchiveWriter w(path, 0, {}, 4);
+  archive::ArchiveWriter w(path, {.parity_group = 4});
   w.append_field("lossy", std::span<const float>(v), dims, Dims{8, 8}, "sz14",
                  1e-3);
   w.append_field("exact", std::span<const float>(v), dims, Dims{8, 8},
@@ -376,7 +376,7 @@ TEST(Robustness, ArchiveParityFlipSweepEveryPayloadFlipReadRepairs) {
     ASSERT_TRUE(probe.parity_enabled());
     for (const auto& f : probe.fields()) {
       names.push_back(f.name);
-      want.push_back(probe.read_field(f.name));
+      want.push_back(probe.read<float>(f.name));
       for (const auto& b : f.blocks)
         payloads.push_back({static_cast<std::size_t>(b.offset),
                             static_cast<std::size_t>(b.offset + b.size),
@@ -409,7 +409,7 @@ TEST(Robustness, ArchiveParityFlipSweepEveryPayloadFlipReadRepairs) {
       // values, strict mode, no exception.
       archive::ArchiveReader r(flip_path);
       for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(r.read_field(names[i]), want[i])
+        EXPECT_EQ(r.read<float>(names[i]), want[i])
             << "read-repair failed for flip at byte " << pos;
       EXPECT_GE(metric(r.metrics(), "crc_failures"), 1u) << "flip at byte " << pos;
       EXPECT_GE(metric(r.metrics(), "read_repairs"), 1u) << "flip at byte " << pos;
@@ -419,20 +419,21 @@ TEST(Robustness, ArchiveParityFlipSweepEveryPayloadFlipReadRepairs) {
       // parity — everything reads clean with zero repairs.
       archive::ArchiveReader r(flip_path);
       for (std::size_t i = 0; i < names.size(); ++i)
-        EXPECT_EQ(r.read_field(names[i]), want[i])
+        EXPECT_EQ(r.read<float>(names[i]), want[i])
             << "parity flip at byte " << pos;
       EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u) << "parity flip at byte " << pos;
     } else {
       // Superblock/footer/trailer flips: may throw, must never crash.
       must_not_crash([&] {
         archive::ArchiveReader r(flip_path);
-        for (const auto& f : r.fields()) (void)r.read_field(f.name);
+        for (const auto& f : r.fields()) (void)r.read<float>(f.name);
       });
     }
     must_not_crash([&] {
-      archive::ArchiveReader r(flip_path, 0, {}, archive::OpenMode::kSalvage);
+      archive::ArchiveReader r(flip_path,
+                               {.open = archive::OpenMode::kSalvage});
       for (const auto& f : r.fields())
-        must_not_crash([&] { (void)r.read_field(f.name); });
+        must_not_crash([&] { (void)r.read<float>(f.name); });
     });
   }
   std::remove(flip_path.c_str());
@@ -457,7 +458,7 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
     archive::ArchiveReader probe(path);
     for (const auto& f : probe.fields()) {
       names.push_back(f.name);
-      want.push_back(probe.read_field(f.name));
+      want.push_back(probe.read<float>(f.name));
     }
     const auto& f = probe.field("lossy");
     ASSERT_GE(f.blocks.size(), 2u);
@@ -471,7 +472,7 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
   {
     archive::ArchiveReader r(path);
     try {
-      (void)r.read_field("lossy");
+      (void)r.read<float>("lossy");
       FAIL() << "double-damaged group read did not throw";
     } catch (const archive::BlockDamagedError& e) {
       EXPECT_EQ(e.field_name(), "lossy");
@@ -480,16 +481,16 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
     EXPECT_GE(metric(r.metrics(), "unrecoverable_blocks"), 1u);
     EXPECT_EQ(metric(r.metrics(), "read_repairs"), 0u);
     // The undamaged field still reads exactly.
-    EXPECT_EQ(r.read_field("exact"),
+    EXPECT_EQ(r.read<float>("exact"),
               want[std::find(names.begin(), names.end(), "exact") -
                    names.begin()]);
   }
 
   // Degraded read: zero-filled holes at exactly the damaged blocks.
   {
-    archive::ArchiveReader r(path, 0, {}, archive::OpenMode::kDegraded);
+    archive::ArchiveReader r(path, {.open = archive::OpenMode::kDegraded});
     archive::ReadDamage damage;
-    const auto out = r.read_field("lossy", damage);
+    const auto out = r.read<float>("lossy", std::nullopt, &damage);
     ASSERT_EQ(damage.holes.size(), 2u);
     EXPECT_EQ(damage.holes[0].block + damage.holes[1].block, 1u);
     EXPECT_EQ(out.size(), want[0].size());
@@ -515,7 +516,7 @@ TEST(Robustness, ArchiveGarbageFilesRejected) {
     data::write_bytes(path, junk);
     must_not_crash([&] { archive::ArchiveReader r(path); });
     must_not_crash([&] {
-      archive::ArchiveReader r(path, 0, {}, archive::OpenMode::kSalvage);
+      archive::ArchiveReader r(path, {.open = archive::OpenMode::kSalvage});
     });
   }
   std::remove(path.c_str());

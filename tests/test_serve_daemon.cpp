@@ -51,7 +51,7 @@ std::vector<double> wavy_field64(const Dims& dims) {
 std::string make_archive(const std::string& name) {
   const std::string path = tmp_path(name);
   const Dims dims{24, 20, 16};
-  archive::ArchiveWriter w(path, 2);
+  archive::ArchiveWriter w(path, {.exec = {.threads = 2}});
   const auto f32 = wavy_field(dims);
   const auto f64 = wavy_field64(dims);
   w.append_field("lossy32", std::span<const float>(f32), dims, Dims{8, 8, 8},
@@ -104,7 +104,7 @@ TEST(ServeDaemon, LoopbackRoundTripMatchesDirectReader) {
   Server server(path, loopback_config("rt"));
   server.start();
 
-  archive::ArchiveReader direct(path, 2);
+  archive::ArchiveReader direct(path, {.threads = 2});
   Client client("loopback", server.endpoint());
   EXPECT_EQ(client.field_count(), 2u);
 
@@ -126,13 +126,22 @@ TEST(ServeDaemon, LoopbackRoundTripMatchesDirectReader) {
             }());
 
   // Whole fields and regions, both dtypes, bit-identical to direct reads.
-  EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
-  EXPECT_EQ(client.read_field64("lossy64"), direct.read_field64("lossy64"));
+  EXPECT_EQ(client.read<float>("lossy32"), direct.read<float>("lossy32"));
+  EXPECT_EQ(client.read<double>("lossy64"), direct.read<double>("lossy64"));
   const auto r = region3(3, 5, 2, 9, 8, 7);
-  EXPECT_EQ(client.read_region("lossy32", r),
-            direct.read_region("lossy32", r));
-  EXPECT_EQ(client.read_region64("lossy64", r),
-            direct.read_region64("lossy64", r));
+  EXPECT_EQ(client.read<float>("lossy32", r),
+            direct.read<float>("lossy32", r));
+  EXPECT_EQ(client.read<double>("lossy64", r),
+            direct.read<double>("lossy64", r));
+  // No region (the read_field op) equals the whole region (the
+  // read_region op).
+  for (const char* name : {"lossy32", "lossy64"}) {
+    const auto whole = archive::Region::whole(direct.field(name).dims);
+    if (direct.field(name).dtype == kDtypeF64)
+      EXPECT_EQ(client.read<double>(name), client.read<double>(name, whole));
+    else
+      EXPECT_EQ(client.read<float>(name), client.read<float>(name, whole));
+  }
 
   // open + ls + stat + 4 reads = 7 (the stats op itself snapshots before
   // its own response is counted).
@@ -160,7 +169,7 @@ TEST(ServeDaemon, StatsNameEveryCounterExactlyOnce) {
   Server server(path, loopback_config("stats_names"));
   server.start();
   Client client("loopback", server.endpoint());
-  (void)client.read_field("lossy32");
+  (void)client.read<float>("lossy32");
   for (const Metrics& stats : {client.stats(), server.stats()}) {
     std::multiset<std::string> names;
     for (const Metric& m : stats) names.insert(m.name);
@@ -180,7 +189,8 @@ TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {
   const std::string manifest = tmp_path("sharded.szm");
   {
     const Dims dims{24, 20, 16};
-    archive::ArchiveWriter w(manifest, 2, {}, 0, /*shard_size=*/8192);
+    archive::ArchiveWriter w(manifest,
+                             {.exec = {.threads = 2}, .shard_size = 8192});
     const auto f32 = wavy_field(dims);
     const auto f64 = wavy_field64(dims);
     w.append_field("lossy32", std::span<const float>(f32), dims,
@@ -191,7 +201,7 @@ TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {
     ASSERT_TRUE(w.sharded());
     ASSERT_GT(w.shards().size(), 1u);
   }
-  archive::ArchiveReader direct(single, 2);
+  archive::ArchiveReader direct(single, {.threads = 2});
   const auto r = region3(3, 5, 2, 9, 8, 7);
 
   for (const FetchMode fetch : {FetchMode::kPread, FetchMode::kMmap}) {
@@ -203,11 +213,11 @@ TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {
     EXPECT_TRUE(server.reader().sharded());
     server.start();
     Client client("loopback", server.endpoint());
-    EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
-    EXPECT_EQ(client.read_field64("lossy64"),
-              direct.read_field64("lossy64"));
-    EXPECT_EQ(client.read_region("lossy32", r),
-              direct.read_region("lossy32", r));
+    EXPECT_EQ(client.read<float>("lossy32"), direct.read<float>("lossy32"));
+    EXPECT_EQ(client.read<double>("lossy64"),
+              direct.read<double>("lossy64"));
+    EXPECT_EQ(client.read<float>("lossy32", r),
+              direct.read<float>("lossy32", r));
     server.stop();
   }
   std::remove(single.c_str());
@@ -225,9 +235,9 @@ TEST(ServeDaemon, TcpRoundTrip) {
   server.start();
   ASSERT_NE(server.endpoint(), "127.0.0.1:0");
 
-  archive::ArchiveReader direct(path, 2);
+  archive::ArchiveReader direct(path, {.threads = 2});
   Client client("tcp", server.endpoint());
-  EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
+  EXPECT_EQ(client.read<float>("lossy32"), direct.read<float>("lossy32"));
   server.stop();
 }
 
@@ -239,11 +249,11 @@ TEST(ServeDaemon, UnixSocketRoundTrip) {
   Server server(path, cfg);
   server.start();
 
-  archive::ArchiveReader direct(path, 2);
+  archive::ArchiveReader direct(path, {.threads = 2});
   Client client("unix", server.endpoint());
   const auto r = region3(0, 0, 0, 24, 20, 16);
-  EXPECT_EQ(client.read_region("lossy32", r),
-            direct.read_region("lossy32", r));
+  EXPECT_EQ(client.read<float>("lossy32", r),
+            direct.read<float>("lossy32", r));
   server.stop();
 }
 
@@ -253,17 +263,17 @@ TEST(ServeDaemon, NotFoundAndWrongDtypeKeepSessionUsable) {
   server.start();
   Client client("loopback", server.endpoint());
 
-  EXPECT_THROW((void)client.read_field("no_such_field"), std::runtime_error);
+  EXPECT_THROW((void)client.read<float>("no_such_field"), std::runtime_error);
   EXPECT_THROW((void)client.stat("nope"), std::runtime_error);
   // Reading an f64 field through the f32 accessor throws CLIENT-side (the
   // server happily serves the f64 payload), so it adds no server error.
-  EXPECT_THROW((void)client.read_field("lossy64"), std::runtime_error);
+  EXPECT_THROW((void)client.read<float>("lossy64"), std::runtime_error);
   // An out-of-bounds region is a bad request, not a dead session.
-  EXPECT_THROW((void)client.read_region("lossy32",
+  EXPECT_THROW((void)client.read<float>("lossy32",
                                         region3(20, 0, 0, 10, 2, 2)),
                std::runtime_error);
   // After four rejected requests the same connection still serves.
-  EXPECT_EQ(client.read_field("lossy32").size(), 24u * 20 * 16);
+  EXPECT_EQ(client.read<float>("lossy32").size(), 24u * 20 * 16);
   EXPECT_GE(metric(client.stats(), "requests_error"), 3u);
   server.stop();
 }
@@ -347,9 +357,9 @@ TEST(ServeDaemon, AbruptDisconnectsNeverWedgeTheServer) {
   { auto conn = raw_dial(server, "loopback"); }
 
   // The server shrugged all three off and serves the next client fully.
-  archive::ArchiveReader direct(path, 2);
+  archive::ArchiveReader direct(path, {.threads = 2});
   Client client("loopback", server.endpoint());
-  EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
+  EXPECT_EQ(client.read<float>("lossy32"), direct.read<float>("lossy32"));
   server.stop();
   EXPECT_EQ(metric(server.stats(), "sessions_active"), 0u);
 }
@@ -407,8 +417,8 @@ TEST(ServeDaemon, ConcurrentOverlappingReadsCoalesceToOneDecodePerBlock) {
   Server server(path, loopback_config("co"));
   server.start();
 
-  archive::ArchiveReader direct(path, 2);
-  const auto expect32 = direct.read_field("lossy32");
+  archive::ArchiveReader direct(path, {.threads = 2});
+  const auto expect32 = direct.read<float>("lossy32");
 
   constexpr std::size_t kClients = 8;
   std::vector<std::vector<float>> got(kClients);
@@ -417,7 +427,7 @@ TEST(ServeDaemon, ConcurrentOverlappingReadsCoalesceToOneDecodePerBlock) {
     for (std::size_t c = 0; c < kClients; ++c)
       threads.emplace_back([&, c] {
         Client client("loopback", server.endpoint());
-        got[c] = client.read_field("lossy32");
+        got[c] = client.read<float>("lossy32");
       });
     for (auto& t : threads) t.join();
   }
@@ -445,9 +455,9 @@ TEST(ServeDaemon, CoalescingKnobIsObservable) {
   server.start();
   EXPECT_FALSE(server.reader().coalescing());
 
-  archive::ArchiveReader direct(path, 2);
+  archive::ArchiveReader direct(path, {.threads = 2});
   Client client("loopback", server.endpoint());
-  EXPECT_EQ(client.read_field("lossy32"), direct.read_field("lossy32"));
+  EXPECT_EQ(client.read<float>("lossy32"), direct.read<float>("lossy32"));
   EXPECT_EQ(metric(server.stats(), "coalesced_reads"), 0u);
   server.stop();
 }

@@ -40,7 +40,7 @@ std::string make_archive(const std::string& name) {
   std::vector<float> v(dims.count());
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = static_cast<float>(std::sin(0.013 * static_cast<double>(i)));
-  archive::ArchiveWriter w(path, 2);
+  archive::ArchiveWriter w(path, {.exec = {.threads = 2}});
   w.append_field("f", v, dims, Dims{8, 8, 8}, "sz14", 1e-4);
   w.finish();
   return path;
@@ -117,7 +117,7 @@ TEST(ServeFailures, BlackholedRequestHitsClientDeadline) {
   // retries the client must fail by deadline, not hang.
   fail::arm("serve.server.drop_request", {fail::Kind::kDrop, 0, 1, 0});
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)client.read_field("f"), TimeoutError);
+  EXPECT_THROW((void)client.read<float>("f"), TimeoutError);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   EXPECT_GE(elapsed.count(), 100) << "timed out before the deadline";
@@ -133,7 +133,7 @@ TEST(ServeFailures, BlackholedRequestIsReissuedOnFreshConnection) {
   Server server(path, loopback_config("reissue"));
   server.start();
 
-  archive::ArchiveReader direct(path, 1);
+  archive::ArchiveReader direct(path, {.threads = 1});
   Client client("loopback", server.endpoint(),
                 quick(/*retries=*/1, /*request_timeout_ms=*/150));
 
@@ -142,7 +142,7 @@ TEST(ServeFailures, BlackholedRequestIsReissuedOnFreshConnection) {
   // slightly slower, bit-identical answer.
   const std::uint64_t hits0 = fail::hits("serve.server.drop_request");
   fail::arm("serve.server.drop_request", {fail::Kind::kDrop, 0, 1, 0});
-  EXPECT_EQ(client.read_field("f"), direct.read_field("f"));
+  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
   EXPECT_EQ(fail::hits("serve.server.drop_request") - hits0, 1u);
   EXPECT_GE(client.reconnects(), 1u);
 
@@ -156,7 +156,7 @@ TEST(ServeFailures, RecvStallInjectsLatencyWithoutCorruption) {
   Server server(path, loopback_config("stall"));
   server.start();
 
-  archive::ArchiveReader direct(path, 1);
+  archive::ArchiveReader direct(path, {.threads = 1});
   Client client("loopback", server.endpoint(),
                 quick(/*retries=*/0, /*request_timeout_ms=*/5000));
 
@@ -168,7 +168,7 @@ TEST(ServeFailures, RecvStallInjectsLatencyWithoutCorruption) {
   // NOT time out, because the data is already there when recv looks.)
   fail::arm("serve.transport.recv", {fail::Kind::kStall, 0, 2, 120});
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(client.read_field("f"), direct.read_field("f"));
+  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   EXPECT_GE(elapsed.count(), 120) << "stall failpoint did not inject latency";
@@ -210,12 +210,12 @@ TEST(ServeFailures, ActiveClientsSurviveIdleReaping) {
   Server server(path, cfg);
   server.start();
 
-  archive::ArchiveReader direct(path, 1);
+  archive::ArchiveReader direct(path, {.threads = 1});
   Client client("loopback", server.endpoint(), quick(/*retries=*/0));
   // Keep trickling requests with gaps well under the idle timeout:
   // traffic refreshes the activity clock, so the session must survive.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(client.read_field("f"), direct.read_field("f"));
+    EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
   }
   EXPECT_EQ(client.reconnects(), 0u);
@@ -229,8 +229,8 @@ TEST(ServeFailures, DrainFinishesInFlightWorkAndRefusesNewConnections) {
   Server server(path, loopback_config("drain"));
   server.start();
 
-  archive::ArchiveReader direct(path, 1);
-  const auto want = direct.read_field("f");
+  archive::ArchiveReader direct(path, {.threads = 1});
+  const auto want = direct.read<float>("f");
 
   // A worker thread hammers reads; drain lands somewhere in the middle.
   // Every answer that arrives must be complete and bit-identical — a
@@ -242,7 +242,7 @@ TEST(ServeFailures, DrainFinishesInFlightWorkAndRefusesNewConnections) {
     try {
       Client client("loopback", server.endpoint(), quick(/*retries=*/0));
       for (int i = 0; i < 10000; ++i) {
-        if (client.read_field("f") != want) {
+        if (client.read<float>("f") != want) {
           bad.store(true);
           break;
         }
@@ -303,10 +303,10 @@ TEST(ServeFailures, RemoteAndProtocolErrorsAreNeverRetried) {
   const std::uint64_t before = client.reconnects();
   // A server-side rejection is definitive; retrying it would just burn
   // the backoff budget to get the same answer.
-  EXPECT_THROW((void)client.read_field("nosuch"), RemoteError);
+  EXPECT_THROW((void)client.read<float>("nosuch"), RemoteError);
   EXPECT_EQ(client.reconnects(), before);
   try {
-    (void)client.read_field("nosuch");
+    (void)client.read<float>("nosuch");
   } catch (const RemoteError& e) {
     EXPECT_EQ(e.status(), kStatusNotFound);
   }

@@ -173,6 +173,29 @@ TEST(ServeProtocol, ReadResponsePayloadMismatchThrows) {
   EXPECT_THROW(decode_read_response(in2), ProtocolError);
 }
 
+TEST(ServeProtocol, ReadResponseWrappingShapeThrows) {
+  // 2^62 f32 values are 2^64 bytes: shape.count() * 4 wraps to 0, which an
+  // empty payload must not be taken to match.
+  ReadResponse resp;
+  resp.dtype = kDtypeF32;
+  resp.shape = Dims{std::size_t{1} << 62};
+  ByteWriter w;
+  encode_read_response(resp, w);
+  ByteReader in(w.view());
+  EXPECT_THROW(decode_read_response(in), ProtocolError);
+}
+
+TEST(ServeProtocol, ReadResponseUnknownDtypeThrows) {
+  ReadResponse resp;
+  resp.dtype = 7;
+  resp.shape = Dims{1};
+  resp.values.assign(4, 0);
+  ByteWriter w;
+  encode_read_response(resp, w);
+  ByteReader in(w.view());
+  EXPECT_THROW(decode_read_response(in), ProtocolError);
+}
+
 TEST(ServeProtocol, ReadResponseTruncatedValuesThrow) {
   ReadResponse resp;
   resp.dtype = kDtypeF32;

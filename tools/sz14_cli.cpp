@@ -518,10 +518,12 @@ int cmd_archive_create(const Args& a) {
 
   // --turbo and --entropy ride the writer's per-call ExecPolicy; nothing
   // global moves.
-  ExecPolicy policy = a.opts.exec;
-  if (a.turbo) policy.mode = HotPathMode::kTurbo;
-  archive::ArchiveWriter writer(a.output, a.threads.value_or(0), policy,
-                                a.parity_group, a.shard_size);
+  archive::WriterOptions wopts{.exec = a.opts.exec,
+                               .parity_group = a.parity_group,
+                               .shard_size = a.shard_size};
+  if (a.turbo) wopts.exec.mode = HotPathMode::kTurbo;
+  wopts.exec.threads = a.threads.value_or(0);
+  archive::ArchiveWriter writer(a.output, wopts);
   Timer timer;
   const auto do_append = [&](const FieldSpec& spec, const Dims& block,
                              const auto& values) {
@@ -563,13 +565,14 @@ int cmd_archive_create(const Args& a) {
 /// --degraded: additionally zero-fill unrecoverable blocks on read instead
 /// of erroring.  (Warnings go to stderr so piped stdout stays clean.)
 std::unique_ptr<archive::ArchiveReader> open_archive(const Args& a) {
-  const archive::OpenMode mode =
-      a.degraded ? archive::OpenMode::kDegraded
-                 : (a.salvage ? archive::OpenMode::kSalvage
-                              : archive::OpenMode::kStrict);
   auto reader = std::make_unique<archive::ArchiveReader>(
-      a.input, a.threads.value_or(0), ExecPolicy{}, mode,
-      a.mmap ? FetchMode::kMmap : FetchMode::kPread);
+      a.input,
+      archive::ReaderOptions{
+          .threads = a.threads.value_or(0),
+          .open = a.degraded ? archive::OpenMode::kDegraded
+                             : (a.salvage ? archive::OpenMode::kSalvage
+                                          : archive::OpenMode::kStrict),
+          .fetch = a.mmap ? FetchMode::kMmap : FetchMode::kPread});
   if (a.mmap && reader->fetch_mode() != FetchMode::kMmap)
     std::fprintf(stderr,
                  "warning: %s: mmap unavailable; falling back to pread\n",
@@ -585,37 +588,21 @@ std::unique_ptr<archive::ArchiveReader> open_archive(const Args& a) {
   return reader;
 }
 
-/// The whole field `name`, or `region` of it, as float or double.
-template <class T>
-std::vector<T> read_values(const archive::ArchiveReader& reader,
-                           const std::string& name,
-                           const std::optional<archive::Region>& region) {
-  if constexpr (std::is_same_v<T, float>)
-    return region ? reader.read_region(name, *region)
-                  : reader.read_field(name);
-  else
-    return region ? reader.read_region64(name, *region)
-                  : reader.read_field64(name);
-}
-
 int cmd_archive_ls(const Args& a) {
   auto reader_ptr = open_archive(a);
   archive::ArchiveReader& reader = *reader_ptr;
   std::printf("%-20s %-5s %-14s %-12s %-11s %7s %12s %s\n", "field", "dtype",
               "shape", "block", "codec", "blocks", "bytes", "min..max");
   for (const auto& f : reader.fields()) {
-    const archive::CodecOps* ops = archive::codec_by_id(f.codec);
-    double lo = f.blocks.empty() ? 0.0 : f.blocks.front().min;
-    double hi = f.blocks.empty() ? 0.0 : f.blocks.front().max;
-    for (const auto& b : f.blocks) {
-      lo = std::min(lo, b.min);
-      hi = std::max(hi, b.max);
-    }
-    std::printf("%-20s %-5s %-14s %-12s %-11s %7zu %12llu %.4g..%.4g\n",
-                f.name.c_str(), f.dtype == kDtypeF64 ? "f64" : "f32",
-                f.dims.to_string().c_str(), f.block_dims.to_string().c_str(),
-                ops ? ops->name : "?", f.blocks.size(),
-                static_cast<unsigned long long>(f.payload_bytes()), lo, hi);
+    const archive::FieldStat s = archive::field_stat(f, false);
+    const archive::CodecOps* ops = archive::codec_by_id(s.codec);
+    std::printf("%-20s %-5s %-14s %-12s %-11s %7llu %12llu %.4g..%.4g\n",
+                s.name.c_str(), s.dtype == kDtypeF64 ? "f64" : "f32",
+                s.dims.to_string().c_str(), s.block_dims.to_string().c_str(),
+                ops ? ops->name : "?",
+                static_cast<unsigned long long>(s.block_count),
+                static_cast<unsigned long long>(s.payload_bytes), s.min,
+                s.max);
   }
   if (reader.sharded()) {
     const archive::ShardSet& src = reader.source();
@@ -645,9 +632,8 @@ int cmd_archive_extract(const Args& a) {
     return out.size();
   };
   const std::size_t values =
-      f.dtype == kDtypeF32
-          ? extract(read_values<float>(reader, a.field, region))
-          : extract(read_values<double>(reader, a.field, region));
+      f.dtype == kDtypeF32 ? extract(reader.read<float>(a.field, region))
+                           : extract(reader.read<double>(a.field, region));
   std::printf("extracted %zu values (%llu of %zu blocks decoded) in %.3fs\n",
               values,
               static_cast<unsigned long long>(reader.blocks_decoded()),
@@ -671,10 +657,9 @@ int cmd_archive_cat(const Args& a) {
   const auto& f = reader.field(a.field);
   const auto region = parse_region(a, f.dims);
   if (f.dtype == kDtypeF32)
-    print_values<float>(read_values<float>(reader, a.field, region), a.limit);
+    print_values<float>(reader.read<float>(a.field, region), a.limit);
   else
-    print_values<double>(read_values<double>(reader, a.field, region),
-                         a.limit);
+    print_values<double>(reader.read<double>(a.field, region), a.limit);
   return 0;
 }
 
@@ -684,18 +669,14 @@ int cmd_archive_cat(const Args& a) {
 int cmd_archive_stat(const Args& a) {
   auto reader_ptr = open_archive(a);
   archive::ArchiveReader& reader = *reader_ptr;
-  if (!a.field.empty()) {
-    const auto& f = reader.field(a.field);
+  const std::span<const archive::FieldEntry> selected =
+      a.field.empty() ? std::span(reader.fields())
+                      : std::span(&reader.field(a.field), 1);
+  for (const auto& f : selected)
     std::fputs(
         archive::format_field_stat(archive::field_stat(f, true)).c_str(),
         stdout);
-    return 0;
-  }
-  for (const auto& f : reader.fields())
-    std::fputs(
-        archive::format_field_stat(archive::field_stat(f, true)).c_str(),
-        stdout);
-  if (reader.sharded())
+  if (a.field.empty() && reader.sharded())
     std::printf("layout: sharded manifest (%zu shard file(s))\n",
                 reader.shards().size());
   return 0;
