@@ -7,8 +7,9 @@
 //   reader.hpp         — footer-indexed random-access reader (strict,
 //                        salvage, or degraded open; parity read-repair)
 //   parity.hpp         — XOR parity-group math (reconstruct/recompute)
-//   fsck.hpp           — consistency check / crash + parity repair
-//   scrub.hpp          — online payload verify + in-place parity heal
+//   fsck.hpp           — structural check / crash repair (truncation)
+//   scrub.hpp          — the payload scan + parity heal engine (scrub,
+//                        fsck and the daemon's background scrub)
 //   single_flight.hpp  — concurrent-decode coalescing for the serving path
 //   stat_format.hpp    — field/index summaries (CLI stat + serve `stat` op)
 #pragma once

@@ -1,40 +1,26 @@
 // Archive consistency checker ("fsck") for SZA containers, the library
 // behind `sz14 archive fsck [--repair]`.
 //
-// fsck_scan() opens the archive in salvage mode (so a torn tail or damaged
-// final footer falls back to the last valid checkpoint), then verifies
-// every indexed payload — data blocks AND parity payloads — against its
-// stored CRC-32.  The report says whether the file is clean, how many
-// trailing bytes a crash left behind the last checkpoint, which payloads
-// are corrupt inside the otherwise-consistent region, and how much of that
-// corruption the parity scheme can heal.
+// fsck is the structural half of integrity checking; the payload half is
+// the scan and heal engine in scrub.hpp, which fsck runs on its own
+// salvage-opened reader.  The structure: whether the strict open works,
+// how many trailing bytes a crash left behind the last checkpoint, which
+// shard files run past their recorded size, and which shard files no
+// checkpoint indexes.
 //
-// fsck_repair() truncates the file to the last consistent checkpoint, then
-// heals CRC-damaged payloads through the shared parity heal engine
-// (scrub.hpp): a damaged data block is reconstructed from its parity group
-// when the group has at most one damaged member, rewritten in place, and
-// re-verified; a damaged parity payload is recomputed from its intact data
-// members.  Damage beyond single parity (two bad members in one group, or
-// a parity-less archive) is reported and left untouched so the operator
-// can restore from elsewhere — never mis-repaired.
+// fsck_repair() truncates the file (and each torn shard) to the last
+// consistent checkpoint, removes orphan shards, heals the scan's payload
+// issues through the engine, and re-opens the archive to prove the
+// structure is consistent again.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-namespace sz14::archive {
+#include "archive/scrub.hpp"
 
-/// One corrupt payload found by the scan.
-struct FsckBlockIssue {
-  std::string field;
-  bool parity = false;  ///< true: a parity payload (block = group index)
-  std::size_t block = 0;       ///< block index (or parity-group index)
-  std::uint64_t offset = 0;    ///< absolute payload offset
-  std::uint64_t size = 0;      ///< payload bytes
-  std::uint32_t crc_stored = 0;
-  std::uint32_t crc_actual = 0;
-};
+namespace sz14::archive {
 
 /// One shard file with bytes beyond what the checkpoint in use recorded
 /// (a crashed writer's torn payload, or payloads sealed only by a torn —
@@ -46,49 +32,34 @@ struct FsckShardIssue {
 };
 
 struct FsckReport {
-  std::string path;
-  std::uint64_t file_bytes = 0;  ///< container/manifest size at scan time
-  std::uint64_t consistent_bytes = 0;  ///< end of the newest valid checkpoint
-  bool salvage_used = false;  ///< strict open failed; a checkpoint was used
-  std::string open_detail;    ///< why the strict open failed (empty if clean)
-  bool parity_enabled = false;  ///< superblock carries kFlagParity
-  bool sharded = false;         ///< path is an .szm manifest
+  /// The payload scan, plus the salvage facts of the open: file bytes,
+  /// the checkpoint in use, and why the strict open failed.
+  ScrubReport scrub;
+  bool sharded = false;            ///< path is an .szm manifest
   std::size_t shards_indexed = 0;  ///< shard files named by the checkpoint
   std::vector<FsckShardIssue> shard_trailing;  ///< shards needing truncation
   /// Shard files on disk matching this manifest's naming that the
   /// checkpoint in use does NOT index (left by a crash after a roll but
   /// before the next checkpoint) — removed by `--repair`.
   std::vector<std::string> orphan_shards;
-  std::size_t fields_indexed = 0;
-  std::size_t blocks_scanned = 0;  ///< data payloads verified
-  std::size_t parity_scanned = 0;  ///< parity payloads verified
-  std::vector<FsckBlockIssue> bad_blocks;  ///< damaged DATA payloads
-  std::vector<FsckBlockIssue> bad_parity;  ///< damaged PARITY payloads
-  /// Damaged payloads the parity scheme cannot heal (two bad members in
-  /// one group, or a parity-less archive) — data genuinely at risk.
-  std::size_t unrecoverable_payloads = 0;
   bool truncated = false;  ///< repair removed the trailing garbage
   std::size_t shards_truncated = 0;  ///< repair cut these shards back
   std::size_t orphans_removed = 0;   ///< repair deleted these shard files
-  std::size_t blocks_repaired = 0;  ///< repair healed these data payloads
-  std::size_t parity_rebuilt = 0;   ///< repair recomputed these parity slots
 
   /// Clean: strict-openable, no trailing garbage (container OR shards),
-  /// no orphan shards, every payload CRC good.
+  /// no orphan shards, every payload CRC good (or healed by the repair).
   [[nodiscard]] bool clean() const noexcept {
-    return !salvage_used && bad_blocks.empty() && bad_parity.empty() &&
-           consistent_bytes == file_bytes && shard_trailing.empty() &&
-           orphan_shards.empty();
+    return (scrub.clean() || scrub.fully_repaired()) && !needs_truncate();
   }
   /// Repairable damage: a truncation would restore strict readability.
   [[nodiscard]] bool needs_truncate() const noexcept {
-    return consistent_bytes != file_bytes || !shard_trailing.empty() ||
-           !orphan_shards.empty();
+    return scrub.salvage.consistent_bytes != scrub.salvage.file_bytes ||
+           !shard_trailing.empty() || !orphan_shards.empty();
   }
   /// Damage exists and ALL of it is repairable (truncation and/or parity
   /// heal) — `--repair` would leave the archive clean.
   [[nodiscard]] bool repairable() const noexcept {
-    return !clean() && unrecoverable_payloads == 0;
+    return !clean() && scrub.unrecoverable_payloads == 0;
   }
 };
 
@@ -97,10 +68,11 @@ struct FsckReport {
 [[nodiscard]] FsckReport fsck_scan(const std::string& path);
 
 /// Scan, then (when needed) truncate to the last consistent checkpoint and
-/// heal CRC-damaged payloads through parity.  Returns the post-repair
-/// report with `truncated`/`blocks_repaired`/`parity_rebuilt` describing
-/// what was done.  Throws std::runtime_error when nothing is salvageable
-/// or the truncation/rewrite itself fails.
+/// heal CRC-damaged payloads through parity.  Returns the report with
+/// `truncated`/`scrub.repaired` flags describing what was done and the
+/// salvage facts of the re-open.  Throws std::runtime_error when nothing
+/// is salvageable, the truncation/rewrite itself fails, or the re-open
+/// still finds the structure inconsistent.
 FsckReport fsck_repair(const std::string& path);
 
 /// Render a report as the multi-line human text `sz14 archive fsck` prints.

@@ -19,11 +19,11 @@ std::vector<std::uint8_t> compute_group_parity(
   return parity;
 }
 
-bool verify_payload(const ShardSet& src, std::uint64_t offset,
-                    std::uint64_t size, std::uint32_t crc) {
+std::uint32_t payload_crc(const ShardSet& src, std::uint64_t offset,
+                          std::uint64_t size) {
   std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
   src.read_at(offset, buf);
-  return crc32(buf) == crc;
+  return crc32(buf);
 }
 
 std::optional<std::vector<std::uint8_t>> reconstruct_block_payload(

@@ -43,9 +43,10 @@ void xor_into(std::vector<std::uint8_t>& acc,
 [[nodiscard]] std::vector<std::uint8_t> compute_group_parity(
     std::span<const std::vector<std::uint8_t>> members);
 
-/// Read `size` bytes at `offset` and compare against `crc`.
-[[nodiscard]] bool verify_payload(const ShardSet& src, std::uint64_t offset,
-                                  std::uint64_t size, std::uint32_t crc);
+/// CRC-32 of the `size` payload bytes at logical `offset`.
+[[nodiscard]] std::uint32_t payload_crc(const ShardSet& src,
+                                        std::uint64_t offset,
+                                        std::uint64_t size);
 
 /// Reconstruct the payload of data block `bad` of `f` from its parity
 /// group: XOR the group's parity payload with every OTHER member, truncate

@@ -7,11 +7,11 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
 #include "archive/parity.hpp"
-#include "archive/reader.hpp"
 #include "common/failpoint.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -39,6 +39,28 @@ std::vector<Target> payload_targets(const std::vector<FieldEntry>& fields) {
                          f.parity[g].crc});
   }
   return targets;
+}
+
+/// The one repairability rule.  Damage is grouped by (field, parity
+/// group), the parity payload counting as a member of its group; single
+/// parity heals a group only when exactly one member is damaged, and a
+/// parity-less field's damage is simply lost.  Returns the issues the
+/// rule calls healable — every other issue is unrecoverable.
+std::vector<PayloadIssue*> healable(const ArchiveReader& reader,
+                                    std::vector<PayloadIssue>& issues) {
+  std::map<std::pair<std::string_view, std::size_t>,
+           std::vector<PayloadIssue*>>
+      groups;
+  for (PayloadIssue& i : issues) {
+    const std::uint32_t pg = reader.field(i.field).parity_group;
+    if (pg != 0)
+      groups[{i.field, i.parity ? i.index : parity_group_of(i.index, pg)}]
+          .push_back(&i);
+  }
+  std::vector<PayloadIssue*> out;
+  for (const auto& [group, members] : groups)
+    if (members.size() == 1) out.push_back(members.front());
+  return out;
 }
 
 /// In-place payload rewriter over the archive's payload space: resolves
@@ -112,146 +134,79 @@ class PayloadRewriter {
 
 }  // namespace
 
-HealOutcome heal_damaged_payloads(const std::string& path) {
-  HealOutcome out;
-  ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
-  // Heals read back through the same source they write through: a
-  // logical offset resolves to (shard file, local offset) for sharded
-  // archives and to the absolute offset for single-file ones.
-  const ShardSet& file = reader.source();
-  PayloadRewriter rw(file);
-
-  for (const auto& f : reader.fields()) {
-    if (f.parity_group == 0) {
-      // No parity: every damaged block is simply lost data.
-      for (const auto& b : f.blocks)
-        if (!verify_payload(file, b.offset, b.size, b.crc))
-          ++out.unrecoverable;
-      continue;
-    }
-    for (std::size_t g = 0; g < f.parity.size(); ++g) {
-      const std::size_t lo = g * f.parity_group;
-      const std::size_t hi =
-          std::min<std::size_t>(lo + f.parity_group, f.blocks.size());
-      std::vector<std::size_t> bad;
-      for (std::size_t i = lo; i < hi; ++i)
-        if (!verify_payload(file, f.blocks[i].offset, f.blocks[i].size,
-                            f.blocks[i].crc))
-          bad.push_back(i);
-      const bool parity_ok = verify_payload(file, f.parity[g].offset,
-                                            f.parity[g].size, f.parity[g].crc);
-      if (bad.empty() && parity_ok) continue;
-
-      if (bad.empty()) {
-        // Parity-only damage: no data is at risk; rebuild the parity from
-        // the (just verified) data members so the group is protected again.
-        if (const auto p = recompute_group_parity(file, f, g)) {
-          rw.rewrite(f.parity[g].offset, *p);
-          if (verify_payload(file, f.parity[g].offset, f.parity[g].size,
-                             f.parity[g].crc))
-            ++out.parity_rebuilt;
-          else
-            ++out.unrecoverable;
-        } else {
-          ++out.unrecoverable;
-        }
-        continue;
-      }
-      if (bad.size() == 1 && parity_ok) {
-        // The single-erasure case parity exists for: reconstruct, rewrite,
-        // and trust nothing until the on-disk bytes re-verify.
-        if (const auto payload =
-                reconstruct_block_payload(file, f, bad[0])) {
-          const BlockEntry& b = f.blocks[bad[0]];
-          rw.rewrite(b.offset, *payload);
-          if (verify_payload(file, b.offset, b.size, b.crc))
-            ++out.blocks_repaired;
-          else
-            ++out.unrecoverable;
-        } else {
-          ++out.unrecoverable;
-        }
-        continue;
-      }
-      // Two or more damaged members in one group: single parity cannot
-      // tell the unknowns apart.  Leave everything untouched — a wrong
-      // rewrite would destroy the evidence a stronger recovery could use.
-      out.unrecoverable += bad.size() + (parity_ok ? 0 : 1);
-    }
-  }
-  return out;
-}
-
-ScrubReport scrub_archive(const std::string& path, bool repair,
-                          std::size_t threads) {
+ScrubReport scan_payloads(const ArchiveReader& reader, std::size_t threads) {
   ScrubReport report;
-  report.path = path;
-
-  ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
+  report.salvage = reader.salvage_info();
   report.parity_enabled = reader.parity_enabled();
   report.fields_scanned = reader.fields().size();
 
-  const ShardSet& file = reader.source();
+  const ShardSet& src = reader.source();
   const std::vector<Target> targets = payload_targets(reader.fields());
   for (const auto& t : targets)
     t.parity ? ++report.parity_scanned : ++report.blocks_scanned;
 
-  // Pool-parallel verify: each payload is one independent pread+crc task.
+  // The reader validated the INDEX (footer CRC + block bounds); this pass
+  // checks the DATA the index points at, one independent pread+crc task
+  // per payload.
   std::mutex issue_mutex;
-  std::vector<std::size_t> issue_targets;  // parallel to report.issues
   ThreadPool pool(threads);
   pool.run_batch(targets.size(), [&](std::size_t k) {
     const Target& t = targets[k];
-    if (verify_payload(file, t.offset, t.size, t.crc)) return;
+    const std::uint32_t actual = payload_crc(src, t.offset, t.size);
+    if (actual == t.crc) return;
     const std::lock_guard<std::mutex> lk(issue_mutex);
-    report.issues.push_back(ScrubIssue{t.field->name, t.parity, t.index,
-                                       t.offset, t.size, false,
-                                       "crc mismatch"});
-    issue_targets.push_back(k);
+    report.issues.push_back(PayloadIssue{t.field->name, t.parity, t.index,
+                                         t.offset, t.size, t.crc, actual});
   });
-
-  // Classify repairability the way fsck does: per parity group, count
-  // damaged members (the parity payload counts as one); two or more in a
-  // group — or any damage in a parity-less field — is beyond single parity.
-  std::map<std::pair<const FieldEntry*, std::size_t>, std::size_t> group_bad;
-  for (const std::size_t k : issue_targets) {
-    const Target& t = targets[k];
-    if (t.field->parity_group == 0) {
-      ++report.unrecoverable_payloads;
-      continue;
-    }
-    const std::size_t g = t.parity ? t.index : t.index / t.field->parity_group;
-    ++group_bad[{t.field, g}];
-  }
-  for (const auto& [group, n] : group_bad)
-    if (n >= 2) report.unrecoverable_payloads += n;
-
-  if (repair && !report.issues.empty()) {
-    report.repair_attempted = true;
-    const HealOutcome healed = heal_damaged_payloads(path);
-    report.blocks_repaired = healed.blocks_repaired;
-    report.parity_rebuilt = healed.parity_rebuilt;
-    // Re-verify each damaged payload so the report describes the on-disk
-    // RESULT, not the heal's intent.
-    for (std::size_t j = 0; j < report.issues.size(); ++j) {
-      const Target& t = targets[issue_targets[j]];
-      if (verify_payload(file, t.offset, t.size, t.crc)) {
-        report.issues[j].repaired = true;
-        report.issues[j].detail.clear();
-      } else {
-        report.issues[j].detail =
-            "beyond single-parity repair (second damaged member in the "
-            "group, or no parity)";
-      }
-    }
-  }
-
   std::sort(report.issues.begin(), report.issues.end(),
-            [](const ScrubIssue& a, const ScrubIssue& b) {
+            [](const PayloadIssue& a, const PayloadIssue& b) {
               return std::tie(a.field, a.parity, a.index) <
                      std::tie(b.field, b.parity, b.index);
             });
+  report.unrecoverable_payloads =
+      report.issues.size() - healable(reader, report.issues).size();
   return report;
+}
+
+void heal_payloads(const ArchiveReader& reader, ScrubReport& report) {
+  if (report.issues.empty()) return;
+  report.repair_attempted = true;
+  // Heals read back through the same source they write through: a
+  // logical offset resolves to (shard file, local offset) for sharded
+  // archives and to the absolute offset for single-file ones.
+  const ShardSet& src = reader.source();
+  PayloadRewriter rw(src);
+  for (PayloadIssue* i : healable(reader, report.issues)) {
+    const FieldEntry& f = reader.field(i->field);
+    const auto payload = i->parity
+                             ? recompute_group_parity(src, f, i->index)
+                             : reconstruct_block_payload(src, f, i->index);
+    if (!payload) continue;
+    rw.rewrite(i->offset, *payload);
+    // Trust nothing until the on-disk bytes re-verify.
+    i->repaired = payload_crc(src, i->offset, i->size) == i->crc_stored;
+    if (i->repaired)
+      ++(i->parity ? report.parity_rebuilt : report.blocks_repaired);
+  }
+  report.unrecoverable_payloads = static_cast<std::size_t>(
+      std::count_if(report.issues.begin(), report.issues.end(),
+                    [](const PayloadIssue& i) { return !i.repaired; }));
+}
+
+ScrubReport scrub_archive(const std::string& path, bool repair,
+                          std::size_t threads) {
+  const ArchiveReader reader(path, {.threads = 1, .open = OpenMode::kSalvage});
+  ScrubReport report = scan_payloads(reader, threads);
+  report.path = path;
+  if (repair) heal_payloads(reader, report);
+  return report;
+}
+
+std::string format_salvage_line(const SalvageInfo& salvage) {
+  if (!salvage.fallback) return {};
+  return "  strict open FAILED (" + salvage.detail +
+         "); salvaged checkpoint at byte " +
+         std::to_string(salvage.consistent_bytes) + "\n";
 }
 
 std::string format_scrub_report(const ScrubReport& report) {
@@ -260,13 +215,20 @@ std::string format_scrub_report(const ScrubReport& report) {
      << report.blocks_scanned << " data payload(s), " << report.parity_scanned
      << " parity payload(s) scanned";
   if (!report.parity_enabled) os << " (archive has no parity)";
-  os << "\n";
+  os << "\n" << format_salvage_line(report.salvage);
+  if (report.salvage.fallback)
+    os << "  scrub never truncates; `sz14 archive fsck --repair` truncates "
+          "the tail\n";
   for (const auto& i : report.issues) {
     os << "  " << (i.repaired ? "REPAIRED" : "DAMAGED") << " "
        << (i.parity ? "parity group " : "block ") << i.index << " of field '"
        << i.field << "' at offset " << i.offset << " (" << i.size
        << " bytes)";
-    if (!i.detail.empty()) os << ": " << i.detail;
+    if (!i.repaired)
+      os << (report.repair_attempted
+                 ? ": beyond single-parity repair (second damaged member in "
+                   "the group, or no parity)"
+                 : ": crc mismatch");
     os << "\n";
   }
   if (report.repair_attempted)
@@ -278,8 +240,8 @@ std::string format_scrub_report(const ScrubReport& report) {
                ? " — all within single-parity reach (rerun with --repair)"
                : " (--repair heals what parity covers)")
        << "\n";
-  if (report.unrecoverable() > 0)
-    os << "  UNRECOVERABLE: " << report.unrecoverable()
+  if (report.unrecoverable_payloads > 0)
+    os << "  UNRECOVERABLE: " << report.unrecoverable_payloads
        << " payload(s) beyond single-parity repair\n";
   if (report.clean()) os << "  clean\n";
   return os.str();

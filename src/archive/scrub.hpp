@@ -1,98 +1,108 @@
-// Online integrity scrub for SZA archives, the library behind
-// `sz14 archive scrub [--repair]` and the serving daemon's background
-// scrub task.
+// The payload scan and heal engine behind `sz14 archive scrub [--repair]`,
+// `sz14 archive fsck [--repair]` and the serving daemon's background scrub.
 //
-// scrub_archive() opens the archive in salvage mode, then verifies EVERY
-// indexed payload — data blocks and parity payloads — against its stored
-// CRC-32, pool-parallel (each payload is an independent pread+crc task).
-// With `repair`, damaged payloads are healed in place through the shared
-// heal engine below and re-verified, so a scrub that reports
-// fully_repaired() really left a bit-identical archive on disk.
+// scan_payloads() is the one CRC pass over an archive's payloads: every
+// indexed data block and parity payload is read and checked against its
+// stored CRC-32, pool-parallel (each payload is an independent pread+crc
+// task).  The damage is then classified by the one repairability rule:
+// single parity heals a parity group with exactly one damaged member
+// (data or parity); two or more damaged members in one group, or any
+// damage in a parity-less field, are unrecoverable.
 //
-// The heal engine (heal_damaged_payloads) is shared with
-// `fsck --repair`: it groups damage by parity group and rewrites what
-// single parity can reconstruct — a damaged DATA block from the group's
-// parity + intact members, a damaged PARITY payload recomputed from its
-// intact data members.  Two damaged members in one group are reported
-// unrecoverable and left untouched (the reconstruction math refuses
-// rather than mis-repairs).  Every rewrite passes the failpoint site
-// "archive.scrub.rewrite" first, so tests and drills can inject mid-heal
-// failures.
+// heal_payloads() takes the reader and the scan's issue list and touches
+// only the groups that rule calls healable: a damaged DATA block is
+// reconstructed from the group's parity + intact members, a damaged
+// PARITY payload is recomputed from its data members (both re-check every
+// CRC they read, parity.hpp), then rewritten in place and re-verified, so
+// a report that says `repaired` really left the stored bytes on disk.
+// Everything else is left untouched — a wrong rewrite would destroy the
+// evidence a stronger recovery could use.  Every rewrite passes the
+// failpoint site "archive.scrub.rewrite" first, so tests and drills can
+// inject mid-heal failures.
+//
+// scrub_archive() opens in salvage mode, scans and (with `repair`) heals.
+// It never truncates: it runs under a live daemon.  A torn archive (the
+// strict open failed and an earlier checkpoint is serving) is reported
+// not clean, and `fsck --repair` (fsck.hpp) is the tool that cuts the
+// tail.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "archive/reader.hpp"
+
 namespace sz14::archive {
 
-/// One CRC-damaged payload found by the scrub scan.
-struct ScrubIssue {
+/// One CRC-damaged payload found by the scan.
+struct PayloadIssue {
   std::string field;
   bool parity = false;    ///< true: a parity payload (index = group index)
   std::size_t index = 0;  ///< block index, or parity-group index
-  std::uint64_t offset = 0;  ///< absolute payload offset
+  std::uint64_t offset = 0;  ///< logical payload offset
   std::uint64_t size = 0;    ///< payload bytes
+  std::uint32_t crc_stored = 0;
+  std::uint32_t crc_actual = 0;
   bool repaired = false;  ///< heal rewrote this payload and it re-verified
-  std::string detail;     ///< why it stayed unrepaired (empty if repaired)
+
+  bool operator==(const PayloadIssue&) const = default;
 };
 
 struct ScrubReport {
   std::string path;
+  SalvageInfo salvage;  ///< how the open went (fallback: a torn tail)
   bool parity_enabled = false;  ///< superblock carries kFlagParity
-  bool repair_attempted = false;
+  bool repair_attempted = false;  ///< a heal ran over a non-empty issue list
   std::size_t fields_scanned = 0;
   std::size_t blocks_scanned = 0;  ///< data payloads verified
   std::size_t parity_scanned = 0;  ///< parity payloads verified
   std::size_t blocks_repaired = 0;  ///< data payloads healed from parity
   std::size_t parity_rebuilt = 0;   ///< parity payloads recomputed
-  /// Scan-time classification: damaged payloads single parity cannot heal
-  /// (two bad members in one group, or a parity-less field).
+  /// Damaged payloads single parity cannot heal: the scan's per-group
+  /// classification, replaced after a heal by the re-verified count of
+  /// payloads still damaged.
   std::size_t unrecoverable_payloads = 0;
-  std::vector<ScrubIssue> issues;
+  std::vector<PayloadIssue> issues;  ///< sorted by (field, parity, index)
 
-  /// No damage found at all.
-  [[nodiscard]] bool clean() const noexcept { return issues.empty(); }
-  /// Damage that heal could not (or was not asked to) fix.  After a
-  /// repair pass this is re-verify ground truth; on a plain scan it is
-  /// the scan-time classification.
-  [[nodiscard]] std::size_t unrecoverable() const noexcept {
-    if (!repair_attempted) return unrecoverable_payloads;
-    std::size_t n = 0;
-    for (const auto& i : issues)
-      if (!i.repaired) ++n;
-    return n;
+  /// No damage found: strict-openable and every payload CRC good.
+  [[nodiscard]] bool clean() const noexcept {
+    return !salvage.fallback && issues.empty();
   }
-  /// Damage exists and ALL of it is within single-parity reach — a
-  /// `--repair` rerun would leave the archive clean.
+  /// Damage exists and ALL of it is within reach — a `--repair` rerun
+  /// (of fsck, for a torn tail) would leave the archive clean.
   [[nodiscard]] bool repairable() const noexcept {
-    return !clean() && unrecoverable() == 0;
+    return !clean() && unrecoverable_payloads == 0;
   }
   /// Damage was found and every instance of it was healed + re-verified.
   [[nodiscard]] bool fully_repaired() const noexcept {
-    return repair_attempted && !issues.empty() && unrecoverable() == 0;
+    return repair_attempted && !salvage.fallback && !issues.empty() &&
+           unrecoverable_payloads == 0;
   }
 };
 
-/// Outcome of one heal pass (shared by scrub --repair and fsck --repair).
-struct HealOutcome {
-  std::size_t blocks_repaired = 0;  ///< data payloads rewritten + verified
-  std::size_t parity_rebuilt = 0;   ///< parity payloads rewritten + verified
-  std::size_t unrecoverable = 0;    ///< damaged payloads left untouched
-};
+/// The one payload CRC pass: verify every indexed payload of `reader` on
+/// a pool of `threads` workers (0 = hardware_concurrency) and classify the
+/// damage.  Modifies nothing.
+[[nodiscard]] ScrubReport scan_payloads(const ArchiveReader& reader,
+                                        std::size_t threads);
 
-/// Verify every indexed payload of `path`; with `repair`, heal what
-/// single parity can reconstruct.  `threads` sizes the verify pool (0 =
-/// hardware_concurrency); the heal pass itself is sequential.  Throws
-/// std::runtime_error when the archive has no valid checkpoint at all or
-/// a heal rewrite fails (including injected failures).
+/// Heal, in place through `reader`'s payload source, every issue of
+/// `report` the repairability rule calls healable; re-verify each rewrite
+/// and update the report's `repaired` flags and counters.  No-op on an
+/// empty issue list.  Throws std::runtime_error when a rewrite fails
+/// (including injected failures).
+void heal_payloads(const ArchiveReader& reader, ScrubReport& report);
+
+/// Salvage-open `path`, scan it, and with `repair` heal what single
+/// parity can reconstruct.  Throws std::runtime_error when the archive
+/// has no valid checkpoint at all or a heal rewrite fails.
 [[nodiscard]] ScrubReport scrub_archive(const std::string& path, bool repair,
                                         std::size_t threads = 0);
 
-/// In-place heal pass: rewrite every CRC-damaged payload that the parity
-/// scheme can reconstruct, re-verifying each rewrite.  Archives without
-/// parity get every damaged block counted unrecoverable.
-HealOutcome heal_damaged_payloads(const std::string& path);
+/// The "strict open FAILED" line both fsck and scrub print for a salvaged
+/// open (empty when the strict open succeeded).
+[[nodiscard]] std::string format_salvage_line(const SalvageInfo& salvage);
 
 /// Render a report as the multi-line text `sz14 archive scrub` prints.
 [[nodiscard]] std::string format_scrub_report(const ScrubReport& report);

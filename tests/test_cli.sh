@@ -64,6 +64,17 @@ expect 0 archive create -o a.sza --field $FIELD --codec sz14 --rel 1e-4 \
 expect 0 archive extract -i a.sza -f v -o whole.f32
 max_error f.f32 whole.f32 2e-4
 
+# A torn tail (bytes past the sealed footer): scrub is not clean with or
+# without --repair (it never truncates); fsck --repair cuts the tail.
+cp a.sza torn.sza
+head -c 100 /dev/zero >>torn.sza
+expect 4 archive scrub -i torn.sza
+expect 4 archive scrub -i torn.sza --repair
+expect 4 archive fsck -i torn.sza
+expect 0 archive fsck -i torn.sza --repair
+cmp -s torn.sza a.sza || { echo "FAIL: fsck --repair left torn.sza"; fail=1; }
+expect 0 archive scrub -i torn.sza
+
 # Integer flags: a sign, trailing characters or an out-of-range value.
 expect 2 $CREATE --rel 1e-4 --parity-group 4294967296
 expect 2 archive extract -i a.sza -f v -o bad.f32 -t -1

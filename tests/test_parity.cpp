@@ -2,8 +2,10 @@
 // geometry, byte-identity for parity-off files), transparent read-repair
 // with its counters, degraded opens with typed hole reports, the online
 // scrub + shared heal engine (including injected rewrite failures), fsck's
-// repairability classification, the failpoint registry listing, and the
-// serving daemon's degraded reads + background scrub op.
+// repairability classification, fsck and scrub agreeing on every damage
+// pattern and reading one scan plus the damaged group to repair, the
+// failpoint registry listing, and the serving daemon's degraded reads +
+// background scrub op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,12 +41,15 @@ std::vector<float> wavy(const Dims& dims) {
 }
 
 /// One-field archive: 16x12 values in 8x8 blocks = 4 blocks; with
-/// `parity_group` > 0 the parity section rides along.
+/// `parity_group` > 0 the parity section rides along, and with
+/// `shard_size` > 0 the payloads roll into shard files.
 std::string make_archive(const std::string& name, std::uint32_t parity_group,
-                         const Dims& dims = Dims{16, 12}) {
+                         const Dims& dims = Dims{16, 12},
+                         std::uint64_t shard_size = 0) {
   const std::string path = tmp_path(name);
   const auto v = wavy(dims);
-  archive::ArchiveWriter w(path, {.parity_group = parity_group});
+  archive::ArchiveWriter w(
+      path, {.parity_group = parity_group, .shard_size = shard_size});
   w.append_field("x", std::span<const float>(v), dims, Dims{8, 8}, "sz14",
                  1e-3);
   w.finish();
@@ -247,7 +253,7 @@ TEST(Parity, ScrubCleanArchiveReportsClean) {
   EXPECT_TRUE(report.parity_enabled);
   EXPECT_EQ(report.blocks_scanned, 4u);
   EXPECT_EQ(report.parity_scanned, 2u);
-  EXPECT_EQ(report.unrecoverable(), 0u);
+  EXPECT_EQ(report.unrecoverable_payloads, 0u);
   EXPECT_FALSE(report.fully_repaired());
   const auto text = archive::format_scrub_report(report);
   EXPECT_NE(text.find("clean"), std::string::npos);
@@ -268,7 +274,7 @@ TEST(Parity, ScrubRepairHealsDataFlipBitIdentical) {
   const auto scan = archive::scrub_archive(path, false, 1);
   ASSERT_EQ(scan.issues.size(), 1u);
   EXPECT_TRUE(scan.repairable());
-  EXPECT_EQ(scan.unrecoverable(), 0u);
+  EXPECT_EQ(scan.unrecoverable_payloads, 0u);
   EXPECT_NE(data::read_bytes(path), pristine);
 
   // Repair: the archive comes back byte-identical to pristine.
@@ -322,7 +328,7 @@ TEST(Parity, ScrubRewriteDropFailpointLeavesDamageReported) {
   fail::arm("archive.scrub.rewrite", {fail::Kind::kDrop, 0, -1, 0});
   const auto report = archive::scrub_archive(path, true, 1);
   EXPECT_FALSE(report.fully_repaired());
-  EXPECT_EQ(report.unrecoverable(), 1u);
+  EXPECT_EQ(report.unrecoverable_payloads, 1u);
   fail::disarm_all();
 
   // The next scrub finishes the interrupted heal (rewrite is idempotent).
@@ -373,13 +379,14 @@ TEST(Parity, FsckClassifiesParityDamageAndRepairs) {
 
   const auto scan = archive::fsck_scan(path);
   EXPECT_FALSE(scan.clean());
-  ASSERT_EQ(scan.bad_blocks.size(), 1u);
-  EXPECT_EQ(scan.unrecoverable_payloads, 0u);
+  ASSERT_EQ(scan.scrub.issues.size(), 1u);
+  EXPECT_FALSE(scan.scrub.issues[0].parity);
+  EXPECT_EQ(scan.scrub.unrecoverable_payloads, 0u);
   EXPECT_TRUE(scan.repairable());
 
   const auto repaired = archive::fsck_repair(path);
-  EXPECT_TRUE(repaired.bad_blocks.empty());
-  EXPECT_EQ(repaired.blocks_repaired, 1u);
+  EXPECT_EQ(repaired.scrub.unrecoverable_payloads, 0u);
+  EXPECT_EQ(repaired.scrub.blocks_repaired, 1u);
   EXPECT_EQ(data::read_bytes(path), pristine);
   EXPECT_TRUE(archive::fsck_scan(path).clean());
   std::remove(path.c_str());
@@ -395,13 +402,13 @@ TEST(Parity, FsckParityOnlyDamageIsRepairable) {
   flip_byte(path, static_cast<std::size_t>(target));
 
   const auto scan = archive::fsck_scan(path);
-  EXPECT_TRUE(scan.bad_blocks.empty());
-  ASSERT_EQ(scan.bad_parity.size(), 1u);
+  ASSERT_EQ(scan.scrub.issues.size(), 1u);
+  EXPECT_TRUE(scan.scrub.issues[0].parity);
   EXPECT_TRUE(scan.repairable());
 
   const auto repaired = archive::fsck_repair(path);
-  EXPECT_TRUE(repaired.bad_parity.empty());
-  EXPECT_EQ(repaired.parity_rebuilt, 1u);
+  EXPECT_EQ(repaired.scrub.unrecoverable_payloads, 0u);
+  EXPECT_EQ(repaired.scrub.parity_rebuilt, 1u);
   std::remove(path.c_str());
 }
 
@@ -416,15 +423,15 @@ TEST(Parity, FsckDoubleDamageInGroupIsUnrecoverable) {
   for (const auto t : targets) flip_byte(path, static_cast<std::size_t>(t));
 
   const auto scan = archive::fsck_scan(path);
-  EXPECT_EQ(scan.bad_blocks.size(), 2u);
-  EXPECT_EQ(scan.unrecoverable_payloads, 2u);
+  EXPECT_EQ(scan.scrub.issues.size(), 2u);
+  EXPECT_EQ(scan.scrub.unrecoverable_payloads, 2u);
   EXPECT_FALSE(scan.repairable());
 
   // --repair refuses: the damaged bytes stay exactly in place.
   const auto before = data::read_bytes(path);
   const auto repaired = archive::fsck_repair(path);
-  EXPECT_EQ(repaired.bad_blocks.size(), 2u);
-  EXPECT_EQ(repaired.blocks_repaired, 0u);
+  EXPECT_EQ(repaired.scrub.unrecoverable_payloads, 2u);
+  EXPECT_EQ(repaired.scrub.blocks_repaired, 0u);
   EXPECT_EQ(data::read_bytes(path), before);
   std::remove(path.c_str());
 }
@@ -441,8 +448,8 @@ TEST(Parity, FsckZeroFieldArchiveIsClean) {
     }
     const auto scan = archive::fsck_scan(path);
     EXPECT_TRUE(scan.clean()) << "parity_group " << pg;
-    EXPECT_EQ(scan.blocks_scanned, 0u);
-    EXPECT_EQ(scan.unrecoverable_payloads, 0u);
+    EXPECT_EQ(scan.scrub.blocks_scanned, 0u);
+    EXPECT_EQ(scan.scrub.unrecoverable_payloads, 0u);
     const auto scrub = archive::scrub_archive(path, false, 1);
     EXPECT_TRUE(scrub.clean()) << "parity_group " << pg;
     std::remove(path.c_str());
@@ -458,10 +465,179 @@ TEST(Parity, FsckNoParityDamageIsUnrecoverable) {
   }
   flip_byte(path, static_cast<std::size_t>(target));
   const auto scan = archive::fsck_scan(path);
-  EXPECT_EQ(scan.bad_blocks.size(), 1u);
-  EXPECT_EQ(scan.unrecoverable_payloads, 1u);
+  EXPECT_EQ(scan.scrub.issues.size(), 1u);
+  EXPECT_EQ(scan.scrub.unrecoverable_payloads, 1u);
   EXPECT_FALSE(scan.repairable());
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------- one scan, one heal rule
+
+/// Every file an archive consists of: the container or manifest, then its
+/// shards in order.
+std::vector<std::vector<std::uint8_t>> archive_bytes(const std::string& path) {
+  std::vector<std::vector<std::uint8_t>> out{data::read_bytes(path)};
+  for (std::size_t i = 0;
+       std::filesystem::exists(archive::shard_file_name(path, i)); ++i)
+    out.push_back(data::read_bytes(archive::shard_file_name(path, i)));
+  return out;
+}
+
+void remove_archive(const std::string& path) {
+  for (std::size_t i = 0;
+       std::filesystem::remove(archive::shard_file_name(path, i)); ++i) {
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(Parity, ScrubReportsTornTailAndStillHealsPayloads) {
+  // A torn tail (bytes past the sealed footer) plus one flipped data byte.
+  // Scrub must not call the archive clean, must point at fsck for the
+  // tail, and must still heal the payload on the salvaged checkpoint
+  // without truncating anything.
+  const std::string path = make_archive("scrub_tail.sza", 2);
+  const auto pristine = data::read_bytes(path);
+  std::size_t target = 0;
+  {
+    archive::ArchiveReader probe(path);
+    target = static_cast<std::size_t>(probe.field("x").blocks[1].offset) + 2;
+  }
+  auto bytes = pristine;
+  bytes[target] ^= 0xFF;
+  bytes.resize(bytes.size() + 100, 0);
+  data::write_bytes(path, bytes);
+
+  const auto scan = archive::scrub_archive(path, false, 1);
+  EXPECT_TRUE(scan.salvage.fallback);
+  EXPECT_FALSE(scan.clean());
+  EXPECT_TRUE(scan.repairable());
+  ASSERT_EQ(scan.issues.size(), 1u);
+  const auto text = archive::format_scrub_report(scan);
+  EXPECT_NE(text.find("strict open FAILED"), std::string::npos) << text;
+  EXPECT_NE(text.find("fsck --repair"), std::string::npos) << text;
+  EXPECT_EQ(text.find("  clean"), std::string::npos) << text;
+
+  const auto healed = archive::scrub_archive(path, true, 1);
+  EXPECT_EQ(healed.blocks_repaired, 1u);
+  EXPECT_FALSE(healed.fully_repaired());
+  EXPECT_TRUE(healed.repairable());
+  EXPECT_EQ(data::read_bytes(path).size(), pristine.size() + 100);
+
+  // fsck --repair cuts the tail; the archive is pristine again.
+  EXPECT_TRUE(archive::fsck_repair(path).clean());
+  EXPECT_EQ(data::read_bytes(path), pristine);
+  EXPECT_TRUE(archive::scrub_archive(path, false, 1).clean());
+  std::remove(path.c_str());
+}
+
+TEST(Parity, RepairReadsOneScanPlusTheDamagedGroup) {
+  // 64 blocks in groups of 8, one flipped data byte.  A repair may read
+  // each payload once (the scan), the damaged group once (the
+  // reconstruction) and a few index bytes at open — not the archive
+  // again.  The stall failpoint at 0 ms counts every positional read.
+  struct DisarmAll {
+    ~DisarmAll() { fail::disarm_all(); }
+  } guard;
+  constexpr std::uint32_t kGroup = 8;
+  const std::string path = make_archive("pread_bound.sza", kGroup, Dims{64, 64});
+  const auto pristine = data::read_bytes(path);
+  std::size_t payloads = 0;
+  std::size_t target = 0;
+  {
+    archive::ArchiveReader probe(path);
+    const auto& f = probe.field("x");
+    ASSERT_GE(f.blocks.size(), 64u);
+    payloads = f.blocks.size() + f.parity.size();
+    target = static_cast<std::size_t>(f.blocks[20].offset) + 1;
+  }
+  const std::uint64_t bound = payloads + kGroup + 16;
+  fail::arm("pread_file.read", {fail::Kind::kStall, 0, -1, 0});
+  const auto preads = [](const auto& run) {
+    const std::uint64_t before = fail::hits("pread_file.read");
+    run();
+    return fail::hits("pread_file.read") - before;
+  };
+
+  flip_byte(path, target);
+  EXPECT_LE(preads([&] { (void)archive::scrub_archive(path, true, 1); }),
+            bound);
+  EXPECT_EQ(data::read_bytes(path), pristine);
+
+  flip_byte(path, target);
+  EXPECT_LE(preads([&] { (void)archive::fsck_repair(path); }), bound);
+  EXPECT_EQ(data::read_bytes(path), pristine);
+  std::remove(path.c_str());
+}
+
+TEST(Parity, FsckAndScrubAgreeOnEveryDamagePattern) {
+  struct Flip {
+    bool parity;
+    std::size_t index;  ///< block index, or parity-group index
+  };
+  struct Pattern {
+    const char* name;
+    std::uint32_t parity_group;
+    std::vector<Flip> flips;
+    bool repairable;
+  };
+  const Pattern patterns[] = {
+      {"clean", 8, {}, true},
+      {"data", 8, {{false, 9}}, true},
+      {"parity", 8, {{true, 1}}, true},
+      {"two_in_group", 8, {{false, 17}, {true, 2}}, false},
+      {"no_parity", 0, {{false, 5}}, false},
+  };
+  for (const std::uint64_t shard_size : {0u, 4096u})
+    for (const Pattern& p : patterns) {
+      SCOPED_TRACE(std::string(p.name) + " shard_size " +
+                   std::to_string(shard_size));
+      const std::string path =
+          make_archive(std::string("agree_") + p.name + "_" +
+                           std::to_string(shard_size),
+                       p.parity_group, Dims{64, 64}, shard_size);
+      const auto pristine = archive_bytes(path);
+      // Flip one byte in the middle of each listed payload, through the
+      // layout's own logical-to-file mapping.
+      const auto damage = [&] {
+        for (const Flip& flip : p.flips) {
+          archive::ShardSet::Location at;
+          {
+            archive::ArchiveReader r(path);
+            const auto& f = r.field("x");
+            const auto [offset, size] =
+                flip.parity ? std::pair(f.parity[flip.index].offset,
+                                        f.parity[flip.index].size)
+                            : std::pair(f.blocks[flip.index].offset,
+                                        f.blocks[flip.index].size);
+            at = r.source().locate(offset + size / 2);
+          }
+          flip_byte(at.path, static_cast<std::size_t>(at.offset));
+        }
+      };
+      damage();
+      if (shard_size > 0) {
+        ASSERT_GT(archive_bytes(path).size(), 2u);  // several shards
+      }
+
+      const auto fsck = archive::fsck_scan(path);
+      const auto scrub = archive::scrub_archive(path, false, 1);
+      EXPECT_EQ(fsck.scrub.issues, scrub.issues);
+      EXPECT_EQ(scrub.issues.size(), p.flips.size());
+      EXPECT_EQ(fsck.scrub.unrecoverable_payloads,
+                scrub.unrecoverable_payloads);
+      EXPECT_EQ(scrub.unrecoverable_payloads,
+                p.repairable ? 0u : p.flips.size());
+
+      // Either repair restores a repairable archive byte for byte and
+      // leaves an unrepairable one exactly as damaged.
+      const auto damaged = archive_bytes(path);
+      (void)archive::fsck_repair(path);
+      EXPECT_EQ(archive_bytes(path), p.repairable ? pristine : damaged);
+      if (p.repairable) damage();
+      (void)archive::scrub_archive(path, true, 1);
+      EXPECT_EQ(archive_bytes(path), p.repairable ? pristine : damaged);
+      remove_archive(path);
+    }
 }
 
 // -------------------------------------------------------------- failpoints

@@ -108,7 +108,7 @@ TEST(Recovery, WriterKilledMidAppendRecoversAllSealedFieldsBitIdentical) {
   // with both sealed fields decoding bit-identical to a pristine ingest.
   FsckReport report = fsck_repair(path);
   EXPECT_TRUE(report.truncated);
-  EXPECT_TRUE(report.bad_blocks.empty());
+  EXPECT_TRUE(report.scrub.issues.empty());
 
   const std::string pristine_path = tmp_path("killed_pristine.sza");
   {
@@ -197,7 +197,7 @@ TEST(Recovery, TornWriteLeavesSalvageablePrefixAndFsckRepairs) {
   FsckReport scan = fsck_scan(path);
   EXPECT_FALSE(scan.clean());
   EXPECT_TRUE(scan.needs_truncate());
-  EXPECT_EQ(scan.consistent_bytes, sealed);
+  EXPECT_EQ(scan.scrub.salvage.consistent_bytes, sealed);
 
   FsckReport repaired = fsck_repair(path);
   EXPECT_TRUE(repaired.truncated);
@@ -225,11 +225,12 @@ TEST(Recovery, FsckScanIsCleanOnSealedArchive) {
   }
   FsckReport report = fsck_scan(path);
   EXPECT_TRUE(report.clean());
-  EXPECT_FALSE(report.salvage_used);
-  EXPECT_EQ(report.consistent_bytes, report.file_bytes);
-  EXPECT_EQ(report.fields_indexed, 1u);
-  EXPECT_GT(report.blocks_scanned, 0u);
-  EXPECT_TRUE(report.bad_blocks.empty());
+  EXPECT_FALSE(report.scrub.salvage.fallback);
+  EXPECT_EQ(report.scrub.salvage.consistent_bytes,
+            report.scrub.salvage.file_bytes);
+  EXPECT_EQ(report.scrub.fields_scanned, 1u);
+  EXPECT_GT(report.scrub.blocks_scanned, 0u);
+  EXPECT_TRUE(report.scrub.issues.empty());
   std::remove(path.c_str());
 }
 
@@ -260,14 +261,14 @@ TEST(Recovery, FsckReportsCorruptPayloadAndRepairRefusesToHideIt) {
   FsckReport scan = fsck_scan(path);
   EXPECT_FALSE(scan.clean());
   EXPECT_FALSE(scan.needs_truncate()) << "CRC damage is not a torn tail";
-  ASSERT_FALSE(scan.bad_blocks.empty());
-  EXPECT_EQ(scan.bad_blocks[0].field, "a");
-  EXPECT_NE(scan.bad_blocks[0].crc_stored, scan.bad_blocks[0].crc_actual);
+  ASSERT_FALSE(scan.scrub.issues.empty());
+  EXPECT_EQ(scan.scrub.issues[0].field, "a");
+  EXPECT_NE(scan.scrub.issues[0].crc_stored, scan.scrub.issues[0].crc_actual);
 
   // Repair must NOT truncate valid structure to mask payload corruption.
   FsckReport repaired = fsck_repair(path);
   EXPECT_FALSE(repaired.truncated);
-  EXPECT_FALSE(repaired.bad_blocks.empty());
+  EXPECT_GT(repaired.scrub.unrecoverable_payloads, 0u);
 
   std::remove(path.c_str());
 }

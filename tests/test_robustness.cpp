@@ -500,7 +500,7 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
   // and the on-disk bytes stay exactly as damaged (never mis-repaired).
   const auto before = data::read_bytes(path);
   const auto report = archive::scrub_archive(path, /*repair=*/true, 1);
-  EXPECT_EQ(report.unrecoverable(), 2u);
+  EXPECT_EQ(report.unrecoverable_payloads, 2u);
   EXPECT_FALSE(report.fully_repaired());
   EXPECT_EQ(report.blocks_repaired, 0u);
   EXPECT_EQ(data::read_bytes(path), before);

@@ -699,15 +699,14 @@ int cmd_archive_fsck(const Args& a) {
   }
   std::fputs(archive::format_fsck_report(report).c_str(), stdout);
   if (report.clean()) return 0;
-  if (a.repair)
-    return report.bad_blocks.empty() && report.bad_parity.empty() ? 0 : 1;
   return report.repairable() ? 4 : 1;
 }
 
 /// `archive scrub`: verify every payload CRC (pool-parallel), with
 /// --repair healing what single parity can reconstruct.  Same exit-code
 /// contract as fsck: 0 clean/fully-repaired, 1 unrecoverable, 3
-/// unsalvageable, 4 repairable damage found without --repair.
+/// unsalvageable, 4 repairable damage found without --repair, or a torn
+/// tail (opens only from an older checkpoint; fsck --repair cuts it).
 int cmd_archive_scrub(const Args& a) {
   archive::ScrubReport report;
   try {
@@ -719,7 +718,7 @@ int cmd_archive_scrub(const Args& a) {
   }
   std::fputs(archive::format_scrub_report(report).c_str(), stdout);
   if (report.clean() || report.fully_repaired()) return 0;
-  return !a.repair && report.repairable() ? 4 : 1;
+  return report.repairable() ? 4 : 1;
 }
 
 // -------------------------------------------------------------------- serve
@@ -1018,7 +1017,10 @@ const Command kCommands[] = {
                "  4  timeout (dial, handshake, or request deadline "
                "exceeded);\n"
                "     fsck/scrub: repairable damage found, rerun with "
-               "--repair\n"
+               "--repair;\n"
+               "     scrub: or the archive opens only from an older "
+               "checkpoint\n"
+               "     (torn tail; `archive fsck --repair` truncates it)\n"
                "  5  protocol error (malformed/unexpected wire data, "
                "rejected request;\n"
                "     get --scrub: a scrub is already running)\n"
