@@ -20,10 +20,11 @@
 
 namespace sz14::serve {
 
-/// Per-connection state.  The fd and parser belong to the event thread;
-/// the outbox is the one cross-thread surface (workers append under
-/// out_mutex, the event thread drains).  `closed` gates late worker
-/// responses after the session is gone.
+/// Per-connection state.  The parser and the read side of the fd belong to
+/// the event thread; the outbox and the write side are the cross-thread
+/// surface: whoever holds out_mutex may run the write loop (a worker
+/// sending its own reply, or the event thread's POLLOUT flush).  `closed`
+/// gates late worker responses after the session is gone.
 struct Server::Session {
   std::uint64_t id = 0;
   std::unique_ptr<Connection> conn;
@@ -34,11 +35,14 @@ struct Server::Session {
   bool closing = false;      // flush remaining outbox, then close
   bool input_dead = false;   // framing lost: stop reading
   std::atomic<bool> closed{false};
-  /// Read requests handed to the pool whose response has not been queued
-  /// yet; a session is never idle-reaped or drain-closed while > 0.
+  /// Read requests handed to the pool whose response has not been sent or
+  /// queued yet; a session is never idle-reaped or drain-closed while > 0.
   std::atomic<int> inflight{0};
-  /// Last socket readiness (event-thread-only; drives the idle timeout).
+  /// Last inbound readiness (event-thread-only).
   std::chrono::steady_clock::time_point last_activity{};
+  /// Last time the write loop moved bytes, from any thread (stored under
+  /// out_mutex).  The idle clock runs from the later of the two.
+  std::atomic<std::chrono::steady_clock::time_point> last_reply{};
 };
 
 Server::Server(const std::string& archive_path, ServerConfig config)
@@ -114,7 +118,7 @@ void Server::drain(int grace_ms) {
   }
   drain_grace_ms_.store(grace_ms < 0 ? 0 : grace_ms,
                         std::memory_order_relaxed);
-  draining_.store(true, std::memory_order_release);
+  draining_.store(true);
   wake();
   // The event loop exits on its own once every session drained (or the
   // grace deadline force-closed the stragglers).
@@ -147,6 +151,13 @@ void Server::event_loop() {
     return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
         .count();
   };
+  // The idle clock restarts on inbound readiness and on reply bytes
+  // written, which a worker may have sent without this thread seeing it.
+  const auto idle_ms = [&](const Session& s, Clock::time_point now) {
+    return ms_between(
+        std::max(s.last_activity, s.last_reply.load(std::memory_order_relaxed)),
+        now);
+  };
   std::vector<struct pollfd> pfds;
   std::vector<std::uint64_t> ids;  // session id per pollfd slot (0 = none)
   std::vector<std::uint64_t> doomed;
@@ -157,7 +168,7 @@ void Server::event_loop() {
     // accepting (close the listener — safe here, only this thread uses
     // it) and stop READING every session; what remains is flushing
     // responses for requests already in flight.
-    if (!drain_started && draining_.load(std::memory_order_acquire)) {
+    if (!drain_started && draining_.load()) {
       drain_started = true;
       drain_deadline =
           Clock::now() + std::chrono::milliseconds(
@@ -178,7 +189,9 @@ void Server::event_loop() {
           doomed.push_back(id);
           continue;
         }
-        if (s->inflight.load(std::memory_order_acquire) > 0) continue;
+        // seq_cst, like InflightGuard's decrement and draining_ load: either
+        // this sees the final 0 or the guard sees draining_ and rings.
+        if (s->inflight.load() > 0) continue;
         std::lock_guard<std::mutex> lock(s->out_mutex);
         if (s->outbox.empty()) doomed.push_back(id);
       }
@@ -217,8 +230,7 @@ void Server::event_loop() {
     if (config_.idle_timeout_ms > 0) {
       for (const auto& [id, s] : sessions_) {
         const long long left =
-            config_.idle_timeout_ms -
-            ms_between(s->last_activity, now_before);
+            config_.idle_timeout_ms - idle_ms(*s, now_before);
         const int t = left > 0 ? static_cast<int>(left) : 0;
         timeout = timeout < 0 ? t : std::min(timeout, t);
       }
@@ -246,10 +258,12 @@ void Server::event_loop() {
       const auto it = sessions_.find(ids[i]);
       if (it == sessions_.end()) continue;
       const std::shared_ptr<Session> s = it->second;
-      if (pfds[i].revents & (POLLIN | POLLOUT | POLLHUP))
-        s->last_activity = now;
+      if (pfds[i].revents & (POLLIN | POLLHUP)) s->last_activity = now;
       bool alive = (pfds[i].revents & (POLLERR | POLLNVAL)) == 0;
-      if (alive && (pfds[i].revents & POLLOUT)) alive = flush_output(*s);
+      if (alive && (pfds[i].revents & POLLOUT)) {
+        std::lock_guard<std::mutex> lock(s->out_mutex);
+        alive = flush_output(*s, lock);
+      }
       if (alive && (pfds[i].revents & (POLLIN | POLLHUP)) && !s->input_dead)
         alive = service_input(s);
       if (alive && s->closing) {
@@ -271,8 +285,7 @@ void Server::event_loop() {
           std::lock_guard<std::mutex> lock(s->out_mutex);
           if (!s->outbox.empty()) continue;
         }
-        if (ms_between(s->last_activity, now) >= config_.idle_timeout_ms)
-          doomed.push_back(id);
+        if (idle_ms(*s, now) >= config_.idle_timeout_ms) doomed.push_back(id);
       }
       for (const auto id : doomed) {
         close_session(id);
@@ -388,6 +401,10 @@ void Server::dispatch(const std::shared_ptr<Session>& s, const Frame& frame) {
         return;
       }
       case kOpStats: {
+        // A worker counts bytes_out after its write, still under
+        // out_mutex: taking the lock settles every reply of this session
+        // the client has already received.
+        { std::lock_guard<std::mutex> settle(s->out_mutex); }
         ByteWriter w;
         encode_stats_response(stats(), w);
         enqueue(s, kStatusOk, w.view());
@@ -436,10 +453,12 @@ void Server::handle_read(const std::shared_ptr<Session>& s,
       Server& server;
       Session& session;
       ~InflightGuard() {
-        session.inflight.fetch_sub(1, std::memory_order_acq_rel);
-        // Re-ring AFTER the decrement so a draining event loop re-checks
-        // the session with inflight already at its final value.
-        server.wake();
+        session.inflight.fetch_sub(1);
+        // Drain is the only waiter on the inflight -> 0 edge (idle reaping
+        // re-checks on its poll timeout).  Ring AFTER the decrement, both
+        // seq_cst, so a draining loop re-checks with inflight at its final
+        // value.
+        if (server.draining_.load()) server.wake();
       }
     } guard{*this, *s};
     try {
@@ -516,14 +535,19 @@ void Server::handle_scrub(const std::shared_ptr<Session>& s,
 void Server::enqueue(const std::shared_ptr<Session>& s, std::uint8_t status,
                      std::span<const std::uint8_t> body) {
   auto frame = encode_frame(status, body);
+  bool leftover;  // bytes (or a dead peer) for the POLLOUT flush
   {
     std::lock_guard<std::mutex> lock(s->out_mutex);
     if (s->closed.load(std::memory_order_relaxed)) return;
+    (status == kStatusOk ? requests_ok_ : requests_error_)
+        .fetch_add(1, std::memory_order_relaxed);
+    const bool idle_outbox = s->outbox.empty();
     s->outbox.push_back(std::move(frame));
+    // Send now, else queue: with nothing ahead of it the frame goes out
+    // right here; behind a partial write it waits its turn.
+    leftover = !idle_outbox || !flush_output(*s, lock) || !s->outbox.empty();
   }
-  (status == kStatusOk ? requests_ok_ : requests_error_)
-      .fetch_add(1, std::memory_order_relaxed);
-  wake();
+  if (leftover) wake();
 }
 
 void Server::enqueue_error(const std::shared_ptr<Session>& s,
@@ -533,8 +557,8 @@ void Server::enqueue_error(const std::shared_ptr<Session>& s,
            message.size()});
 }
 
-bool Server::flush_output(Session& s) {
-  std::lock_guard<std::mutex> lock(s.out_mutex);
+bool Server::flush_output(Session& s, const std::lock_guard<std::mutex>&) {
+  bool wrote = false;
   while (!s.outbox.empty()) {
     const auto& front = s.outbox.front();
     const std::span<const std::uint8_t> rest(front.data() + s.out_pos,
@@ -548,12 +572,16 @@ bool Server::flush_output(Session& s) {
     if (n < 0) break;  // socket full; POLLOUT resumes us
     bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
                          std::memory_order_relaxed);
+    wrote = wrote || n > 0;
     s.out_pos += static_cast<std::size_t>(n);
     if (s.out_pos == front.size()) {
       s.outbox.pop_front();
       s.out_pos = 0;
     }
   }
+  if (wrote)
+    s.last_reply.store(std::chrono::steady_clock::now(),
+                       std::memory_order_relaxed);
   return true;
 }
 
@@ -590,7 +618,9 @@ void Server::enqueue(const std::shared_ptr<Session>&, std::uint8_t,
                      std::span<const std::uint8_t>) {}
 void Server::enqueue_error(const std::shared_ptr<Session>&, std::uint8_t,
                            const std::string&) {}
-bool Server::flush_output(Session&) { return false; }
+bool Server::flush_output(Session&, const std::lock_guard<std::mutex>&) {
+  return false;
+}
 void Server::close_session(std::uint64_t) {}
 
 #endif

@@ -19,15 +19,21 @@
 //   * Cheap metadata ops (open/ls/stat/stats) answer inline on the event
 //     thread; only block-decoding reads occupy pool workers.
 //
-// Responses are queued per session and flushed as POLLOUT allows, so one
-// slow client never blocks the event loop or a pool worker.  Write access
-// to a session's fd belongs to the event thread alone; workers only append
-// to the session's outbox and ring the wakeup pipe.
+// Replies take one hop: the thread that finishes a response (a pool worker
+// for reads, the event thread for inline ops) sends it itself when the
+// session's outbox is empty — the DCCP "send now, else queue" split.  Any
+// bytes the nonblocking socket does not take stay at the outbox front,
+// later frames queue behind them, and the event thread flushes the rest as
+// POLLOUT allows, so one slow client never blocks the event loop or a pool
+// worker.  Every write to a session's fd happens in flush_output() under
+// the session's out_mutex, so frames never interleave, and a closed
+// (reaped) session is never written.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -119,13 +125,17 @@ class Server {
   /// background pool task — a single scrub at a time per server.
   void handle_scrub(const std::shared_ptr<Session>& s,
                     const std::vector<std::uint8_t>& body);
-  /// Thread-safe: append a response frame and ring the event loop.
+  /// Thread-safe: queue a response frame and, if nothing is queued ahead
+  /// of it, send it right away.  Rings the event loop only when bytes are
+  /// left over (socket full) or the send failed, for the POLLOUT flush.
   void enqueue(const std::shared_ptr<Session>& s, std::uint8_t status,
                std::span<const std::uint8_t> body);
   void enqueue_error(const std::shared_ptr<Session>& s, std::uint8_t status,
                      const std::string& message);
-  /// Flush as much outbox as the socket takes; false = dead connection.
-  bool flush_output(Session& s);
+  /// The one write loop: flush as much outbox as the socket takes, with
+  /// `s.out_mutex` held by the caller; false = dead connection.  Counts
+  /// bytes_out and restarts the session's idle clock when bytes moved.
+  bool flush_output(Session& s, const std::lock_guard<std::mutex>& held);
   void close_session(std::uint64_t id);
   void wake() noexcept;
   /// Join the event thread and tear down sessions/listener/pipe (shared

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -47,19 +49,28 @@ std::vector<double> wavy_field64(const Dims& dims) {
   return v;
 }
 
-/// Multi-field, multi-block archive (3x3x2 = 18 blocks per field).
-std::string make_archive(const std::string& name) {
+/// Multi-field, multi-block archive (by default 3x3x2 = 18 blocks per
+/// field).
+std::string make_archive(const std::string& name,
+                         const Dims& dims = Dims{24, 20, 16},
+                         const Dims& block = Dims{8, 8, 8}) {
   const std::string path = tmp_path(name);
-  const Dims dims{24, 20, 16};
   archive::ArchiveWriter w(path, {.exec = {.threads = 2}});
   const auto f32 = wavy_field(dims);
   const auto f64 = wavy_field64(dims);
-  w.append_field("lossy32", std::span<const float>(f32), dims, Dims{8, 8, 8},
+  w.append_field("lossy32", std::span<const float>(f32), dims, block, "sz14",
+                 1e-4);
+  w.append_field("lossy64", std::span<const double>(f64), dims, block,
                  "sz14", 1e-4);
-  w.append_field("lossy64", std::span<const double>(f64), dims,
-                 Dims{8, 8, 8}, "sz14", 1e-4);
   w.finish();
   return path;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<std::uint8_t>& raw,
+                const std::vector<T>& want) {
+  return raw.size() == want.size() * sizeof(T) &&
+         std::memcmp(raw.data(), want.data(), raw.size()) == 0;
 }
 
 ServerConfig loopback_config(const std::string& name) {
@@ -179,6 +190,97 @@ TEST(ServeDaemon, StatsNameEveryCounterExactlyOnce) {
   EXPECT_EQ(metric(s, "blocks_decoded"), 18u);
   EXPECT_EQ(metric(s, "cache_capacity_bytes"), 64u << 20);
   server.stop();
+}
+
+TEST(ServeDaemon, ByteCountersMatchTheWire) {
+  // bytes_in and bytes_out count exactly what crossed the socket, whichever
+  // thread wrote the reply.
+  const std::string path = make_archive("bytes.sza");
+  Server server(path, loopback_config("bytes"));
+  server.start();
+  auto conn = raw_dial(server, "loopback");
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  const auto send = [&](std::uint8_t op, std::span<const std::uint8_t> body) {
+    const auto frame = encode_frame(op, body);
+    conn->send_all(frame);
+    sent += frame.size();
+  };
+  const auto r = region3(3, 5, 2, 9, 8, 7);
+  for (int i = 0; i < 6; ++i) {
+    const bool whole = i < 2;
+    ByteWriter w;
+    encode_read_request(
+        ReadRequest{i % 2 ? "lossy64" : "lossy32",
+                    whole ? std::nullopt : std::optional(r)},
+        w);
+    send(whole ? kOpReadField : kOpReadRegion, w.view());
+    const Frame reply = recv_frame(*conn);
+    ASSERT_EQ(reply.kind, kStatusOk);
+    received += kFrameHeaderSize + reply.body.size();
+  }
+  // The stats snapshot is taken after its request was read and before its
+  // own reply is written.
+  send(kOpStats, {});
+  const Frame reply = recv_frame(*conn);
+  ASSERT_EQ(reply.kind, kStatusOk);
+  ByteReader in(reply.body);
+  const Metrics s = decode_stats_response(in);
+  EXPECT_EQ(metric(s, "bytes_out"), received);
+  EXPECT_EQ(metric(s, "bytes_in"), sent);
+  server.stop();
+}
+
+TEST(ServeDaemon, PipelinedRepliesLargerThanTheSocketBufferStayFramed) {
+  // Two whole-field reads back to back on one connection, with replies of
+  // 2 MiB (f32) and 4 MiB (f64), several times the socket's send buffer.
+  // The worker's own send stops part-way, the remainder waits at the
+  // outbox front, the other reply queues behind it, and the event loop's
+  // POLLOUT flush finishes both while the client drains slowly.
+  const std::string path =
+      make_archive("pipelined.sza", Dims{128, 64, 64}, Dims{32, 32, 32});
+  Server server(path, loopback_config("pipelined"));
+  server.start();
+  archive::ArchiveReader direct(path, {.threads = 2});
+
+  auto conn = raw_dial(server, "loopback");
+  std::vector<std::uint8_t> requests;
+  for (const char* name : {"lossy32", "lossy64"}) {
+    ByteWriter w;
+    encode_read_request(ReadRequest{name, std::nullopt}, w);
+    const auto frame = encode_frame(kOpReadField, w.view());
+    requests.insert(requests.end(), frame.begin(), frame.end());
+  }
+  conn->send_all(requests);
+
+  FrameParser parser(kMaxResponseBody);
+  std::vector<Frame> frames;
+  Frame frame;
+  while (frames.size() < 2) {
+    std::uint8_t buf[16 << 10];
+    const std::size_t n = conn->recv_some(buf, 5000);
+    ASSERT_GT(n, 0u) << "server closed the connection";
+    parser.feed({buf, n});
+    while (parser.next(frame)) frames.push_back(std::move(frame));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(parser.pending_bytes(), 0u);
+
+  // Two pool workers answer, so the replies may arrive in either order.
+  const auto want32 = direct.read<float>("lossy32");
+  const auto want64 = direct.read<double>("lossy64");
+  std::set<std::uint8_t> dtypes;
+  for (const Frame& f : frames) {
+    ASSERT_EQ(f.kind, kStatusOk);
+    ByteReader in(f.body);
+    const ReadResponse resp = decode_read_response(in);
+    dtypes.insert(resp.dtype);
+    EXPECT_TRUE(resp.dtype == kDtypeF64 ? same_bytes(resp.values, want64)
+                                        : same_bytes(resp.values, want32));
+  }
+  EXPECT_EQ(dtypes.size(), 2u);
+  server.stop();
+  std::remove(path.c_str());
 }
 
 TEST(ServeDaemon, ShardedArchiveServesIdenticalBytesInBothFetchModes) {

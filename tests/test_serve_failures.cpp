@@ -224,6 +224,30 @@ TEST(ServeFailures, ActiveClientsSurviveIdleReaping) {
   std::remove(path.c_str());
 }
 
+TEST(ServeFailures, SlowReplyRestartsTheIdleClock) {
+  DisarmAll guard;
+  const std::string path = make_archive("slowreply.sza");
+  ServerConfig cfg = loopback_config("slowreply");
+  cfg.idle_timeout_ms = 60;
+  Server server(path, cfg);
+  server.start();
+
+  archive::ArchiveReader direct(path, {.threads = 1});
+  Client client("loopback", server.endpoint(), quick(/*retries=*/0));
+  // The next request stalls 150 ms on the server, longer than the idle
+  // timeout, before its reply goes out.  Sending that reply is traffic:
+  // the session must not be reaped the moment the reply has left, or the
+  // follow-up read 20 ms later lands on a closed connection.
+  fail::arm("serve.server.drop_request", {fail::Kind::kStall, 0, 1, 150});
+  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
+  EXPECT_EQ(client.reconnects(), 0u);
+
+  server.stop();
+  std::remove(path.c_str());
+}
+
 TEST(ServeFailures, DrainFinishesInFlightWorkAndRefusesNewConnections) {
   const std::string path = make_archive("drain.sza");
   Server server(path, loopback_config("drain"));
