@@ -15,14 +15,15 @@ namespace {
 template <typename T>
 std::vector<T> codec_decompress(const CodecOps& ops,
                                 std::span<const std::uint8_t> payload,
+                                const Dims& block_dims, std::size_t lead,
                                 const ExecPolicy& exec) {
   if constexpr (std::is_same_v<T, float>) {
-    return ops.decompress32(payload, exec);
+    return ops.decompress32(payload, block_dims, lead, exec);
   } else {
     if (ops.decompress64 == nullptr)
       throw std::runtime_error(std::string("archive: codec '") + ops.name +
                                "' has no f64 path");
-    return ops.decompress64(payload, exec);
+    return ops.decompress64(payload, block_dims, lead, exec);
   }
 }
 
@@ -231,7 +232,8 @@ ThreadPool& ArchiveReader::serving_pool() const {
 
 template <typename T>
 std::vector<T> ArchiveReader::decode_block(
-    const FieldEntry& f, std::size_t block_index, const ExecPolicy& exec,
+    const FieldEntry& f, std::size_t block_index, const Dims& block_dims,
+    std::size_t lead, const ExecPolicy& exec,
     std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
   // Zero-copy fast path: decode straight from the mmap'd payload.  When
@@ -271,7 +273,8 @@ std::vector<T> ArchiveReader::decode_block(
     payload = repaired;
   }
   const CodecOps& ops = *codec_by_id(f.codec);  // validated in read_footer
-  std::vector<T> block = codec_decompress<T>(ops, payload, exec);
+  std::vector<T> block =
+      codec_decompress<T>(ops, payload, block_dims, lead, exec);
   blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
   return block;
 }
@@ -366,12 +369,32 @@ std::vector<T> ArchiveReader::read(std::string_view name,
   // counters aggregate across all calls).
   std::atomic<std::uint64_t> call_repairs{0};
 
+  // A block that will not outlive this read (no cache to keep it, no
+  // single-flight followers to share it) is decoded only through the
+  // region's last plane along axis 0: the decode runs in scan order, so
+  // the planes past that one are never needed.  Decided once per read, so
+  // a cache enabled mid-read never receives a partial block.
+  const bool coalesce = coalescing();
+  const bool keep_blocks = coalesce || cache_.enabled();
+  const auto lead_of = [&](std::size_t i, const Dims& be) {
+    if (keep_blocks) return be.extent(0);
+    std::array<std::size_t, kMaxDims> bo{};
+    grid.block_origin(i, bo);
+    return std::min(be.extent(0),
+                    region.origin[0] + region.extent[0] - bo[0]);
+  };
+
   // Decode one block (size-validated) and hand it to the cache as an
-  // immutable shared vector; without the cache the plain vector is
-  // scattered and dropped.
+  // immutable shared vector; without the cache the plain vector (only its
+  // leading planes) is scattered and dropped.  scatter_block never reads
+  // past the lead: it copies only the block's intersection with the
+  // region.
   const auto decode_validated = [&](std::size_t i) {
-    std::vector<T> decoded = decode_block<T>(f, i, exec, &call_repairs);
-    const std::size_t expect = grid.block_extents(i).count();
+    const Dims be = grid.block_extents(i);
+    const std::size_t lead = lead_of(i, be);
+    std::vector<T> decoded =
+        decode_block<T>(f, i, be, lead, exec, &call_repairs);
+    const std::size_t expect = lead * (be.count() / be.extent(0));
     if (decoded.size() != expect)
       throw std::runtime_error("archive: block " + std::to_string(i) +
                                " of field '" + f.name + "' decoded to " +
@@ -380,7 +403,6 @@ std::vector<T> ArchiveReader::read(std::string_view name,
     return decoded;
   };
 
-  const bool coalesce = coalescing();
   const auto decode_and_scatter = [&](std::size_t i) {
     if (coalesce) {
       // Single-flight: the first thread in decodes for everyone racing on
@@ -414,7 +436,7 @@ std::vector<T> ArchiveReader::read(std::string_view name,
       return;
     }
     std::vector<T> decoded = decode_validated(i);
-    if (cache_.enabled()) {
+    if (keep_blocks) {
       const auto owned =
           std::make_shared<const std::vector<T>>(std::move(decoded));
       cache_.put<T>(fi, i, owned);

@@ -268,12 +268,15 @@ class ArchiveReader {
   }
 
  private:
-  /// pread + CRC + decode of one block (cache not consulted here).  A
-  /// CRC failure attempts parity reconstruction; on success `*repairs`
-  /// (when non-null) is bumped and the exact data is returned, otherwise
+  /// pread + CRC + decode of one block (cache not consulted here).  The
+  /// CRC covers the whole payload; the decode returns only the first
+  /// `lead` planes along axis 0 (CodecOps contract).  A CRC failure
+  /// attempts parity reconstruction; on success `*repairs` (when
+  /// non-null) is bumped and the exact data is returned, otherwise
   /// BlockDamagedError is thrown.
   template <typename T>
   std::vector<T> decode_block(const FieldEntry& f, std::size_t block_index,
+                              const Dims& block_dims, std::size_t lead,
                               const ExecPolicy& exec,
                               std::atomic<std::uint64_t>* repairs) const;
 

@@ -249,9 +249,10 @@ void ArchiveWriter::append_impl(const std::string& name,
   block_exec.pool = nullptr;  // block tasks are single-threaded
   block_exec.scratch = &scratch_;
 
-  // Gather + compress every block in parallel; payloads land in order.
+  // Gather + compress + checksum every block in parallel; payloads and
+  // their index entries land in order (offsets wait for the serial write).
   std::vector<std::vector<std::uint8_t>> payloads(n);
-  std::vector<std::pair<double, double>> ranges(n);
+  std::vector<BlockEntry> blocks(n);
   pool_->run_batch(n, [&](std::size_t i) {
     std::array<std::size_t, kMaxDims> origin{};
     grid.block_origin(i, origin);
@@ -267,8 +268,12 @@ void ArchiveWriter::append_impl(const std::string& name,
                    std::span<const std::size_t>(zero.data(), dims.rank()),
                    be.extents());
     const auto [lo, hi] = std::minmax_element(block.begin(), block.end());
-    ranges[i] = {static_cast<double>(*lo), static_cast<double>(*hi)};
     payloads[i] = codec_compress<T>(*ops, block, be, eb_abs, block_exec);
+    BlockEntry& b = blocks[i];
+    b.size = payloads[i].size();
+    b.crc = crc32(payloads[i]);
+    b.min = static_cast<double>(*lo);
+    b.max = static_cast<double>(*hi);
   });
 
   FieldEntry f;
@@ -278,19 +283,13 @@ void ArchiveWriter::append_impl(const std::string& name,
   f.eb_abs = ops->lossy ? eb_abs : 0.0;
   f.dims = dims;
   f.block_dims = grid.block();
-  f.blocks.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    BlockEntry b;
-    b.size = payloads[i].size();
-    b.crc = crc32(payloads[i]);
-    b.min = ranges[i].first;
-    b.max = ranges[i].second;
     // Sharded mode may roll to a new shard first, so the offset is only
     // known once payload_write has picked the destination.
-    b.offset = payload_offset();
+    blocks[i].offset = payload_offset();
     payload_write(payloads[i], "block payload write");
-    f.blocks.push_back(b);
   }
+  f.blocks = std::move(blocks);
   // Parity payloads ride AFTER the field's data payloads and BEFORE the
   // checkpoint, so a checkpoint never indexes parity that is not on disk.
   if (opts_.parity_group > 0) {

@@ -1,6 +1,7 @@
 #include "core/compressor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -154,22 +155,41 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
   return std::move(out).take();
 }
 
+/// The shape of the first `lead` planes of `dims` (axis 0 clamped).
+Dims leading_planes(const Dims& dims, std::size_t lead) {
+  if (lead == 0)
+    throw std::invalid_argument("sz14: lead must be at least one plane");
+  if (lead >= dims.extent(0)) return dims;
+  std::array<std::size_t, kMaxDims> e{};
+  std::copy(dims.extents().begin(), dims.extents().end(), e.begin());
+  e[0] = lead;
+  return Dims(std::span<const std::size_t>(e.data(), dims.rank()));
+}
+
 /// Shared decode core.  Exactly one of `fixed_out` (caller-owned buffer,
 /// must already match the element count) and `owned_out` (resized only
 /// AFTER the entropy stage has validated the stream, so a header claiming
 /// absurd extents is rejected before any allocation is attempted) is
 /// non-null.
+///
+/// Only the first `lead` planes along axis 0 are decoded.  Axis 0 is the
+/// slowest, every predictor tap reaches back in scan order, and border
+/// handling looks at coordinates only, so that prefix decodes exactly like
+/// a stream of dims {lead, d1, ...}: the walk runs on those dims and reads
+/// only the codes and unpredictable values inside them.  The entropy
+/// sections are still consumed and checked against the full header.
 template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
-                           const ExecPolicy& exec) {
+                           const ExecPolicy& exec, std::size_t lead) {
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
   if (h.dtype != dtype_of<T>())
     throw std::runtime_error("sz14: stream dtype mismatch (use decompress" +
                              std::string(h.dtype == kDtypeF64 ? "64" : "") +
                              ")");
-  if (!owned_out && fixed_out.size() != h.dims.count())
+  const Dims dims = leading_planes(h.dims, lead);
+  if (!owned_out && fixed_out.size() != dims.count())
     throw std::invalid_argument("sz14: output buffer size mismatch");
 
   // huffman_decode bounds its symbol count by the actual payload size, and
@@ -181,35 +201,36 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   std::vector<std::uint16_t> codes_own;
   std::vector<std::uint16_t>& codes =
       scratch_code_vector_or(exec.scratch, codes_own);
-  if (h.rans_entropy)
-    rans_decode_into(in, codes, h.dims.count());
-  else
-    huffman_decode_into(in, codes);
-  if (codes.size() != h.dims.count())
+  const std::size_t declared =
+      h.rans_entropy
+          ? rans_decode_into(in, codes, h.dims.count(), dims.count())
+          : huffman_decode_into(in, codes, dims.count());
+  if (declared != h.dims.count())
     throw std::runtime_error("sz14: quantization array size mismatch");
   const auto n_unpred_bytes = static_cast<std::size_t>(in.get_varint());
   const auto unpred_bytes = in.get_bytes(n_unpred_bytes);
 
   std::span<T> out = fixed_out;
   if (owned_out) {
-    owned_out->resize(h.dims.count());
+    owned_out->resize(dims.count());
     out = std::span<T>(*owned_out);
   }
 
-  const LayerPredictor predictor(h.dims, h.layers);
+  const LayerPredictor predictor(dims, h.layers);
   const LinearQuantizer quantizer(h.interval_bits, h.eb_abs);
   const UnpredictableCodecT<T> unpred(h.eb_abs);
   BitReader br(unpred_bytes);
-  detail::pq_decompress_walk<T>(codes, h.dims, predictor, quantizer, unpred,
+  detail::pq_decompress_walk<T>(codes, dims, predictor, quantizer, unpred,
                                 h.decorrelate, out, br, exec.scratch);
-  return {h.dims, h.eb_abs};
+  return {dims, h.eb_abs};
 }
 
 template <typename T, typename Result>
 Result decompress_impl(std::span<const std::uint8_t> stream,
-                       const ExecPolicy& exec) {
+                       const ExecPolicy& exec, std::size_t lead) {
   Result r;
-  const StreamInfo info = decompress_core<T>(stream, {}, &r.data, exec);
+  const StreamInfo info =
+      decompress_core<T>(stream, {}, &r.data, exec, lead);
   r.dims = info.dims;
   r.eb_abs = info.eb_abs;
   return r;
@@ -235,42 +256,34 @@ StreamDtype stream_dtype(std::span<const std::uint8_t> stream) {
   return h.dtype == kDtypeF64 ? StreamDtype::kF64 : StreamDtype::kF32;
 }
 
-DecompressResult decompress(std::span<const std::uint8_t> stream) {
-  return decompress_impl<float, DecompressResult>(stream, {});
-}
-
 DecompressResult decompress(std::span<const std::uint8_t> stream,
-                            const ExecPolicy& exec) {
-  return decompress_impl<float, DecompressResult>(stream, exec);
-}
-
-DecompressResult64 decompress64(std::span<const std::uint8_t> stream) {
-  return decompress_impl<double, DecompressResult64>(stream, {});
+                            const ExecPolicy& exec, std::size_t lead) {
+  return decompress_impl<float, DecompressResult>(stream, exec, lead);
 }
 
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
-                                const ExecPolicy& exec) {
-  return decompress_impl<double, DecompressResult64>(stream, exec);
+                                const ExecPolicy& exec, std::size_t lead) {
+  return decompress_impl<double, DecompressResult64>(stream, exec, lead);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<float> out) {
-  return decompress_core<float>(stream, out, nullptr, {});
+  return decompress_core<float>(stream, out, nullptr, {}, kAllPlanes);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out) {
-  return decompress_core<double>(stream, out, nullptr, {});
+  return decompress_core<double>(stream, out, nullptr, {}, kAllPlanes);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<float> out, const ExecPolicy& exec) {
-  return decompress_core<float>(stream, out, nullptr, exec);
+  return decompress_core<float>(stream, out, nullptr, exec, kAllPlanes);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out, const ExecPolicy& exec) {
-  return decompress_core<double>(stream, out, nullptr, exec);
+  return decompress_core<double>(stream, out, nullptr, exec, kAllPlanes);
 }
 
 }  // namespace sz14

@@ -110,18 +110,28 @@ struct DecompressResult64 {
   double eb_abs = 0.0;
 };
 
-/// Decompress a float32 stream.  Throws std::runtime_error on malformed
-/// input or dtype mismatch.  The ExecPolicy overloads take the scratch
-/// arena per call; decoding has one exact implementation, so `exec.mode`
-/// plays no part.
-DecompressResult decompress(std::span<const std::uint8_t> stream);
-DecompressResult decompress(std::span<const std::uint8_t> stream,
-                            const ExecPolicy& exec);
+/// `lead` value meaning "every plane": decode the whole stream.
+inline constexpr std::size_t kAllPlanes =
+    std::numeric_limits<std::size_t>::max();
 
-/// Decompress a float64 stream.
-DecompressResult64 decompress64(std::span<const std::uint8_t> stream);
+/// Decompress a float32 stream.  Throws std::runtime_error on malformed
+/// input or dtype mismatch.  `exec` supplies the scratch arena per call;
+/// decoding has one exact implementation, so `exec.mode` plays no part.
+///
+/// `lead` decodes only the first min(lead, extent(0)) planes along axis 0
+/// (the slowest): the values are bit-identical to that prefix of the full
+/// decode, the decode stops there, and the result's `dims` is the decoded
+/// shape {min(lead, extent(0)), d1, ...}.  The whole stream is still
+/// parsed and its header and entropy counts checked.  lead = 0 throws
+/// std::invalid_argument.
+DecompressResult decompress(std::span<const std::uint8_t> stream,
+                            const ExecPolicy& exec = {},
+                            std::size_t lead = kAllPlanes);
+
+/// Decompress a float64 stream (same contract as decompress()).
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
-                                const ExecPolicy& exec);
+                                const ExecPolicy& exec = {},
+                                std::size_t lead = kAllPlanes);
 
 /// Header facts returned by the in-place decompressors.
 struct StreamInfo {

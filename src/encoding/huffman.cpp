@@ -477,7 +477,8 @@ std::uint16_t HuffmanDecoder::decode_bitwise(BitReader& br) const {
 void huffman_decode_payload_into(const HuffmanDecoder& dec,
                                  std::span<const std::uint8_t> payload,
                                  std::size_t n_symbols,
-                                 std::vector<std::uint16_t>& out) {
+                                 std::vector<std::uint16_t>& out,
+                                 std::size_t limit) {
   if (n_symbols == 0) {
     out.clear();
     return;
@@ -491,6 +492,8 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
     throw std::runtime_error("huffman_decode: empty code table");
   if (n_symbols > payload.size() * 8 / min_len)
     throw std::runtime_error("huffman_decode: symbol count exceeds payload");
+  // The declared count is validated in full; only the decode stops early.
+  n_symbols = std::min(n_symbols, limit);
 
   // resize without a preceding clear(): the decode loop writes every
   // element, so a reused vector only pays value-initialization for the
@@ -567,17 +570,20 @@ std::vector<std::uint16_t> huffman_decode_payload(
   return out;
 }
 
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out) {
+std::size_t huffman_decode_into(ByteReader& in,
+                                std::vector<std::uint16_t>& out,
+                                std::size_t limit) {
   const auto lengths = huffman_read_lengths(in);
   const auto n_symbols = static_cast<std::size_t>(in.get_varint());
   const auto n_payload = static_cast<std::size_t>(in.get_varint());
   const auto payload = in.get_bytes(n_payload);
   if (n_symbols == 0) {
     out.clear();
-    return;
+    return 0;
   }
   const HuffmanDecoder dec(lengths);
-  huffman_decode_payload_into(dec, payload, n_symbols, out);
+  huffman_decode_payload_into(dec, payload, n_symbols, out, limit);
+  return n_symbols;
 }
 
 std::vector<std::uint16_t> huffman_decode(ByteReader& in) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -46,9 +47,14 @@ void huffman_encode(std::span<const std::uint16_t> symbols,
 /// input.
 std::vector<std::uint16_t> huffman_decode(ByteReader& in);
 
-/// huffman_decode() into a caller-owned vector (resized to the symbol
-/// count) so batch decoders can reuse its capacity across calls.
-void huffman_decode_into(ByteReader& in, std::vector<std::uint16_t>& out);
+/// huffman_decode() into a caller-owned vector so batch decoders can reuse
+/// its capacity across calls.  Decodes the first min(limit, n_symbols)
+/// symbols (`out` is resized to that) and returns the section's declared
+/// n_symbols.  The whole section is consumed from `in` and every header
+/// and bounds check runs whatever the limit.
+std::size_t huffman_decode_into(
+    ByteReader& in, std::vector<std::uint16_t>& out,
+    std::size_t limit = std::numeric_limits<std::size_t>::max());
 
 // --- split-phase API -------------------------------------------------------
 //
@@ -100,11 +106,12 @@ std::vector<std::uint16_t> huffman_decode_payload(
     std::size_t n_symbols);
 
 /// huffman_decode_payload() into a caller-owned vector (see
-/// huffman_decode_into).
-void huffman_decode_payload_into(const class HuffmanDecoder& dec,
-                                 std::span<const std::uint8_t> payload,
-                                 std::size_t n_symbols,
-                                 std::vector<std::uint16_t>& out);
+/// huffman_decode_into): `n_symbols` is checked against the payload, then
+/// the first min(limit, n_symbols) symbols are decoded.
+void huffman_decode_payload_into(
+    const class HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
+    std::size_t n_symbols, std::vector<std::uint16_t>& out,
+    std::size_t limit = std::numeric_limits<std::size_t>::max());
 
 /// Decoder table reusable across blocks.  decode() consults a primary
 /// kTableBits-wide prefix lookup table (one peek resolves any code of up to

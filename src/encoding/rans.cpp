@@ -174,7 +174,8 @@ RansDecoder::RansDecoder(std::span<const std::uint32_t> freqs)
 
 void RansDecoder::decode_payload_into(std::span<const std::uint8_t> payload,
                                       std::size_t n_symbols,
-                                      std::vector<std::uint16_t>& out) const {
+                                      std::vector<std::uint16_t>& out,
+                                      std::size_t limit) const {
   if (n_symbols == 0) {
     out.clear();
     return;
@@ -195,9 +196,10 @@ void RansDecoder::decode_payload_into(std::span<const std::uint8_t> payload,
     if (x[lane] < kRansL || x[lane] >= (kRansL << 8))
       throw std::runtime_error("rans: initial state out of interval");
   }
-  out.resize(n_symbols);
+  const std::size_t n_decode = std::min(n_symbols, limit);
+  out.resize(n_decode);
   constexpr std::uint32_t mask = kRansProbScale - 1;
-  for (std::size_t i = 0; i < n_symbols; ++i) {
+  for (std::size_t i = 0; i < n_decode; ++i) {
     std::uint32_t& st = x[i & 1];
     const std::uint32_t slot = st & mask;
     const std::uint16_t s = slot2sym_[slot];
@@ -211,6 +213,8 @@ void RansDecoder::decode_payload_into(std::span<const std::uint8_t> payload,
   }
   // A well-formed stream returns both states to the encoder's initial
   // kRansL and consumes every payload byte; anything else is corruption.
+  // A prefix decode stops mid-stream, where neither holds yet.
+  if (n_decode < n_symbols) return;
   if (x[0] != kRansL || x[1] != kRansL)
     throw std::runtime_error("rans: final state mismatch");
   if (p != end)
@@ -240,8 +244,8 @@ void rans_encode(std::span<const std::uint16_t> symbols,
   out.put_bytes(payload);
 }
 
-void rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                      std::size_t max_symbols) {
+std::size_t rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
+                             std::size_t max_symbols, std::size_t limit) {
   if (in.get<std::uint32_t>() != kRansMagic)
     throw std::runtime_error("rans: bad section magic");
   const auto freqs = rans_read_freqs(in);
@@ -260,10 +264,11 @@ void rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
     if (n_payload != 0)
       throw std::runtime_error("rans: nonempty payload for empty stream");
     out.clear();
-    return;
+    return 0;
   }
   const RansDecoder dec(freqs);
-  dec.decode_payload_into(payload, n_symbols, out);
+  dec.decode_payload_into(payload, n_symbols, out, limit);
+  return n_symbols;
 }
 
 std::vector<std::uint16_t> rans_decode(ByteReader& in,

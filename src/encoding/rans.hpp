@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -87,13 +88,16 @@ class RansDecoder {
   /// they sum to exactly kRansProbScale.
   explicit RansDecoder(std::span<const std::uint32_t> freqs);
 
-  /// Decode exactly `n_symbols` from a rans_append_payload() payload into
-  /// `out` (resized).  Throws std::runtime_error on truncated or corrupt
-  /// payloads: out-of-interval initial states, renormalization running past
-  /// the payload end, or final states that do not return to kRansL.
-  void decode_payload_into(std::span<const std::uint8_t> payload,
-                           std::size_t n_symbols,
-                           std::vector<std::uint16_t>& out) const;
+  /// Decode the first min(limit, n_symbols) of the `n_symbols` symbols of
+  /// a rans_append_payload() payload into `out` (resized to that count).
+  /// Throws std::runtime_error on truncated or corrupt payloads:
+  /// out-of-interval initial states or renormalization running past the
+  /// payload end; and, when all n_symbols are decoded, final states that
+  /// do not return to kRansL or unconsumed trailing bytes.
+  void decode_payload_into(
+      std::span<const std::uint8_t> payload, std::size_t n_symbols,
+      std::vector<std::uint16_t>& out,
+      std::size_t limit = std::numeric_limits<std::size_t>::max()) const;
 
   [[nodiscard]] std::size_t alphabet_size() const noexcept {
     return freq_.size();
@@ -115,9 +119,12 @@ void rans_encode(std::span<const std::uint16_t> symbols,
 /// Inverse of rans_encode().  `max_symbols` caps the declared symbol count
 /// BEFORE any allocation — unlike Huffman, a degenerate one-symbol rANS
 /// stream spends ~0 bits per symbol, so the payload size bounds nothing and
-/// the caller must supply the count it expects (e.g. dims.count()).
-void rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                      std::size_t max_symbols);
+/// the caller must supply the count it expects (e.g. dims.count()).  Like
+/// huffman_decode_into(), decodes the first min(limit, n_symbols) symbols,
+/// consumes the whole section from `in` and returns the declared count.
+std::size_t rans_decode_into(
+    ByteReader& in, std::vector<std::uint16_t>& out, std::size_t max_symbols,
+    std::size_t limit = std::numeric_limits<std::size_t>::max());
 std::vector<std::uint16_t> rans_decode(ByteReader& in,
                                        std::size_t max_symbols);
 

@@ -98,11 +98,12 @@ std::vector<T> expect_walks_match(std::span<const T> data, const Dims& dims,
 }
 
 template <typename T>
-std::vector<T> decode_stream(std::span<const std::uint8_t> stream) {
+std::vector<T> decode_stream(std::span<const std::uint8_t> stream,
+                             std::size_t lead = kAllPlanes) {
   if constexpr (std::is_same_v<T, float>) {
-    return decompress(stream).data;
+    return decompress(stream, {}, lead).data;
   } else {
-    return decompress64(stream).data;
+    return decompress64(stream, {}, lead).data;
   }
 }
 
@@ -195,6 +196,83 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
                          decompress(compress(f.values, f.dims, opts)).data,
                          f.name);
   }
+}
+
+/// Prefix decode: for every lead, decompress(stream, {}, lead) returns
+/// exactly the first `lead` planes (axis 0) of the full decode, bit for
+/// bit; a lead at or past extent(0) is the full decode.
+template <typename T>
+void run_prefix_equivalence(const Dims& dims, EntropyBackend entropy,
+                            unsigned layers, bool decorrelate) {
+  const auto values =
+      to_dtype<T>(adversarial_values(dims.count(), 77 + dims.rank()));
+  Options opts;
+  opts.eb_abs = 1e-3;
+  opts.layers = layers;
+  opts.decorrelate = decorrelate;
+  opts.exec.entropy = entropy;
+  const auto stream = compress(std::span<const T>(values), dims, opts);
+  const std::string what =
+      "dims=" + dims.to_string() + " layers=" + std::to_string(layers) +
+      " decorrelate=" + std::to_string(decorrelate) +
+      " rans=" + std::to_string(entropy == EntropyBackend::kRans);
+  const auto full = decode_stream<T>(stream);
+  ASSERT_EQ(full.size(), dims.count()) << what;
+  const std::size_t e0 = dims.extent(0);
+  const std::size_t plane = dims.count() / e0;
+  for (std::size_t lead = 1; lead <= e0; ++lead) {
+    const std::vector<T> want(full.begin(),
+                              full.begin() + static_cast<std::ptrdiff_t>(
+                                                 lead * plane));
+    expect_bitwise_equal(want, decode_stream<T>(stream, lead),
+                         what + " lead=" + std::to_string(lead));
+  }
+  for (const std::size_t lead : {e0 + 1, e0 + 7, kAllPlanes})
+    expect_bitwise_equal(full, decode_stream<T>(stream, lead),
+                         what + " lead>=extent0");
+
+  // Damage is still caught with a lead: every truncation, and a flipped
+  // header extent (the entropy count no longer matches dims).
+  const std::size_t step = std::max<std::size_t>(1, stream.size() / 61);
+  for (std::size_t len = 0; len < stream.size(); len += step) {
+    const std::span<const std::uint8_t> cut(stream.data(), len);
+    EXPECT_ANY_THROW((void)decode_stream<T>(cut)) << what << " len=" << len;
+    EXPECT_ANY_THROW((void)decode_stream<T>(cut, 1)) << what << " len=" << len;
+  }
+  // Header: magic(4) version dtype flags rank, then one varint byte per
+  // extent (every test extent is < 128).
+  constexpr std::size_t kFirstExtentByte = 8;
+  for (std::size_t a = 0; a < dims.rank(); ++a) {
+    auto flipped = stream;
+    flipped[kFirstExtentByte + a] ^= 0x01;
+    EXPECT_ANY_THROW((void)decode_stream<T>(flipped)) << what << " axis " << a;
+    EXPECT_ANY_THROW((void)decode_stream<T>(flipped, 1))
+        << what << " axis " << a;
+  }
+}
+
+TEST(PrefixDecode, LeadingPlanesMatchFullDecode) {
+  const Dims shapes[] = {Dims{97}, Dims{13, 17}, Dims{7, 9, 11},
+                         Dims{4, 3, 5, 6}};
+  for (const Dims& d : shapes)
+    for (const EntropyBackend entropy :
+         {EntropyBackend::kHuffman, EntropyBackend::kRans})
+      for (unsigned layers : {1u, 2u})
+        for (bool dec : {false, true}) {
+          run_prefix_equivalence<float>(d, entropy, layers, dec);
+          run_prefix_equivalence<double>(d, entropy, layers, dec);
+        }
+}
+
+TEST(PrefixDecode, ReportsDecodedShapeAndRejectsZeroLead) {
+  const auto f = data::hurricane3d(8, 12, 12);
+  Options opts;
+  opts.eb_abs = 1e-3;
+  const auto stream = compress(f.values, f.dims, opts);
+  const auto r = decompress(stream, {}, 3);
+  EXPECT_TRUE(r.dims == (Dims{3, 12, 12}));
+  EXPECT_EQ(r.data.size(), r.dims.count());
+  EXPECT_THROW((void)decompress(stream, {}, 0), std::invalid_argument);
 }
 
 TEST(DecompressInto, MatchesDecompressAndValidatesSize) {
