@@ -27,6 +27,35 @@ std::vector<T> codec_decompress(const CodecOps& ops,
   }
 }
 
+/// Copy the intersection of block `i` (decoded, at least through the
+/// region's last axis-0 plane) and the read's region into its output.
+template <typename T>
+void scatter_block(const BlockGrid& grid, std::size_t i,
+                   const std::vector<T>& block, PartialRead<T>& r) {
+  const Region& region = r.region;
+  std::array<std::size_t, kMaxDims> bo{};
+  grid.block_origin(i, bo);
+  const Dims be = grid.block_extents(i);
+  std::array<std::size_t, kMaxDims> src_origin{};  // block-local
+  std::array<std::size_t, kMaxDims> dst_origin{};  // region-local
+  std::array<std::size_t, kMaxDims> ext{};
+  for (std::size_t a = 0; a < region.rank; ++a) {
+    const std::size_t lo = std::max(bo[a], region.origin[a]);
+    const std::size_t hi = std::min(bo[a] + be.extent(a),
+                                    region.origin[a] + region.extent[a]);
+    src_origin[a] = lo - bo[a];
+    dst_origin[a] = lo - region.origin[a];
+    ext[a] = hi - lo;
+  }
+  copy_subcuboid(block.data(), be,
+                 std::span<const std::size_t>(src_origin.data(),
+                                              region.rank),
+                 r.out.data(), region.shape(),
+                 std::span<const std::size_t>(dst_origin.data(),
+                                              region.rank),
+                 std::span<const std::size_t>(ext.data(), region.rank));
+}
+
 }  // namespace
 
 std::string ArchiveReader::try_open_at(std::uint64_t end) {
@@ -280,15 +309,8 @@ std::vector<T> ArchiveReader::decode_block(
 }
 
 template <class T>
-std::vector<T> ArchiveReader::read(std::string_view name,
-                                   const std::optional<Region>& wanted,
-                                   ReadDamage* damage) const {
-  // Degraded-mode reads without a report collect holes into a local one
-  // (the caller only sees zero-fill + counters).
-  ReadDamage local_damage;
-  if (damage == nullptr && opts_.open == OpenMode::kDegraded)
-    damage = &local_damage;
-
+PartialRead<T> ArchiveReader::probe(std::string_view name,
+                                    const std::optional<Region>& wanted) const {
   const std::size_t fi = field_index(name);
   const FieldEntry& f = fields_[fi];
   const Region region = wanted ? *wanted : Region::whole(f.dims);
@@ -310,20 +332,47 @@ std::vector<T> ArchiveReader::read(std::string_view name,
                                   "axis " + std::to_string(a));
   }
 
+  // One lookup per touched block: a hit is scattered here, a miss is left
+  // for decode(), which never probes again (the single-flight leader's
+  // re-probe aside), so the hit/miss counters see each block once.  The
+  // output is allocated on the first hit, so a probe that finds nothing
+  // leaves that cost to decode() on the pool.
+  PartialRead<T> r{.field = fi, .region = region, .out = {}, .misses = {}};
   const BlockGrid grid(f.dims, f.block_dims);
-  const Dims out_dims = region.shape();
-  std::vector<T> out(out_dims.count());
+  for (std::size_t i = 0; i < grid.block_count(); ++i) {
+    if (!grid.intersects(i, region)) continue;
+    if (const auto cached = cache_.get<T>(fi, i)) {
+      if (r.out.empty()) r.out.resize(region.shape().count());
+      scatter_block(grid, i, *cached, r);
+    } else {
+      r.misses.push_back(i);
+    }
+  }
+  return r;
+}
 
-  std::vector<std::size_t> touched;
-  for (std::size_t i = 0; i < grid.block_count(); ++i)
-    if (grid.intersects(i, region)) touched.push_back(i);
+template <class T>
+void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
+  if (r.complete()) return;
+  // Degraded-mode reads without a report collect holes into a local one
+  // (the caller only sees zero-fill + counters).
+  ReadDamage local_damage;
+  if (damage == nullptr && opts_.open == OpenMode::kDegraded)
+    damage = &local_damage;
 
-  // Mapped block scan: ask the kernel to fault the touched payload range
+  const std::size_t fi = r.field;
+  const FieldEntry& f = fields_[fi];
+  const Region& region = r.region;
+  const BlockGrid grid(f.dims, f.block_dims);
+  const std::vector<std::size_t>& misses = r.misses;
+  if (r.out.empty()) r.out.resize(region.shape().count());
+
+  // Mapped block scan: ask the kernel to fault the missed payload range
   // in ahead of the decodes (blocks of one field are laid out in append
-  // order, so touched.front()..touched.back() bounds the byte range).
-  if (touched.size() > 1) {
-    const BlockEntry& first = f.blocks[touched.front()];
-    const BlockEntry& last = f.blocks[touched.back()];
+  // order, so misses.front()..misses.back() bounds the byte range).
+  if (misses.size() > 1) {
+    const BlockEntry& first = f.blocks[misses.front()];
+    const BlockEntry& last = f.blocks[misses.back()];
     source_.advise(first.offset, last.offset + last.size - first.offset,
                    PreadFile::Advice::kWillNeed);
   }
@@ -331,38 +380,6 @@ std::vector<T> ArchiveReader::read(std::string_view name,
   // Per-read execution policy: block tasks are single-threaded (no pool)
   // and draw their buffers from the reader's arena.
   const ExecPolicy exec{.scratch = &scratch_};
-
-  // Intersection of block cuboid and region, then strided copy.
-  const auto scatter_block = [&](std::size_t i, const std::vector<T>& block) {
-    std::array<std::size_t, kMaxDims> bo{};
-    grid.block_origin(i, bo);
-    const Dims be = grid.block_extents(i);
-    std::array<std::size_t, kMaxDims> src_origin{};  // block-local
-    std::array<std::size_t, kMaxDims> dst_origin{};  // region-local
-    std::array<std::size_t, kMaxDims> ext{};
-    for (std::size_t a = 0; a < region.rank; ++a) {
-      const std::size_t lo = std::max(bo[a], region.origin[a]);
-      const std::size_t hi = std::min(bo[a] + be.extent(a),
-                                      region.origin[a] + region.extent[a]);
-      src_origin[a] = lo - bo[a];
-      dst_origin[a] = lo - region.origin[a];
-      ext[a] = hi - lo;
-    }
-    copy_subcuboid(block.data(), be,
-                   std::span<const std::size_t>(src_origin.data(),
-                                                region.rank),
-                   out.data(), out_dims,
-                   std::span<const std::size_t>(dst_origin.data(),
-                                                region.rank),
-                   std::span<const std::size_t>(ext.data(), region.rank));
-  };
-
-  const auto try_cached = [&](std::size_t i) -> bool {
-    const auto cached = cache_.get<T>(fi, i);
-    if (!cached) return false;
-    scatter_block(i, *cached);
-    return true;
-  };
 
   // Per-call repair tally: decode_block bumps it so the damage report can
   // say how many of THIS call's blocks were reconstructed (the member
@@ -412,7 +429,7 @@ std::vector<T> ArchiveReader::read(std::string_view name,
       if (!leader) {
         const auto shared = std::static_pointer_cast<const std::vector<T>>(
             flight_.wait(*entry));
-        scatter_block(i, *shared);
+        scatter_block(grid, i, *shared, r);
         return;
       }
       // Leadership re-probe: a decode that finished between our cache miss
@@ -420,7 +437,7 @@ std::vector<T> ArchiveReader::read(std::string_view name,
       // decoding the block a second time.
       if (const auto cached = cache_.get<T>(fi, i)) {
         flight_.publish(fi, i, *entry, cached, nullptr);
-        scatter_block(i, *cached);
+        scatter_block(grid, i, *cached, r);
         return;
       }
       std::shared_ptr<const std::vector<T>> owned;
@@ -432,7 +449,7 @@ std::vector<T> ArchiveReader::read(std::string_view name,
       }
       cache_.put<T>(fi, i, owned);
       flight_.publish(fi, i, *entry, owned, nullptr);
-      scatter_block(i, *owned);
+      scatter_block(grid, i, *owned, r);
       return;
     }
     std::vector<T> decoded = decode_validated(i);
@@ -440,9 +457,9 @@ std::vector<T> ArchiveReader::read(std::string_view name,
       const auto owned =
           std::make_shared<const std::vector<T>>(std::move(decoded));
       cache_.put<T>(fi, i, owned);
-      scatter_block(i, *owned);
+      scatter_block(grid, i, *owned, r);
     } else {
-      scatter_block(i, decoded);
+      scatter_block(grid, i, decoded, r);
     }
   };
 
@@ -454,7 +471,8 @@ std::vector<T> ArchiveReader::read(std::string_view name,
   std::mutex hole_mutex;
   const std::size_t holes_before =
       damage != nullptr ? damage->holes.size() : 0;
-  const auto decode_or_hole = [&](std::size_t i) {
+  const auto decode_or_hole = [&](std::size_t t) {
+    const std::size_t i = misses[t];
     if (damage == nullptr) {
       decode_and_scatter(i);
       return;
@@ -468,44 +486,40 @@ std::vector<T> ArchiveReader::read(std::string_view name,
                                         e.detail()});
     }
   };
-  const auto serve_block = [&](std::size_t t) {
-    const std::size_t i = touched[t];
-    if (!try_cached(i)) decode_or_hole(i);
-  };
-
-  const auto finish_damage = [&] {
-    if (damage == nullptr) return;
-    damage->repaired += call_repairs.load(std::memory_order_relaxed);
-    if (damage->holes.size() > holes_before)
-      degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  // A single-block read probes the cache ONCE inline: a hit scatters with
-  // no decode and no pool dispatch — the hot-serving fast path — and a
-  // known miss goes straight to a pool decode without re-probing, so the
-  // hit/miss counters see exactly one lookup per block served.
-  if (touched.size() == 1) {
-    const std::size_t i = touched[0];
-    if (!try_cached(i))
-      serving_pool().run_batch(1, [&](std::size_t) { decode_or_hole(i); });
-    finish_damage();
-    return out;
-  }
 
   // Pipelined serving: each pool task preads its own payload and decodes
-  // immediately, so one block's I/O overlaps another's decompression (the
-  // old path read every payload through a shared cursor before decoding
-  // anything).  Decodes run ONLY on pool workers — a bounded thread set —
-  // so the reader's scratch arena cannot grow with an unbounded stream of
+  // immediately, so one block's I/O overlaps another's decompression.
+  // Decodes run ONLY on pool workers — a bounded thread set — so the
+  // reader's scratch arena cannot grow with an unbounded stream of
   // short-lived caller threads (see the CodecScratch lifetime note).
-  serving_pool().run_batch(touched.size(), serve_block);
-  finish_damage();
-  return out;
+  serving_pool().run_batch(misses.size(), decode_or_hole);
+  r.misses.clear();
+  if (damage == nullptr) return;
+  damage->repaired += call_repairs.load(std::memory_order_relaxed);
+  if (damage->holes.size() > holes_before)
+    degraded_reads_.fetch_add(1, std::memory_order_relaxed);
+}
+
+template <class T>
+std::vector<T> ArchiveReader::read(std::string_view name,
+                                   const std::optional<Region>& region,
+                                   ReadDamage* damage) const {
+  PartialRead<T> r = probe<T>(name, region);
+  decode(r, damage);
+  return std::move(r.out);
 }
 
 template std::vector<float> ArchiveReader::read<float>(
     std::string_view, const std::optional<Region>&, ReadDamage*) const;
 template std::vector<double> ArchiveReader::read<double>(
     std::string_view, const std::optional<Region>&, ReadDamage*) const;
+template PartialRead<float> ArchiveReader::probe<float>(
+    std::string_view, const std::optional<Region>&) const;
+template PartialRead<double> ArchiveReader::probe<double>(
+    std::string_view, const std::optional<Region>&) const;
+template void ArchiveReader::decode<float>(PartialRead<float>&,
+                                           ReadDamage*) const;
+template void ArchiveReader::decode<double>(PartialRead<double>&,
+                                            ReadDamage*) const;
 
 }  // namespace sz14::archive

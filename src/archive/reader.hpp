@@ -7,9 +7,12 @@
 // optional decoded-block cache is an internally locked LRU — so read<T>()
 // is const and data-race-free.
 //
-// Each intersecting block is served as ONE pool task that preads its
-// payload, checksums, decodes, and scatters — so block i's I/O overlaps
-// block j's decompression instead of an all-payloads-first barrier.
+// A read is two steps.  probe() runs on the calling thread: it validates
+// the request, looks each intersecting block up in the decoded-block
+// cache once and scatters the hits.  decode() serves each miss as ONE
+// pool task that preads its payload, checksums, decodes, and scatters —
+// so block i's I/O overlaps block j's decompression instead of an
+// all-payloads-first barrier.  A fully cached read never touches the pool.
 //
 // `blocks_decoded()` counts every block decode since construction (or the
 // last reset), which is how tests and benches verify that a region read
@@ -137,6 +140,19 @@ class BlockDamagedError : public std::runtime_error {
   std::string detail_;
 };
 
+/// A region read split at the cache (see ArchiveReader::probe): `out`
+/// holds every cached block's part of the region, `misses` the touched
+/// blocks still to decode.
+template <class T>
+struct PartialRead {
+  std::size_t field = 0;  ///< index into ArchiveReader::fields()
+  Region region;          ///< the validated request
+  /// Row-major, shaped region.extent; empty until the first block lands.
+  std::vector<T> out;
+  std::vector<std::size_t> misses;  ///< block indices not yet in `out`
+  [[nodiscard]] bool complete() const noexcept { return misses.empty(); }
+};
+
 class ArchiveReader {
  public:
   /// Opens and indexes `path`, which may name a single-file `.sza`
@@ -204,7 +220,8 @@ class ArchiveReader {
   /// mismatches, has a zero extent, or exceeds the field bounds;
   /// std::runtime_error on checksum/decode failure.  Thread-safe: any
   /// number of threads may call concurrently on one reader, with results
-  /// bit-identical to sequential calls.
+  /// bit-identical to sequential calls.  It is probe() then decode(): a
+  /// fully cached read runs on the calling thread alone.
   ///
   /// With a `damage` report a damaged BLOCK never throws (index and
   /// argument errors still do): a CRC-failed block is reconstructed from
@@ -216,6 +233,22 @@ class ArchiveReader {
       std::string_view name,
       const std::optional<Region>& region = std::nullopt,
       ReadDamage* damage = nullptr) const;
+
+  /// read<T>'s first step, on the calling thread: validate the request
+  /// (throwing like read<T>), look every touched block up in the cache
+  /// exactly once and scatter the hits into the result.  Never decodes,
+  /// never touches the pool.
+  template <class T>
+  [[nodiscard]] PartialRead<T> probe(
+      std::string_view name,
+      const std::optional<Region>& region = std::nullopt) const;
+
+  /// read<T>'s second step: decode `read.misses` on the serving pool
+  /// (with no second cache probe) and scatter them into `read.out`, which
+  /// is then complete.  `damage` as for read<T>.  A no-op on a complete
+  /// read.
+  template <class T>
+  void decode(PartialRead<T>& read, ReadDamage* damage = nullptr) const;
 
   /// read<float>(name, region), kept for perfbench/bench.cpp.
   [[deprecated("perfbench only; ROADMAP item 8")]] [[nodiscard]]
@@ -333,5 +366,13 @@ extern template std::vector<float> ArchiveReader::read<float>(
     std::string_view, const std::optional<Region>&, ReadDamage*) const;
 extern template std::vector<double> ArchiveReader::read<double>(
     std::string_view, const std::optional<Region>&, ReadDamage*) const;
+extern template PartialRead<float> ArchiveReader::probe<float>(
+    std::string_view, const std::optional<Region>&) const;
+extern template PartialRead<double> ArchiveReader::probe<double>(
+    std::string_view, const std::optional<Region>&) const;
+extern template void ArchiveReader::decode<float>(PartialRead<float>&,
+                                                  ReadDamage*) const;
+extern template void ArchiveReader::decode<double>(PartialRead<double>&,
+                                                   ReadDamage*) const;
 
 }  // namespace sz14::archive

@@ -6,6 +6,7 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "archive/scrub.hpp"
@@ -21,12 +22,13 @@
 namespace sz14::serve {
 
 /// Per-connection state.  The parser and the read side of the fd belong to
-/// the event thread; the outbox and the write side are the cross-thread
+/// the session's loop; the outbox and the write side are the cross-thread
 /// surface: whoever holds out_mutex may run the write loop (a worker
-/// sending its own reply, or the event thread's POLLOUT flush).  `closed`
-/// gates late worker responses after the session is gone.
+/// sending its own reply, or the loop's POLLOUT flush).  `closed` gates
+/// late worker responses after the session is gone.
 struct Server::Session {
   std::uint64_t id = 0;
+  Loop* loop = nullptr;  // set before the hand-off, fixed for life
   std::unique_ptr<Connection> conn;
   FrameParser parser{kMaxRequestBody};
   std::mutex out_mutex;
@@ -38,7 +40,7 @@ struct Server::Session {
   /// Read requests handed to the pool whose response has not been sent or
   /// queued yet; a session is never idle-reaped or drain-closed while > 0.
   std::atomic<int> inflight{0};
-  /// Last inbound readiness (event-thread-only).
+  /// Last inbound readiness (the loop's only).
   std::chrono::steady_clock::time_point last_activity{};
   /// Last time the write loop moved bytes, from any thread (stored under
   /// out_mutex).  The idle clock runs from the later of the two.
@@ -93,21 +95,24 @@ void Server::start() {
                                 config_.transport + "'");
   listener_ = t->listen(config_.endpoint);
   endpoint_ = listener_->endpoint();
-  if (::pipe(wake_pipe_) < 0) {
-    listener_.reset();
-    throw std::runtime_error("serve: cannot create wakeup pipe");
+  for (std::size_t i = 0; i < pool_.thread_count(); ++i) {
+    Loop& loop = *loops_.emplace_back(std::make_unique<Loop>());
+    if (::pipe(loop.wake_pipe) < 0) {
+      loops_.clear();
+      listener_.reset();
+      throw std::runtime_error("serve: cannot create wakeup pipe");
+    }
+    for (const int fd : loop.wake_pipe)
+      (void)::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   }
-  for (const int fd : wake_pipe_)
-    (void)::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   running_.store(true);
-  event_thread_ = std::thread([this] { event_loop(); });
+  for (const auto& loop : loops_)
+    loop->thread = std::thread([this, &l = *loop] { event_loop(l); });
 }
 
 void Server::stop() {
-  if (!running_.exchange(false)) {
-    if (!event_thread_.joinable()) return;
-  }
-  wake();
+  if (!running_.exchange(false) && loops_.empty()) return;
+  wake_all();
   teardown();
 }
 
@@ -119,33 +124,40 @@ void Server::drain(int grace_ms) {
   drain_grace_ms_.store(grace_ms < 0 ? 0 : grace_ms,
                         std::memory_order_relaxed);
   draining_.store(true);
-  wake();
-  // The event loop exits on its own once every session drained (or the
-  // grace deadline force-closed the stragglers).
+  wake_all();
+  // Each loop exits on its own once its sessions drained (or the grace
+  // deadline force-closed the stragglers).
   teardown();
   running_.store(false, std::memory_order_relaxed);
   draining_.store(false, std::memory_order_relaxed);
 }
 
 void Server::teardown() {
-  if (event_thread_.joinable()) event_thread_.join();
-  // In-flight read tasks may still be enqueueing; let them finish against
-  // live (if already closed, silently dropped) sessions before teardown.
+  for (const auto& loop : loops_)
+    if (loop->thread.joinable()) loop->thread.join();
+  // In-flight read tasks may still be enqueueing (and ringing their
+  // loop's pipe); let them finish against live (if already closed,
+  // silently dropped) sessions before the loops go.
   pool_.wait();
-  sessions_.clear();
+  loops_.clear();  // drops every session left in a table or an inbox
   sessions_active_.store(0, std::memory_order_relaxed);
   listener_.reset();
-  for (int& fd : wake_pipe_) {
+}
+
+Server::Loop::~Loop() {
+  for (const int fd : wake_pipe)
     if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
 }
 
-void Server::wake() noexcept {
-  if (wake_pipe_[1] >= 0) (void)!::write(wake_pipe_[1], "x", 1);
+void Server::Loop::wake() noexcept {
+  if (wake_pipe[1] >= 0) (void)!::write(wake_pipe[1], "x", 1);
 }
 
-void Server::event_loop() {
+void Server::wake_all() noexcept {
+  for (const auto& loop : loops_) loop->wake();
+}
+
+void Server::event_loop(Loop& loop) {
   using Clock = std::chrono::steady_clock;
   const auto ms_between = [](Clock::time_point from, Clock::time_point to) {
     return std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
@@ -158,33 +170,45 @@ void Server::event_loop() {
         std::max(s.last_activity, s.last_reply.load(std::memory_order_relaxed)),
         now);
   };
+  auto& sessions = loop.sessions;
+  const bool accepts = &loop == loops_.front().get();
   std::vector<struct pollfd> pfds;
   std::vector<std::uint64_t> ids;  // session id per pollfd slot (0 = none)
   std::vector<std::uint64_t> doomed;
   bool drain_started = false;
   Clock::time_point drain_deadline{};
   while (running_.load(std::memory_order_relaxed)) {
+    // Sessions the accepting loop handed over since the last tick.
+    {
+      std::lock_guard<std::mutex> lock(loop.inbox_mutex);
+      for (auto& s : loop.inbox) {
+        s->input_dead = s->input_dead || drain_started;
+        sessions.emplace(s->id, std::move(s));
+      }
+      loop.inbox.clear();
+    }
     // Graceful drain: on the first tick after drain() was requested, stop
-    // accepting (close the listener — safe here, only this thread uses
-    // it) and stop READING every session; what remains is flushing
-    // responses for requests already in flight.
+    // accepting (the accepting loop closes the listener — safe here, only
+    // its thread uses it) and stop READING every session; what remains is
+    // flushing responses for requests already in flight.
     if (!drain_started && draining_.load()) {
       drain_started = true;
       drain_deadline =
           Clock::now() + std::chrono::milliseconds(
                              drain_grace_ms_.load(std::memory_order_relaxed));
-      listener_.reset();
-      for (const auto& [id, s] : sessions_) s->input_dead = true;
+      if (accepts) listener_.reset();
+      for (const auto& [id, s] : sessions) s->input_dead = true;
     }
     if (drain_started) {
       // Before blocking: close each session the moment it has nothing left
       // to say, and leave the loop when the table is empty or the grace
       // budget is gone.  (Checked after the poll instead, an idle server
       // would sleep through its whole grace budget: nothing rings the
-      // wake pipe again once drain() has.)
+      // wake pipe again once drain() has.)  A session handed over after
+      // this loop left has sent nothing; teardown() closes it.
       doomed.clear();
       const bool expired = Clock::now() >= drain_deadline;
-      for (const auto& [id, s] : sessions_) {
+      for (const auto& [id, s] : sessions) {
         if (expired) {
           doomed.push_back(id);
           continue;
@@ -195,22 +219,22 @@ void Server::event_loop() {
         std::lock_guard<std::mutex> lock(s->out_mutex);
         if (s->outbox.empty()) doomed.push_back(id);
       }
-      for (const auto id : doomed) close_session(id);
-      if (sessions_.empty()) break;
+      for (const auto id : doomed) close_session(loop, id);
+      if (sessions.empty()) break;
     }
 
     pfds.clear();
     ids.clear();
-    pfds.push_back({wake_pipe_[0], POLLIN, 0});
+    pfds.push_back({loop.wake_pipe[0], POLLIN, 0});
     ids.push_back(0);
     std::size_t listener_slot = 0;  // 0 = not polled (draining)
-    if (listener_) {
+    if (accepts && listener_) {
       listener_slot = pfds.size();
       pfds.push_back({listener_->fd(), POLLIN, 0});
       ids.push_back(0);
     }
     const std::size_t first_session = pfds.size();
-    for (const auto& [id, s] : sessions_) {
+    for (const auto& [id, s] : sessions) {
       short events = 0;
       if (!s->input_dead) events |= POLLIN;
       bool pending;
@@ -228,7 +252,7 @@ void Server::event_loop() {
     int timeout = -1;
     const Clock::time_point now_before = Clock::now();
     if (config_.idle_timeout_ms > 0) {
-      for (const auto& [id, s] : sessions_) {
+      for (const auto& [id, s] : sessions) {
         const long long left =
             config_.idle_timeout_ms - idle_ms(*s, now_before);
         const int t = left > 0 ? static_cast<int>(left) : 0;
@@ -246,7 +270,7 @@ void Server::event_loop() {
 
     if (pfds[0].revents & POLLIN) {
       std::uint8_t wake_buf[256];
-      while (::read(wake_pipe_[0], wake_buf, sizeof wake_buf) > 0) {
+      while (::read(loop.wake_pipe[0], wake_buf, sizeof wake_buf) > 0) {
       }
     }
     if (listener_slot != 0 && (pfds[listener_slot].revents & POLLIN))
@@ -255,8 +279,8 @@ void Server::event_loop() {
     const Clock::time_point now = Clock::now();
     doomed.clear();
     for (std::size_t i = first_session; i < pfds.size(); ++i) {
-      const auto it = sessions_.find(ids[i]);
-      if (it == sessions_.end()) continue;
+      const auto it = sessions.find(ids[i]);
+      if (it == sessions.end()) continue;
       const std::shared_ptr<Session> s = it->second;
       if (pfds[i].revents & (POLLIN | POLLHUP)) s->last_activity = now;
       bool alive = (pfds[i].revents & (POLLERR | POLLNVAL)) == 0;
@@ -272,14 +296,14 @@ void Server::event_loop() {
       }
       if (!alive) doomed.push_back(ids[i]);
     }
-    for (const auto id : doomed) close_session(id);
+    for (const auto id : doomed) close_session(loop, id);
 
     // Idle reaping: a session with no traffic for idle_timeout_ms, no
     // queued output, and no in-flight pool work is dead weight in the
     // bounded table — close it and count it.
     if (config_.idle_timeout_ms > 0 && !drain_started) {
       doomed.clear();
-      for (const auto& [id, s] : sessions_) {
+      for (const auto& [id, s] : sessions) {
         if (s->inflight.load(std::memory_order_acquire) > 0) continue;
         {
           std::lock_guard<std::mutex> lock(s->out_mutex);
@@ -288,35 +312,43 @@ void Server::event_loop() {
         if (idle_ms(*s, now) >= config_.idle_timeout_ms) doomed.push_back(id);
       }
       for (const auto id : doomed) {
-        close_session(id);
+        close_session(loop, id);
         sessions_idle_reaped_.fetch_add(1, std::memory_order_relaxed);
       }
     }
 
   }
   // Orderly shutdown: drop every session now so client recv sees EOF
-  // promptly (stop() clears the table again after the pool drains).
+  // promptly (teardown() drops the loops after the pool drains).
   doomed.clear();
-  for (const auto& [id, s] : sessions_) doomed.push_back(id);
-  for (const auto id : doomed) close_session(id);
+  for (const auto& [id, s] : sessions) doomed.push_back(id);
+  for (const auto id : doomed) close_session(loop, id);
 }
 
 void Server::accept_pending() {
   while (auto conn = listener_->accept()) {
-    if (sessions_.size() >= config_.max_sessions) {
+    if (sessions_active_.load(std::memory_order_relaxed) >=
+        config_.max_sessions) {
       // Bounded session table: shed load at accept, before any state or
-      // worker time is spent on the connection.
+      // worker time is spent on the connection.  Only this loop adds
+      // sessions, so the count cannot overshoot.
       sessions_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;  // unique_ptr closes the fd
     }
     auto s = std::make_shared<Session>();
     s->id = next_session_id_++;
+    s->loop = loops_[next_loop_++ % loops_.size()].get();
     s->conn = std::move(conn);
     s->conn->set_nonblocking(true);
     s->last_activity = std::chrono::steady_clock::now();
-    sessions_.emplace(s->id, s);
     sessions_accepted_.fetch_add(1, std::memory_order_relaxed);
     sessions_active_.fetch_add(1, std::memory_order_relaxed);
+    Loop& to = *s->loop;
+    {
+      std::lock_guard<std::mutex> lock(to.inbox_mutex);
+      to.inbox.push_back(std::move(s));
+    }
+    to.wake();  // harmless when `to` is this loop: it re-polls at once
   }
 }
 
@@ -436,19 +468,38 @@ void Server::handle_read(const std::shared_ptr<Session>& s,
   ByteReader in(body);
   ReadRequest req = decode_read_request(in);
   if (opcode == kOpReadField) req.region.reset();
-  // Name resolution happens here on the event thread so a typo'd field is
-  // a cheap kStatusNotFound, not a pool round-trip.
+  const archive::FieldEntry* fe;
   try {
-    (void)reader_.field_index(req.field);
+    fe = &reader_.field(req.field);
   } catch (const std::invalid_argument& e) {
     enqueue_error(s, kStatusNotFound, e.what());
     return;
   }
-  // The decode work goes to the pool; the event loop is free immediately.
-  // `inflight` keeps the session off the idle-reap and drain-close lists
-  // until the response (or error) is queued.
+  if (fe->dtype == kDtypeF64)
+    serve_read<double>(s, req);
+  else
+    serve_read<float>(s, req);
+}
+
+template <typename T>
+void Server::serve_read(const std::shared_ptr<Session>& s,
+                        const ReadRequest& req) {
+  archive::PartialRead<T> read;
+  try {
+    read = reader_.probe<T>(req.field, req.region);
+  } catch (const std::invalid_argument& e) {
+    enqueue_error(s, kStatusBadRequest, e.what());
+    return;
+  }
+  if (read.complete()) {
+    reply_read(s, read, {});
+    return;
+  }
+  // The misses go to the pool; the loop is free immediately.  `inflight`
+  // keeps the session off the idle-reap and drain-close lists until the
+  // response (or error) is queued.
   s->inflight.fetch_add(1, std::memory_order_acq_rel);
-  pool_.submit([this, s, req = std::move(req)] {
+  pool_.submit([this, s, read = std::move(read)]() mutable {
     struct InflightGuard {
       Server& server;
       Session& session;
@@ -458,47 +509,45 @@ void Server::handle_read(const std::shared_ptr<Session>& s,
         // re-checks on its poll timeout).  Ring AFTER the decrement, both
         // seq_cst, so a draining loop re-checks with inflight at its final
         // value.
-        if (server.draining_.load()) server.wake();
+        if (server.draining_.load()) session.loop->wake();
       }
     } guard{*this, *s};
     try {
-      const archive::FieldEntry& fe = reader_.field(req.field);
-      ReadResponse resp;
-      resp.dtype = fe.dtype;
-      resp.shape = req.region ? req.region->shape() : fe.dims;
       // Degraded serving: collect the damage report so the client KNOWS
       // which blocks came back as zero-filled holes (read-repaired blocks
       // are exact and are NOT reported — only true holes are).
       archive::ReadDamage damage;
-      archive::ReadDamage* const dmg = config_.degraded ? &damage : nullptr;
-      const auto read_as = [&](auto zero) {
-        using T = decltype(zero);
-        const std::vector<T> v = reader_.read<T>(req.field, req.region, dmg);
-        resp.values.resize(v.size() * sizeof(T));
-        std::memcpy(resp.values.data(), v.data(), resp.values.size());
-      };
-      if (fe.dtype == kDtypeF64)
-        read_as(0.0);
-      else
-        read_as(0.0f);
-      if (!damage.clean()) {
-        resp.degraded = true;
-        resp.holes.reserve(damage.holes.size());
-        for (const auto& h : damage.holes) resp.holes.push_back(h.block);
-      }
-      ByteWriter w;
-      encode_read_response(resp, w);
-      if (w.size() > kMaxResponseBody) {
-        enqueue_error(s, kStatusTooLarge, "read response exceeds limit");
-        return;
-      }
-      enqueue(s, kStatusOk, w.view());
+      reader_.decode(read, config_.degraded ? &damage : nullptr);
+      reply_read(s, read, damage);
     } catch (const std::invalid_argument& e) {
       enqueue_error(s, kStatusBadRequest, e.what());
     } catch (const std::exception& e) {
       enqueue_error(s, kStatusServerError, e.what());
     }
   });
+}
+
+template <typename T>
+void Server::reply_read(const std::shared_ptr<Session>& s,
+                        const archive::PartialRead<T>& read,
+                        const archive::ReadDamage& damage) {
+  ReadResponse resp;
+  resp.dtype = std::is_same_v<T, double> ? kDtypeF64 : kDtypeF32;
+  resp.shape = read.region.shape();
+  resp.values.resize(read.out.size() * sizeof(T));
+  std::memcpy(resp.values.data(), read.out.data(), resp.values.size());
+  if (!damage.clean()) {
+    resp.degraded = true;
+    resp.holes.reserve(damage.holes.size());
+    for (const auto& h : damage.holes) resp.holes.push_back(h.block);
+  }
+  ByteWriter w;
+  encode_read_response(resp, w);
+  if (w.size() > kMaxResponseBody) {
+    enqueue_error(s, kStatusTooLarge, "read response exceeds limit");
+    return;
+  }
+  enqueue(s, kStatusOk, w.view());
 }
 
 void Server::handle_scrub(const std::shared_ptr<Session>& s,
@@ -547,7 +596,7 @@ void Server::enqueue(const std::shared_ptr<Session>& s, std::uint8_t status,
     // right here; behind a partial write it waits its turn.
     leftover = !idle_outbox || !flush_output(*s, lock) || !s->outbox.empty();
   }
-  if (leftover) wake();
+  if (leftover) s->loop->wake();
 }
 
 void Server::enqueue_error(const std::shared_ptr<Session>& s,
@@ -585,14 +634,14 @@ bool Server::flush_output(Session& s, const std::lock_guard<std::mutex>&) {
   return true;
 }
 
-void Server::close_session(std::uint64_t id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
+void Server::close_session(Loop& loop, std::uint64_t id) {
+  const auto it = loop.sessions.find(id);
+  if (it == loop.sessions.end()) return;
   {
     std::lock_guard<std::mutex> lock(it->second->out_mutex);
     it->second->closed.store(true, std::memory_order_relaxed);
   }
-  sessions_.erase(it);
+  loop.sessions.erase(it);
   sessions_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -605,8 +654,10 @@ void Server::start() {
 void Server::stop() {}
 void Server::drain(int) {}
 void Server::teardown() {}
-void Server::wake() noexcept {}
-void Server::event_loop() {}
+Server::Loop::~Loop() {}
+void Server::Loop::wake() noexcept {}
+void Server::wake_all() noexcept {}
+void Server::event_loop(Loop&) {}
 void Server::accept_pending() {}
 bool Server::service_input(const std::shared_ptr<Session>&) { return false; }
 void Server::dispatch(const std::shared_ptr<Session>&, const Frame&) {}
@@ -621,7 +672,7 @@ void Server::enqueue_error(const std::shared_ptr<Session>&, std::uint8_t,
 bool Server::flush_output(Session&, const std::lock_guard<std::mutex>&) {
   return false;
 }
-void Server::close_session(std::uint64_t) {}
+void Server::close_session(Loop&, std::uint64_t) {}
 
 #endif
 

@@ -2,29 +2,34 @@
 //
 // Architecture (the ROADMAP's serving-daemon item):
 //
-//   * ONE event thread runs a poll(2) loop over the transport listener,
-//     a self-pipe wakeup, and every live session fd — connections are
-//     sessions in a bounded table, not threads, so ten thousand idle
-//     clients cost ten thousand fds and zero stacks (the event-driven
-//     shape argued for in Toro's CCP interpreter paper, vs
-//     thread-per-connection).
-//   * Decoded requests are dispatched onto the serving ThreadPool; the
-//     ArchiveReader borrows the SAME pool, so a read request is one worker
-//     task whose block decodes run inline (run_batch reentrancy) — the
-//     worker set stays bounded no matter how many clients connect.
+//   * N event loops, one per serving-pool worker, each a thread running a
+//     poll(2) loop over its own self-pipe wakeup and the session fds it
+//     owns — connections are sessions in a bounded table, not threads, so
+//     ten thousand idle clients cost ten thousand fds and zero stacks (the
+//     event-driven shape argued for in Toro's CCP interpreter paper, vs
+//     thread-per-connection).  The first loop also polls the transport
+//     listener and hands each accepted session to the next loop in turn;
+//     a session stays on its loop for life.
+//   * A read is answered on its session's loop when every block it
+//     touches is in the decoded-block cache (ArchiveReader::probe): no
+//     pool hop, no thread wake.  A read with any miss goes to the serving
+//     ThreadPool, which decodes only the misses into the partly filled
+//     result; the ArchiveReader borrows the SAME pool, so that is one
+//     worker task whose block decodes run inline (run_batch reentrancy) —
+//     the worker set stays bounded no matter how many clients connect, and
+//     a loop never waits on I/O or a decode.
 //   * Concurrent reads of overlapping regions coalesce: the reader's
 //     single-flight map merges simultaneous decodes of one (field, block)
 //     and the decoded-block LRU serves repeats, so N clients hammering a
 //     hot region cost one pread+CRC+decode per block, not N.
-//   * Cheap metadata ops (open/ls/stat/stats) answer inline on the event
-//     thread; only block-decoding reads occupy pool workers.
+//   * Cheap metadata ops (open/ls/stat/stats) answer inline on the loop.
 //
 // Replies take one hop: the thread that finishes a response (a pool worker
-// for reads, the event thread for inline ops) sends it itself when the
+// for decoded reads, the loop otherwise) sends it itself when the
 // session's outbox is empty — the DCCP "send now, else queue" split.  Any
 // bytes the nonblocking socket does not take stay at the outbox front,
-// later frames queue behind them, and the event thread flushes the rest as
-// POLLOUT allows, so one slow client never blocks the event loop or a pool
+// later frames queue behind them, and the session's loop flushes the rest
+// as POLLOUT allows, so one slow client never blocks a loop or a pool
 // worker.  Every write to a session's fd happens in flush_output() under
 // the session's out_mutex, so frames never interleave, and a closed
 // (reaped) session is never written.
@@ -37,6 +42,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "archive/reader.hpp"
 #include "parallel/thread_pool.hpp"
@@ -48,7 +54,8 @@ namespace sz14::serve {
 struct ServerConfig {
   std::string transport = "tcp";        ///< transport_table() name
   std::string endpoint = "127.0.0.1:0";  ///< transport-specific address
-  std::size_t threads = 0;     ///< serving pool workers (0 = all cores)
+  /// Event loops, and serving pool workers, each (0 = all cores).
+  std::size_t threads = 0;
   std::size_t max_sessions = 64;  ///< bounded session table
   std::size_t cache_bytes = 0;    ///< decoded-block LRU budget (0 = off)
   bool coalescing = true;         ///< single-flight concurrent decodes
@@ -81,8 +88,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the transport endpoint and start the event thread.  Throws on
-  /// unknown transport or listen failure.
+  /// Bind the transport endpoint and start the event loops.  Throws on
+  /// unknown transport, listen failure or no wakeup pipe.
   void start();
 
   /// Close the listener, drain in-flight requests, drop every session.
@@ -114,20 +121,49 @@ class Server {
  private:
   struct Session;
 
-  void event_loop();
+  /// One poll(2) event loop: its wake pipe, the sessions it owns, and the
+  /// inbox through which the accepting loop hands it new sessions.
+  /// `sessions` belongs to the loop's thread (teardown() touches it only
+  /// after the join); the destructor closes the pipe.
+  struct Loop {
+    Loop() = default;
+    ~Loop();
+    Loop(const Loop&) = delete;
+    Loop& operator=(const Loop&) = delete;
+    void wake() noexcept;
+
+    int wake_pipe[2] = {-1, -1};
+    std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions;
+    std::mutex inbox_mutex;
+    std::vector<std::shared_ptr<Session>> inbox;  // guarded by inbox_mutex
+    std::thread thread;
+  };
+
+  void event_loop(Loop& loop);
+  /// Accept every pending connection and hand each to the next loop in
+  /// turn (run by the first loop only).
   void accept_pending();
   /// Parse + dispatch whatever `s` has buffered; false = close the session.
   bool service_input(const std::shared_ptr<Session>& s);
   void dispatch(const std::shared_ptr<Session>& s, const Frame& frame);
   void handle_read(const std::shared_ptr<Session>& s, std::uint8_t opcode,
                    const std::vector<std::uint8_t>& body);
+  /// Probe the cache on this loop; reply here when the read is complete,
+  /// else decode its misses and reply on the pool.
+  template <typename T>
+  void serve_read(const std::shared_ptr<Session>& s, const ReadRequest& req);
+  template <typename T>
+  void reply_read(const std::shared_ptr<Session>& s,
+                  const archive::PartialRead<T>& read,
+                  const archive::ReadDamage& damage);
   /// Answer the scrub op inline and (when accepted) run the scrub as one
   /// background pool task — a single scrub at a time per server.
   void handle_scrub(const std::shared_ptr<Session>& s,
                     const std::vector<std::uint8_t>& body);
   /// Thread-safe: queue a response frame and, if nothing is queued ahead
-  /// of it, send it right away.  Rings the event loop only when bytes are
-  /// left over (socket full) or the send failed, for the POLLOUT flush.
+  /// of it, send it right away.  Rings the session's loop only when bytes
+  /// are left over (socket full) or the send failed, for the POLLOUT
+  /// flush.
   void enqueue(const std::shared_ptr<Session>& s, std::uint8_t status,
                std::span<const std::uint8_t> body);
   void enqueue_error(const std::shared_ptr<Session>& s, std::uint8_t status,
@@ -136,32 +172,32 @@ class Server {
   /// `s.out_mutex` held by the caller; false = dead connection.  Counts
   /// bytes_out and restarts the session's idle clock when bytes moved.
   bool flush_output(Session& s, const std::lock_guard<std::mutex>& held);
-  void close_session(std::uint64_t id);
-  void wake() noexcept;
-  /// Join the event thread and tear down sessions/listener/pipe (shared
-  /// tail of stop() and drain()).
+  void close_session(Loop& loop, std::uint64_t id);
+  void wake_all() noexcept;
+  /// Join the loops and tear down sessions/listener/pipes (shared tail of
+  /// stop() and drain()).
   void teardown();
 
   ServerConfig config_;
   std::string archive_path_;  // for background scrubs
   ThreadPool pool_;
   archive::ArchiveReader reader_;
-  std::unique_ptr<Listener> listener_;
+  std::unique_ptr<Listener> listener_;  // the first loop's, after start()
   std::string endpoint_;
-  std::thread event_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   /// Drain budget in ms, written before draining_ (release/acquire pair).
   std::atomic<int> drain_grace_ms_{0};
-  int wake_pipe_[2] = {-1, -1};
 
-  // Session table: event-thread-owned; stop() touches it only after join.
-  std::unordered_map<std::uint64_t, std::shared_ptr<Session>> sessions_;
+  /// One per pool worker, built by start(); loops_[0] accepts.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  // Accepting-loop-only state.
   std::uint64_t next_session_id_ = 1;
+  std::size_t next_loop_ = 0;  // round-robin hand-off
 
   std::atomic<std::uint64_t> sessions_accepted_{0};
   std::atomic<std::uint64_t> sessions_rejected_{0};  // over max_sessions
-  std::atomic<std::uint64_t> sessions_active_{0};
+  std::atomic<std::uint64_t> sessions_active_{0};  // vs max_sessions
   std::atomic<std::uint64_t> requests_ok_{0};
   std::atomic<std::uint64_t> requests_error_{0};
   std::atomic<std::uint64_t> bytes_in_{0};

@@ -8,6 +8,7 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+#include <unistd.h>
 
 #include "common/metrics.hpp"
 #include "core/format.hpp"
@@ -17,7 +18,8 @@ namespace sz14::archive {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_" + name;
+  return testing::TempDir() + "sza_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<float> smooth_field(const Dims& dims) {

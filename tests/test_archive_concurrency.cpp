@@ -11,9 +11,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <future>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "parallel/thread_pool.hpp"
@@ -22,7 +25,8 @@ namespace sz14::archive {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_conc_" + name;
+  return testing::TempDir() + "sza_conc_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<float> wavy_field(const Dims& dims) {
@@ -221,6 +225,83 @@ TEST(ArchiveConcurrency, ServesFromBorrowedPoolEvenReentrantly) {
     if (reader.read<float>("lossy32", regions[i]) != want[i]) ++mismatches;
   });
   EXPECT_EQ(mismatches.load(), 0);
+  std::remove(path.c_str());
+}
+
+/// Blocks of `name` that `region` touches.
+std::size_t touched_blocks(const ArchiveReader& reader, std::string_view name,
+                           const Region& region) {
+  const FieldEntry& f = reader.field(name);
+  const BlockGrid grid(f.dims, f.block_dims);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < grid.block_count(); ++i)
+    n += grid.intersects(i, region) ? 1 : 0;
+  return n;
+}
+
+TEST(ArchiveConcurrency, FullyCachedReadNeverTouchesThePool) {
+  // A read whose every block is cached is answered on the calling thread:
+  // with the reader's only pool worker parked, it must still return.
+  const std::string path = make_archive("cached_nopool.sza");
+  ThreadPool pool(1);
+  ArchiveReader reader(path, {.pool = &pool});
+  reader.set_cache_capacity(64u << 20);
+  Region hot;
+  hot.rank = 3;
+  hot.origin = {5, 6, 3};
+  hot.extent = {8, 9, 10};
+  const std::size_t touched = touched_blocks(reader, "lossy32", hot);
+  ASSERT_GE(touched, 2u);
+  const auto want = reader.read<float>("lossy32", hot);  // warms the cache
+  reader.reset_counters();
+
+  std::latch parked(1);
+  std::latch release(1);
+  pool.submit([&] {
+    parked.count_down();
+    release.wait();
+  });
+  parked.wait();
+  auto again = std::async(std::launch::async,
+                          [&] { return reader.read<float>("lossy32", hot); });
+  const bool in_time =
+      again.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  release.count_down();  // a failing run still ends
+  EXPECT_TRUE(in_time) << "a fully cached read waited for the pool";
+  EXPECT_EQ(again.get(), want);
+  const Metrics m = reader.metrics();
+  EXPECT_EQ(metric(m, "cache_hits"), touched);
+  EXPECT_EQ(metric(m, "cache_misses"), 0u);
+  EXPECT_EQ(metric(m, "blocks_decoded"), 0u);
+  pool.wait();
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveConcurrency, PartlyCachedReadCountsEachBlockOnce) {
+  // Cached blocks are hits, the rest misses that are decoded: one lookup
+  // per touched block, and the result matches a cache-off reader.
+  const std::string path = make_archive("cached_part.sza");
+  ArchiveReader reader(path, {.threads = 2});
+  reader.set_cache_capacity(64u << 20);
+  Region hot;
+  hot.rank = 3;
+  hot.origin = {5, 6, 3};
+  hot.extent = {8, 9, 10};
+  Region wide = hot;
+  wide.extent[0] = 16;  // one more block layer along axis 0
+  const std::size_t cached = touched_blocks(reader, "lossy32", hot);
+  const std::size_t touched = touched_blocks(reader, "lossy32", wide);
+  ASSERT_GT(touched, cached);
+  (void)reader.read<float>("lossy32", hot);
+  reader.reset_counters();
+
+  ArchiveReader direct(path, {.threads = 1});
+  EXPECT_EQ(reader.read<float>("lossy32", wide),
+            direct.read<float>("lossy32", wide));
+  const Metrics m = reader.metrics();
+  EXPECT_EQ(metric(m, "cache_hits"), cached);
+  EXPECT_EQ(metric(m, "cache_misses"), touched - cached);
+  EXPECT_EQ(metric(m, "blocks_decoded"), touched - cached);
   std::remove(path.c_str());
 }
 

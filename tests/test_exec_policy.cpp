@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "common/exec_policy.hpp"
@@ -198,7 +199,8 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
   fast.exec.mode = HotPathMode::kFast;
   const auto golden = compress(f.values, f.dims, fast);
 
-  const std::string path = testing::TempDir() + "exec_policy_turbo.sza";
+  const std::string path = testing::TempDir() + "exec_policy_turbo_" +
+                           std::to_string(::getpid()) + ".sza";
   {
     archive::ArchiveWriter writer(
         path, {.exec = {.mode = HotPathMode::kTurbo, .threads = 2}});

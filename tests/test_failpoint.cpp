@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "common/pread_file.hpp"
 
@@ -130,7 +131,8 @@ TEST(Failpoint, MalformedEnvEntriesAreSkippedNotFatal) {
 
 TEST(Failpoint, PreadFileShortAndErrorInjection) {
   DisarmAll guard;
-  const std::string path = testing::TempDir() + "fp_pread.bin";
+  const std::string path = testing::TempDir() + "fp_pread_" +
+                           std::to_string(::getpid()) + ".bin";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);

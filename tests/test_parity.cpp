@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "common/checksum.hpp"
@@ -29,7 +30,8 @@ namespace sz14 {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_parity_" + name;
+  return testing::TempDir() + "sza_parity_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<float> wavy(const Dims& dims) {

@@ -37,7 +37,8 @@ namespace sz14::archive {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_recovery_" + name;
+  return testing::TempDir() + "sza_recovery_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<float> field_values(std::size_t n, float phase) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "baselines/registry.hpp"
@@ -177,10 +178,16 @@ TEST(Robustness, HeaderFieldFuzzing) {
 
 // ---------------------------------------------------- archive (.sza) files
 
+/// Scratch path private to this process, so concurrent runs never share.
+std::string robust_path(const std::string& name) {
+  return testing::TempDir() + "sza_robust_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
 /// A small two-field archive (lossy sz14 + lossless gzip_like) whose
 /// payload layout is probed via a pristine reader.
 std::string make_small_archive(const std::string& name) {
-  const std::string path = testing::TempDir() + "sza_robust_" + name;
+  const std::string path = robust_path(name);
   const Dims dims{16, 12};
   std::vector<float> v(dims.count());
   for (std::size_t i = 0; i < v.size(); ++i)
@@ -204,7 +211,7 @@ TEST(Robustness, EveryTruncationOfArchiveContainerOpensPrefixOrRejects) {
   //     the first checkpoint;
   //   * everything earlier is cleanly rejected.
   // No truncation length may crash or hang in either mode.
-  const std::string path = testing::TempDir() + "sza_robust_trunc.sza";
+  const std::string path = robust_path("trunc.sza");
   const Dims dims{16, 12};
   std::vector<float> v(dims.count());
   for (std::size_t i = 0; i < v.size(); ++i)
@@ -340,7 +347,7 @@ TEST(Robustness, ArchiveSingleByteCorruptionNeverCrashesAndCrcCatchesPayload) {
 /// Parity-enabled sibling of make_small_archive: same two fields, 4-block
 /// parity groups.
 std::string make_parity_archive(const std::string& name) {
-  const std::string path = testing::TempDir() + "sza_robust_" + name;
+  const std::string path = robust_path(name);
   const Dims dims{16, 12};
   std::vector<float> v(dims.count());
   for (std::size_t i = 0; i < v.size(); ++i)
@@ -508,7 +515,7 @@ TEST(Robustness, ArchiveParityDoubleFlipInOneGroupNeverMisRepairs) {
 }
 
 TEST(Robustness, ArchiveGarbageFilesRejected) {
-  const std::string path = testing::TempDir() + "sza_robust_garbage.sza";
+  const std::string path = robust_path("garbage.sza");
   Rng rng(31);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<std::uint8_t> junk(rng.below(4096));

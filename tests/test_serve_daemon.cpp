@@ -23,6 +23,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "core/format.hpp"
@@ -31,7 +32,8 @@ namespace sz14::serve {
 namespace {
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_serve_" + name;
+  return testing::TempDir() + "sza_serve_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::vector<float> wavy_field(const Dims& dims) {
@@ -193,39 +195,50 @@ TEST(ServeDaemon, StatsNameEveryCounterExactlyOnce) {
 }
 
 TEST(ServeDaemon, ByteCountersMatchTheWire) {
-  // bytes_in and bytes_out count exactly what crossed the socket, whichever
-  // thread wrote the reply.
+  // bytes_in and bytes_out count exactly what crossed the sockets,
+  // whichever thread wrote the reply: three connections, so sessions sit
+  // on more than one event loop.
   const std::string path = make_archive("bytes.sza");
   Server server(path, loopback_config("bytes"));
   server.start();
-  auto conn = raw_dial(server, "loopback");
+  std::vector<std::unique_ptr<Connection>> conns;
+  for (int c = 0; c < 3; ++c) conns.push_back(raw_dial(server, "loopback"));
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
-  const auto send = [&](std::uint8_t op, std::span<const std::uint8_t> body) {
+  const auto send = [&](Connection& conn, std::uint8_t op,
+                        std::span<const std::uint8_t> body) {
     const auto frame = encode_frame(op, body);
-    conn->send_all(frame);
+    conn.send_all(frame);
     sent += frame.size();
   };
   const auto r = region3(3, 5, 2, 9, 8, 7);
-  for (int i = 0; i < 6; ++i) {
-    const bool whole = i < 2;
+  for (int i = 0; i < 9; ++i) {
+    Connection& conn = *conns[static_cast<std::size_t>(i) % conns.size()];
+    const bool whole = i < 3;
     ByteWriter w;
     encode_read_request(
         ReadRequest{i % 2 ? "lossy64" : "lossy32",
                     whole ? std::nullopt : std::optional(r)},
         w);
-    send(whole ? kOpReadField : kOpReadRegion, w.view());
-    const Frame reply = recv_frame(*conn);
+    send(conn, whole ? kOpReadField : kOpReadRegion, w.view());
+    const Frame reply = recv_frame(conn);
     ASSERT_EQ(reply.kind, kStatusOk);
     received += kFrameHeaderSize + reply.body.size();
   }
   // The stats snapshot is taken after its request was read and before its
-  // own reply is written.
-  send(kOpStats, {});
-  const Frame reply = recv_frame(*conn);
-  ASSERT_EQ(reply.kind, kStatusOk);
-  ByteReader in(reply.body);
-  const Metrics s = decode_stats_response(in);
+  // own reply is written.  A reply on another session is counted just
+  // after its write returns, so the snapshot may trail the wire by that
+  // step: ask again (each answer is itself on the wire) until it settles.
+  Metrics s;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    send(*conns[0], kOpStats, {});
+    const Frame reply = recv_frame(*conns[0]);
+    ASSERT_EQ(reply.kind, kStatusOk);
+    ByteReader in(reply.body);
+    s = decode_stats_response(in);
+    if (metric(s, "bytes_out") == received) break;
+    received += kFrameHeaderSize + reply.body.size();
+  }
   EXPECT_EQ(metric(s, "bytes_out"), received);
   EXPECT_EQ(metric(s, "bytes_in"), sent);
   server.stop();

@@ -18,6 +18,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "archive/archive.hpp"
 #include "common/failpoint.hpp"
@@ -31,7 +32,8 @@ struct DisarmAll {
 };
 
 std::string tmp_path(const std::string& name) {
-  return testing::TempDir() + "sza_servefail_" + name;
+  return testing::TempDir() + "sza_servefail_" + std::to_string(::getpid()) +
+         "_" + name;
 }
 
 std::string make_archive(const std::string& name) {
@@ -256,35 +258,39 @@ TEST(ServeFailures, DrainFinishesInFlightWorkAndRefusesNewConnections) {
   archive::ArchiveReader direct(path, {.threads = 1});
   const auto want = direct.read<float>("f");
 
-  // A worker thread hammers reads; drain lands somewhere in the middle.
-  // Every answer that arrives must be complete and bit-identical — a
-  // drain may cut the connection, never truncate a response.
+  // Three client threads hammer reads, so sessions sit on both event
+  // loops; drain lands somewhere in the middle.  Every answer that arrives
+  // must be complete and bit-identical — a drain may cut the connection,
+  // never truncate a response.
+  constexpr int kClients = 3;
   std::atomic<int> ok{0};
   std::atomic<bool> bad{false};
-  std::atomic<bool> done{false};
-  std::thread worker([&] {
-    try {
-      Client client("loopback", server.endpoint(), quick(/*retries=*/0));
-      for (int i = 0; i < 10000; ++i) {
-        if (client.read<float>("f") != want) {
-          bad.store(true);
-          break;
+  std::atomic<int> done{0};
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c)
+    workers.emplace_back([&] {
+      try {
+        Client client("loopback", server.endpoint(), quick(/*retries=*/0));
+        for (int i = 0; i < 10000; ++i) {
+          if (client.read<float>("f") != want) {
+            bad.store(true);
+            break;
+          }
+          ok.fetch_add(1);
         }
-        ok.fetch_add(1);
+      } catch (const std::exception&) {
+        // Expected eventually: the drained server closed the session.
       }
-    } catch (const std::exception&) {
-      // Expected eventually: the drained server closed the session.
-    }
-    done.store(true);
-  });
+      done.fetch_add(1);
+    });
 
-  while (ok.load() < 3 && !done.load())
+  while (ok.load() < 3 * kClients && done.load() < kClients)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   server.drain(/*grace_ms=*/5000);
-  worker.join();
+  for (auto& w : workers) w.join();
 
   EXPECT_FALSE(bad.load()) << "drain truncated or corrupted a response";
-  EXPECT_GE(ok.load(), 3);
+  EXPECT_GE(ok.load(), 3 * kClients);
   // The drained server is down: fresh dials are refused outright.
   EXPECT_ANY_THROW(Client("loopback", server.endpoint(), quick(0)));
 
@@ -314,6 +320,65 @@ TEST(ServeFailures, DrainWithNothingInFlightReturnsPromptly) {
                         .count();
     EXPECT_LT(ms, 1000) << (with_client ? "one idle session" : "no session");
   }
+  std::remove(path.c_str());
+}
+
+archive::Region region3(std::size_t o0, std::size_t o1, std::size_t o2,
+                        std::size_t e0, std::size_t e1, std::size_t e2) {
+  archive::Region r;
+  r.rank = 3;
+  r.origin = {o0, o1, o2};
+  r.extent = {e0, e1, e2};
+  return r;
+}
+
+TEST(ServeFailures, CachedReadIsAnsweredWhileEveryWorkerIsStalled) {
+  // A read whose blocks are all cached is answered by its session's event
+  // loop, so it does not queue behind pool workers stuck in I/O.
+  DisarmAll guard;
+  const std::string path = make_archive("hotstall.sza");
+  const auto hot = region3(0, 0, 0, 8, 8, 16);     // blocks 0 and 1
+  const auto cold_b = region3(16, 16, 0, 8, 4, 8);  // one block each, not
+  const auto cold_c = region3(16, 16, 8, 8, 4, 8);  // touched by `hot`
+  archive::ArchiveReader direct(path, {.threads = 1});
+  const auto want_hot = direct.read<float>("f", hot);
+  const auto want_b = direct.read<float>("f", cold_b);
+  const auto want_c = direct.read<float>("f", cold_c);
+
+  ServerConfig cfg = loopback_config("hotstall");
+  cfg.cache_bytes = 64u << 20;
+  Server server(path, cfg);
+  server.start();
+  Client a("loopback", server.endpoint(), quick(0));
+  Client b("loopback", server.endpoint(), quick(0));
+  Client c("loopback", server.endpoint(), quick(0));
+  ASSERT_EQ(a.read<float>("f", hot), want_hot);  // warms the cache
+
+  // Both workers' payload reads stall 400 ms.
+  const std::uint64_t hits0 = fail::hits("pread_file.read");
+  fail::arm("pread_file.read", {fail::Kind::kStall, 0, 2, 400});
+  std::vector<float> got_b;
+  std::vector<float> got_c;
+  std::thread tb([&] { got_b = b.read<float>("f", cold_b); });
+  std::thread tc([&] { got_c = c.read<float>("f", cold_c); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fail::hits("pread_file.read") - hits0 < 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fail::hits("pread_file.read") - hits0, 2u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(a.read<float>("f", hot), want_hot);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_LT(ms, 150) << "the cached read queued behind stalled workers";
+  tb.join();
+  tc.join();
+  EXPECT_EQ(got_b, want_b);
+  EXPECT_EQ(got_c, want_c);
+  server.stop();
   std::remove(path.c_str());
 }
 

@@ -946,7 +946,7 @@ const Command kCommands[] = {
     {"archive scrub", "-i IN [--repair] [-t THREADS]", "-i --repair -t",
      "-i", cmd_archive_scrub},
     {"serve",
-     "-i IN [--transport tcp|unix] [--listen ENDPOINT] [-t THREADS] "
+     "-i IN [--transport tcp|unix] [--listen ENDPOINT] [-t LOOPS] "
      "[--cache BYTES[K|M|G]] [--max-sessions N] [--no-coalesce] "
      "[--degraded] [--mmap] [--idle-timeout MS] [--drain-grace MS]",
      "-i --transport --listen -t --cache --max-sessions --no-coalesce "
@@ -999,6 +999,11 @@ const Command kCommands[] = {
                "  serve --degraded serves a damaged archive the same way "
                "(responses\n"
                "  carry a degraded flag + hole list).\n"
+               "  serve -t N runs N event loops and N decode workers "
+               "(0, the default,\n"
+               "  = one each per core); a read whose blocks are all cached "
+               "is answered\n"
+               "  on its connection's loop, others decode on the workers.\n"
                "  serve drains gracefully on SIGTERM (finish in-flight "
                "requests, flush,\n"
                "  close; bounded by --drain-grace) and stops immediately on "
