@@ -47,7 +47,7 @@ int main() {
       for (int rep = 0; rep < 3; ++rep) {
         pr = parallel_compress(f.values, f.dims, popts, p);
         best_c = std::max(best_c, static_cast<double>(raw) / 1e9 / pr.seconds);
-        const auto out = parallel_decompress(pr.stream, p);
+        const auto out = parallel_decompress(pr.stream, popts.exec);
         best_d = std::max(best_d, static_cast<double>(raw) / 1e9 / out.seconds);
       }
       comp_gbs = best_c;

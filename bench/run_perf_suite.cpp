@@ -59,12 +59,12 @@
 #include "common/bytebuffer.hpp"
 #include "common/exec_policy.hpp"
 #include "common/timer.hpp"
+#include "core/chunk_codec.hpp"
 #include "core/compressor.hpp"
 #include "core/format.hpp"
 #include "core/quantizer.hpp"
 #include "data/generators.hpp"
 #include "encoding/huffman.hpp"
-#include "encoding/rans.hpp"
 #include "parallel/parallel_codec.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/client.hpp"
@@ -133,14 +133,17 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   const auto pass = prediction_quantization_pass(
       f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs, false,
       timed.exec);
+  // The entropy stage exactly as compress() runs it: histogram, table,
+  // then the stream's section (tagged table, code count, payload).
   const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs);
-  const bool rans = opts.exec.entropy == EntropyBackend::kRans;
   st.entropy_encode_s = bench::best_of(reps, [&] {
     ByteWriter w;
-    if (rans)
-      rans_encode(pass.codes, quantizer.alphabet_size(), w);
-    else
-      huffman_encode(pass.codes, quantizer.alphabet_size(), w);
+    const auto hist =
+        huffman_histogram(pass.codes, quantizer.alphabet_size());
+    const EntropyTable table(opts.exec.entropy, hist);
+    table.write(w, /*tagged=*/true);
+    w.put_varint(pass.codes.size());
+    table.append_payload(pass.codes, hist, w);
   });
   // Reuse a code vector across reps like decompress_into does with the
   // arena, so entropy_decode_s and decompress_s amortize allocation the
@@ -148,11 +151,11 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   std::vector<std::uint16_t> decode_codes;
   st.entropy_decode_s = bench::best_of(reps, [&] {
     ByteReader in(stream);
-    (void)read_header(in);
-    if (rans)
-      rans_decode_into(in, decode_codes, f.dims.count());
-    else
-      huffman_decode_into(in, decode_codes);
+    const EntropyTable table(read_header(in).entropy, in, /*tagged=*/true);
+    const auto n_codes = static_cast<std::size_t>(in.get_varint());
+    table.decode_payload(
+        in.get_bytes(static_cast<std::size_t>(in.get_varint())), n_codes,
+        decode_codes);
   });
   st.kernel_decode_s = st.decompress_s - st.entropy_decode_s;
 

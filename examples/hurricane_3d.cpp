@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     opts.eb_abs = eb;
     opts.exec.threads = threads;  // worker count rides the policy
     const auto par = sz14::parallel_compress(f.values, f.dims, opts);
-    const auto out = sz14::parallel_decompress(par.stream, threads);
+    const auto out = sz14::parallel_decompress(par.stream, opts.exec);
     const auto s = sz14::error_summary(f.values, out.data);
     if (s.max_abs_error > eb) {
       std::fprintf(stderr, "BUG: bound violated on %s\n", names[var]);

@@ -51,6 +51,12 @@ void Dims::unravel(std::size_t index, std::span<std::size_t> coord) const {
   }
 }
 
+Dims Dims::with_planes(std::size_t planes) const {
+  std::array<std::size_t, kMaxDims> e = extents_;
+  e[0] = planes;
+  return Dims(std::span<const std::size_t>(e.data(), rank_));
+}
+
 std::string Dims::to_string() const {
   std::string s = "[";
   for (std::size_t i = 0; i < rank_; ++i) {

@@ -63,6 +63,11 @@ class Dims {
     return {extents_.data(), rank_};
   }
 
+  /// The same shape with `planes` planes along axis 0 (the slowest): a
+  /// leading slab of this array, or a slab container's chunk.  Throws
+  /// std::invalid_argument for planes == 0.
+  [[nodiscard]] Dims with_planes(std::size_t planes) const;
+
   [[nodiscard]] bool operator==(const Dims& o) const noexcept {
     if (rank_ != o.rank_) return false;
     for (std::size_t i = 0; i < rank_; ++i)

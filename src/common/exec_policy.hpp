@@ -66,7 +66,7 @@ class CodecScratch {
         return recon64_.get(n);
       }
     }
-    /// Decode-side code array (huffman_decode target), reused by capacity.
+    /// Decode-side code array (decode_chunk target), reused by capacity.
     [[nodiscard]] std::vector<std::uint16_t>& code_vector() {
       return code_vec_;
     }

@@ -7,8 +7,12 @@
 //   2. error-controlled quantization into 2^m - 1 intervals
 //      (core/quantizer); misses take the binary-representation path
 //      (core/unpredictable),
-//   3. variable-length (Huffman) encoding of the quantization codes
-//      (encoding/huffman).
+//   3. variable-length encoding of the quantization codes: Huffman
+//      (encoding/huffman) by default, or rANS (encoding/rans).
+//
+// Steps 1-3 are the chunk codec (core/chunk_codec); a stream written here
+// is its one-chunk case, the slab container (parallel/parallel_codec) its
+// N-chunk case.
 //
 // The guarantee: for every element, |x - x~| <= eb, where eb is the
 // resolved absolute bound (min of the absolute bound and the value-range-
@@ -22,6 +26,7 @@
 
 #include "common/dims.hpp"
 #include "common/exec_policy.hpp"
+#include "core/chunk_codec.hpp"
 
 namespace sz14 {
 
@@ -77,11 +82,6 @@ double resolve_error_bound(const Options& opts, double value_range);
 template <typename T>
 double resolve_error_bound_for(std::span<const T> data, const Options& opts);
 
-extern template double resolve_error_bound_for<float>(std::span<const float>,
-                                                      const Options&);
-extern template double resolve_error_bound_for<double>(std::span<const double>,
-                                                       const Options&);
-
 /// Compress single-precision `data` shaped `dims`.  Throws
 /// std::invalid_argument when the element count mismatches dims or no
 /// usable error bound results.
@@ -98,17 +98,19 @@ std::vector<std::uint8_t> compress(std::span<const double> data,
 enum class StreamDtype : std::uint8_t { kF32 = 0, kF64 = 1 };
 StreamDtype stream_dtype(std::span<const std::uint8_t> stream);
 
-struct DecompressResult {
-  std::vector<float> data;
+/// Header facts of a decoded stream.
+struct StreamInfo {
   Dims dims;
   double eb_abs = 0.0;
 };
 
-struct DecompressResult64 {
-  std::vector<double> data;
-  Dims dims;
-  double eb_abs = 0.0;
+template <typename T>
+struct DecompressResultT : StreamInfo {
+  std::vector<T> data;
 };
+
+using DecompressResult = DecompressResultT<float>;
+using DecompressResult64 = DecompressResultT<double>;
 
 /// `lead` value meaning "every plane": decode the whole stream.
 inline constexpr std::size_t kAllPlanes =
@@ -133,39 +135,24 @@ DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
                                 const ExecPolicy& exec = {},
                                 std::size_t lead = kAllPlanes);
 
-/// Header facts returned by the in-place decompressors.
-struct StreamInfo {
-  Dims dims;
-  double eb_abs = 0.0;
-};
-
 /// Decode a stream directly into a caller-owned buffer (no intermediate
-/// allocation or copy — the parallel codec decodes each slab straight into
-/// its place in the output array).  `out.size()` must equal the stream's
-/// element count, or std::invalid_argument is thrown; dtype mismatches
-/// throw std::runtime_error like decompress().
+/// allocation or copy).  `out.size()` must equal the stream's element
+/// count, or std::invalid_argument is thrown; dtype mismatches throw
+/// std::runtime_error like decompress().
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<float> out);
+                           std::span<float> out, const ExecPolicy& exec = {});
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<double> out);
-StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<float> out, const ExecPolicy& exec);
-StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<double> out, const ExecPolicy& exec);
+                           std::span<double> out,
+                           const ExecPolicy& exec = {});
 
 /// Intermediate products of the prediction + quantization pass — the shared
 /// kernel behind compress(), the best-layer analysis (Sec. III-B), and the
-/// adaptive interval scheme (Sec. IV-B).
+/// adaptive interval scheme (Sec. IV-B): the chunk walk's unpredictable
+/// bits and hit counts, plus its codes and reconstruction.
 template <typename T>
-struct PassResultT {
-  std::vector<std::uint16_t> codes;        // one per element; 0=unpredictable
-  std::vector<T> reconstructed;            // decompressed values
-  std::vector<std::uint8_t> unpred_bits;   // bit-packed unpredictable payload
-  std::size_t predictable = 0;             // hit ANY quantization interval
-  /// Points whose prediction itself was within eb (|f(x) - V(x)| <= eb) —
-  /// the stricter Sec. III-B definition used by the Table II layer study;
-  /// `predictable` uses the Sec. IV-A interval definition (Fig. 4).
-  std::size_t strict_hits = 0;
+struct PassResultT : ChunkWalk {
+  std::vector<std::uint16_t> codes;  // one per element; 0=unpredictable
+  std::vector<T> reconstructed;      // decompressed values
 };
 
 using PassResult = PassResultT<float>;
@@ -193,12 +180,5 @@ inline PassResult prediction_quantization_pass(std::span<const float> data,
                                              interval_bits, eb, decorrelate,
                                              exec);
 }
-
-extern template PassResultT<float> prediction_quantization_pass<float>(
-    std::span<const float>, const Dims&, unsigned, unsigned, double, bool,
-    const ExecPolicy&);
-extern template PassResultT<double> prediction_quantization_pass<double>(
-    std::span<const double>, const Dims&, unsigned, unsigned, double, bool,
-    const ExecPolicy&);
 
 }  // namespace sz14

@@ -1,7 +1,10 @@
 #include "core/format.hpp"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
+
+#include "core/predictor.hpp"
 
 namespace sz14 {
 
@@ -29,9 +32,9 @@ void write_header(const StreamHeader& h, ByteWriter& out) {
   out.put<std::uint32_t>(kMagic);
   out.put<std::uint8_t>(kFormatVersion);
   out.put<std::uint8_t>(h.dtype);
-  out.put<std::uint8_t>(
-      static_cast<std::uint8_t>((h.decorrelate ? kFlagDecorrelate : 0) |
-                                (h.rans_entropy ? kFlagRansEntropy : 0)));
+  out.put<std::uint8_t>(static_cast<std::uint8_t>(
+      (h.decorrelate ? kFlagDecorrelate : 0) |
+      (h.entropy == EntropyBackend::kRans ? kFlagRansEntropy : 0)));
   write_dims(h.dims, out);
   out.put<double>(h.eb_abs);
   out.put<std::uint8_t>(h.interval_bits);
@@ -54,12 +57,23 @@ StreamHeader read_header(ByteReader& in) {
   if (flags & ~(kFlagDecorrelate | kFlagRansEntropy))
     throw std::runtime_error("sz14: unknown header flags");
   h.decorrelate = (flags & kFlagDecorrelate) != 0;
-  h.rans_entropy = (flags & kFlagRansEntropy) != 0;
+  h.entropy = flags & kFlagRansEntropy ? EntropyBackend::kRans
+                                       : EntropyBackend::kHuffman;
   h.dims = read_dims(in);
   h.eb_abs = in.get<double>();
   h.interval_bits = in.get<std::uint8_t>();
   h.layers = in.get<std::uint8_t>();
+  check_codec_params(h.eb_abs, h.interval_bits, h.layers);
   return h;
+}
+
+void check_codec_params(double eb, unsigned interval_bits, unsigned layers) {
+  if (interval_bits < 2 || interval_bits > 16)
+    throw std::runtime_error("sz14: interval bits outside [2, 16]");
+  if (layers == 0 || layers > kMaxLayers)
+    throw std::runtime_error("sz14: layer count outside [1, kMaxLayers]");
+  if (!std::isfinite(eb) || eb < 0.0)
+    throw std::runtime_error("sz14: error bound not finite and >= 0");
 }
 
 }  // namespace sz14

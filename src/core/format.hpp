@@ -15,6 +15,7 @@
 
 #include "common/bytebuffer.hpp"
 #include "common/dims.hpp"
+#include "common/exec_policy.hpp"
 
 namespace sz14 {
 
@@ -32,14 +33,21 @@ struct StreamHeader {
   std::uint8_t interval_bits = 8;
   std::uint8_t layers = 1;
   bool decorrelate = false;
-  /// Quantization codes carried as a rANS section instead of Huffman.
-  bool rans_entropy = false;
+  /// Entropy coder of the quantization codes (kFlagRansEntropy).
+  EntropyBackend entropy = EntropyBackend::kHuffman;
 };
 
 void write_header(const StreamHeader& h, ByteWriter& out);
 
-/// Throws std::runtime_error on bad magic/version/dtype or malformed dims.
+/// Throws std::runtime_error on bad magic/version/dtype, malformed dims or
+/// codec parameters out of range (check_codec_params).
 StreamHeader read_header(ByteReader& in);
+
+/// The one check of the codec parameters a stream header carries (SZ14
+/// here, SZP3 in parallel/parallel_codec): throws std::runtime_error unless
+/// m is in [2, 16], layers in [1, kMaxLayers] and eb is finite and >= 0.
+/// compress() never writes anything else.
+void check_codec_params(double eb, unsigned interval_bits, unsigned layers);
 
 /// Shared shape serialization (rank u8 + extents varint * rank), used by the
 /// stream header above and by the archive container footer.

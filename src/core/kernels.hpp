@@ -33,7 +33,7 @@
 
 namespace sz14::detail {
 
-/// Walk statistics (see PassResultT for the two hit definitions).
+/// Walk statistics (see ChunkWalk for the two hit definitions).
 /// strict_hits is not computed by the turbo path (stays 0 there).
 struct PassCounters {
   std::size_t predictable = 0;

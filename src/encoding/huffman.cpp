@@ -570,25 +570,14 @@ std::vector<std::uint16_t> huffman_decode_payload(
   return out;
 }
 
-std::size_t huffman_decode_into(ByteReader& in,
-                                std::vector<std::uint16_t>& out,
-                                std::size_t limit) {
+std::vector<std::uint16_t> huffman_decode(ByteReader& in) {
   const auto lengths = huffman_read_lengths(in);
   const auto n_symbols = static_cast<std::size_t>(in.get_varint());
-  const auto n_payload = static_cast<std::size_t>(in.get_varint());
-  const auto payload = in.get_bytes(n_payload);
-  if (n_symbols == 0) {
-    out.clear();
-    return 0;
-  }
-  const HuffmanDecoder dec(lengths);
-  huffman_decode_payload_into(dec, payload, n_symbols, out, limit);
-  return n_symbols;
-}
-
-std::vector<std::uint16_t> huffman_decode(ByteReader& in) {
+  const auto payload = in.get_bytes(static_cast<std::size_t>(in.get_varint()));
   std::vector<std::uint16_t> out;
-  huffman_decode_into(in, out);
+  if (n_symbols > 0)
+    huffman_decode_payload_into(HuffmanDecoder(lengths), payload, n_symbols,
+                                out);
   return out;
 }
 

@@ -177,9 +177,17 @@ void RansDecoder::decode_payload_into(std::span<const std::uint8_t> payload,
                                       std::vector<std::uint16_t>& out,
                                       std::size_t limit) const {
   if (n_symbols == 0) {
+    if (!payload.empty())
+      throw std::runtime_error("rans: nonempty payload for empty stream");
     out.clear();
     return;
   }
+  // Degenerate one-symbol streams legitimately spend ~0 bits/symbol, so
+  // the payload size bounds nothing: reject counts no real machine could
+  // hold before attempting the allocation (keeps corrupt-header fuzzing
+  // inside clean runtime_error territory).
+  if (n_symbols > (std::size_t{1} << 38))
+    throw std::runtime_error("rans: implausible symbol count");
   if (slot2sym_.empty())
     throw std::runtime_error("rans: empty frequency table");
   if (payload.size() < 8)
@@ -252,20 +260,7 @@ std::size_t rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
   const auto n_symbols = static_cast<std::size_t>(in.get_varint());
   if (n_symbols > max_symbols)
     throw std::runtime_error("rans: symbol count exceeds caller bound");
-  // Degenerate one-symbol streams legitimately spend ~0 bits/symbol, so
-  // the payload size bounds nothing; beyond the caller's cap, reject
-  // counts no real machine could hold before attempting the allocation
-  // (keeps corrupt-header fuzzing inside clean bad_alloc territory too).
-  if (n_symbols > (std::size_t{1} << 38))
-    throw std::runtime_error("rans: implausible symbol count");
-  const auto n_payload = static_cast<std::size_t>(in.get_varint());
-  const auto payload = in.get_bytes(n_payload);
-  if (n_symbols == 0) {
-    if (n_payload != 0)
-      throw std::runtime_error("rans: nonempty payload for empty stream");
-    out.clear();
-    return 0;
-  }
+  const auto payload = in.get_bytes(static_cast<std::size_t>(in.get_varint()));
   const RansDecoder dec(freqs);
   dec.decode_payload_into(payload, n_symbols, out, limit);
   return n_symbols;

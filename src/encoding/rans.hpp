@@ -90,10 +90,12 @@ class RansDecoder {
 
   /// Decode the first min(limit, n_symbols) of the `n_symbols` symbols of
   /// a rans_append_payload() payload into `out` (resized to that count).
-  /// Throws std::runtime_error on truncated or corrupt payloads:
-  /// out-of-interval initial states or renormalization running past the
-  /// payload end; and, when all n_symbols are decoded, final states that
-  /// do not return to kRansL or unconsumed trailing bytes.
+  /// Throws std::runtime_error on truncated or corrupt payloads: a
+  /// nonempty payload for zero symbols, a count past 2^38 (checked before
+  /// `out` grows, since the payload size bounds nothing), out-of-interval
+  /// initial states or renormalization running past the payload end; and,
+  /// when all n_symbols are decoded, final states that do not return to
+  /// kRansL or unconsumed trailing bytes.
   void decode_payload_into(
       std::span<const std::uint8_t> payload, std::size_t n_symbols,
       std::vector<std::uint16_t>& out,
@@ -119,9 +121,9 @@ void rans_encode(std::span<const std::uint16_t> symbols,
 /// Inverse of rans_encode().  `max_symbols` caps the declared symbol count
 /// BEFORE any allocation — unlike Huffman, a degenerate one-symbol rANS
 /// stream spends ~0 bits per symbol, so the payload size bounds nothing and
-/// the caller must supply the count it expects (e.g. dims.count()).  Like
-/// huffman_decode_into(), decodes the first min(limit, n_symbols) symbols,
-/// consumes the whole section from `in` and returns the declared count.
+/// the caller must supply the count it expects (e.g. dims.count()).
+/// Decodes the first min(limit, n_symbols) symbols, consumes the whole
+/// section from `in` and returns the declared count.
 std::size_t rans_decode_into(
     ByteReader& in, std::vector<std::uint16_t>& out, std::size_t max_symbols,
     std::size_t limit = std::numeric_limits<std::size_t>::max());

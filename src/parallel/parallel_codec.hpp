@@ -21,7 +21,9 @@
 // single-stream codec.  `opts.exec.entropy` selects the shared-table
 // entropy coder for every slab: the seed Huffman default, or the rANS
 // backend (one normalized frequency table serves all slabs, exactly like
-// the shared canonical Huffman table).
+// the shared canonical Huffman table).  Each slab is one chunk of the
+// chunk codec (core/chunk_codec): this module adds only the container
+// framing, the slab split and the pipelined emit.
 //
 // Execution strategy (pool, hot-path mode, scratch) comes from the
 // caller's ExecPolicy (opts.exec), so concurrent calls with different
@@ -34,7 +36,6 @@
 
 #include "common/dims.hpp"
 #include "core/compressor.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace sz14 {
 
@@ -55,27 +56,14 @@ struct ParallelResult {
 /// `exec.threads` workers), `exec.mode` is carried into every slab task
 /// (kTurbo slabs are bound-conformant rather than bit-reproducible against
 /// kFast ones — but each mode is individually deterministic), and
-/// `exec.scratch` hands each worker reusable walk buffers.  `chunks == 0` picks one slab per worker.
+/// `exec.scratch` hands each worker reusable walk buffers.
 /// The error bound is resolved ONCE against the whole field's value range,
 /// so eb_rel does not depend on the chunking.
 ///
-/// NOTE: the 4th positional argument is the CHUNK count (it shapes the
-/// stream), not a worker count.  The retired (threads, chunks) overload is
-/// deleted below, so stale TWO-integer call sites fail to compile; a stale
-/// single-integer call (previously "threads") still compiles and now means
-/// chunks — audit such call sites when migrating (worker count belongs on
-/// opts.exec.threads / opts.exec.pool).
+/// `chunks` is the slab count, which shapes the stream (0 = one slab per
+/// pool worker); the worker count is the policy's alone.
 ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
                                  const Options& opts, std::size_t chunks = 0);
-ParallelResult parallel_compress(std::span<const float>, const Dims&,
-                                 const Options&, std::size_t,
-                                 std::size_t) = delete;
-
-/// Explicit-pool overload (ignores opts.exec.pool/threads; everything else
-/// still comes from the policy).
-ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
-                                 const Options& opts, ThreadPool& pool,
-                                 std::size_t chunks = 0);
 
 struct ParallelDecompressResult {
   std::vector<float> data;
@@ -85,17 +73,11 @@ struct ParallelDecompressResult {
   double entropy_decode_seconds = 0.0;
 };
 
-/// Decompression parallelizes identically.  The ExecPolicy overload
-/// sources pool and scratch from the policy like parallel_compress
-/// (decoding is exact, so `exec.mode` plays no part).
+/// Decompression parallelizes identically, with pool and scratch from
+/// the policy like parallel_compress (decoding is exact, so `exec.mode`
+/// plays no part).  Throws std::runtime_error on a malformed container.
 ParallelDecompressResult parallel_decompress(
     std::span<const std::uint8_t> stream, const ExecPolicy& exec);
-
-ParallelDecompressResult parallel_decompress(
-    std::span<const std::uint8_t> stream, ThreadPool& pool);
-
-ParallelDecompressResult parallel_decompress(
-    std::span<const std::uint8_t> stream, std::size_t threads);
 
 /// True when `stream` starts with the parallel container magic — the CLI
 /// uses this to route decompression without a dtype/format flag.

@@ -433,10 +433,6 @@ void Server::dispatch(const std::shared_ptr<Session>& s, const Frame& frame) {
         return;
       }
       case kOpStats: {
-        // A worker counts bytes_out after its write, still under
-        // out_mutex: taking the lock settles every reply of this session
-        // the client has already received.
-        { std::lock_guard<std::mutex> settle(s->out_mutex); }
         ByteWriter w;
         encode_stats_response(stats(), w);
         enqueue(s, kStatusOk, w.view());
@@ -588,8 +584,11 @@ void Server::enqueue(const std::shared_ptr<Session>& s, std::uint8_t status,
   {
     std::lock_guard<std::mutex> lock(s->out_mutex);
     if (s->closed.load(std::memory_order_relaxed)) return;
+    // Counted before the first byte is written, like the request, so any
+    // stats snapshot taken after a client saw a reply includes all of it.
     (status == kStatusOk ? requests_ok_ : requests_error_)
         .fetch_add(1, std::memory_order_relaxed);
+    bytes_out_.fetch_add(frame.size(), std::memory_order_relaxed);
     const bool idle_outbox = s->outbox.empty();
     s->outbox.push_back(std::move(frame));
     // Send now, else queue: with nothing ahead of it the frame goes out
@@ -619,8 +618,6 @@ bool Server::flush_output(Session& s, const std::lock_guard<std::mutex>&) {
       return false;  // peer vanished
     }
     if (n < 0) break;  // socket full; POLLOUT resumes us
-    bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                         std::memory_order_relaxed);
     wrote = wrote || n > 0;
     s.out_pos += static_cast<std::size_t>(n);
     if (s.out_pos == front.size()) {

@@ -169,8 +169,8 @@ class Server {
   void enqueue_error(const std::shared_ptr<Session>& s, std::uint8_t status,
                      const std::string& message);
   /// The one write loop: flush as much outbox as the socket takes, with
-  /// `s.out_mutex` held by the caller; false = dead connection.  Counts
-  /// bytes_out and restarts the session's idle clock when bytes moved.
+  /// `s.out_mutex` held by the caller; false = dead connection.  Restarts
+  /// the session's idle clock when bytes moved.
   bool flush_output(Session& s, const std::lock_guard<std::mutex>& held);
   void close_session(Loop& loop, std::uint64_t id);
   void wake_all() noexcept;
@@ -201,6 +201,9 @@ class Server {
   std::atomic<std::uint64_t> requests_ok_{0};
   std::atomic<std::uint64_t> requests_error_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
+  /// Reply frame bytes, counted whole when enqueue() queues the frame
+  /// (before its first write): a session that dies mid-reply is still
+  /// counted in full.
   std::atomic<std::uint64_t> bytes_out_{0};
   std::atomic<std::uint64_t> sessions_idle_reaped_{0};  // idle timeout
   std::atomic<bool> scrub_running_{false};

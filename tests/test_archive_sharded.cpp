@@ -217,7 +217,9 @@ TEST(Sharded, RoundTripsBitIdenticalToSingleFileAcrossFetchModes) {
     w.append_field("b64", f64v, dims, block, "sz14", 1e-6);
     w.finish();
     EXPECT_EQ(w.sharded(), shard_size > 0);
-    if (shard_size > 0) EXPECT_GT(w.shards().size(), 1u);
+    if (shard_size > 0) {
+      EXPECT_GT(w.shards().size(), 1u);
+    }
   }
 
   ArchiveReader base(single, {.threads = 1});

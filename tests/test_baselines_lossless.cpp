@@ -118,7 +118,9 @@ TEST(Registry, EveryListedNameConstructs) {
     const auto codec = make_compressor(name);
     ASSERT_NE(codec, nullptr) << name;
     // "zfp-rate" is the fixed-rate alias of the Zfp class.
-    if (name != "zfp-rate") EXPECT_EQ(codec->name(), name);
+    if (name != "zfp-rate") {
+      EXPECT_EQ(codec->name(), name);
+    }
   }
   EXPECT_THROW((void)make_compressor("nope"), std::invalid_argument);
 }

@@ -64,6 +64,18 @@ expect 0 archive create -o a.sza --field $FIELD --codec sz14 --rel 1e-4 \
 expect 0 archive extract -i a.sza -f v -o whole.f32
 max_error f.f32 whole.f32 2e-4
 
+# The threaded slab container (-t), Huffman and rANS, decoded on another
+# worker count: the same codes through either entropy backend, so the two
+# reconstructions are byte-identical.
+expect 0 compress -i f.f32 -o p.szp -d 20x30x40 --rel 1e-4 -t 3
+expect 0 decompress -i p.szp -o p_back.f32 -t 2
+max_error f.f32 p_back.f32 2e-4
+expect 0 compress -i f.f32 -o pr.szp -d 20x30x40 --rel 1e-4 -t 3 \
+  --entropy rans
+expect 0 decompress -i pr.szp -o pr_back.f32 -t 2
+cmp -s p_back.f32 pr_back.f32 ||
+  { echo "FAIL: -t 3 rans and huffman reconstructions differ"; fail=1; }
+
 # A torn tail (bytes past the sealed footer): scrub is not clean with or
 # without --repair (it never truncates); fsck --repair cuts the tail.
 cp a.sza torn.sza

@@ -80,12 +80,14 @@ TEST(TurboQuantizer, BoundaryValuesStayConformantOrDemote) {
          {0.0, 1e-19, -1e-19, 1e-12, -1e-12, 0.49999 * eb, -0.49999 * eb}) {
       const double real = pred + k * eb + nudge;
       const auto r = q.quantize_turbo<double>(real, pred);
-      if (r.predictable)
+      if (r.predictable) {
         EXPECT_LE(std::fabs(static_cast<double>(r.reconstructed) - real), eb)
             << "k=" << k << " nudge=" << nudge;
+      }
       const auto f = q.quantize<double>(real, pred);
-      if (f.predictable)
+      if (f.predictable) {
         EXPECT_LE(std::fabs(static_cast<double>(f.reconstructed) - real), eb);
+      }
     }
   }
 }

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -155,7 +158,8 @@ std::pair<std::vector<std::uint8_t>, std::uint32_t> golden_run(
     opts.exec.threads = 2;
     const auto values = golden_values<float>(gc.dims, seed);
     auto stream = parallel_compress(values, gc.dims, opts, 3).stream;
-    const auto crc = crc_of(parallel_decompress(stream, 2).data);
+    const auto crc =
+        crc_of(parallel_decompress(stream, {.threads = 2}).data);
     return {std::move(stream), crc};
   }
   if (gc.f64) {
@@ -210,9 +214,64 @@ TEST(Format, GoldenStreams) {
     ASSERT_EQ(stream[20], 0) << "entropy-backend byte moved";
     stream.erase(stream.begin() + 20);
     stream[0] = '2';
-    EXPECT_EQ(crc_of(parallel_decompress(stream, 2).data), gc.decoded_crc)
+    EXPECT_EQ(crc_of(parallel_decompress(stream, {.threads = 2}).data),
+              gc.decoded_crc)
         << "SZP2";
   }
+}
+
+TEST(Format, CodecParamsOutOfRangeRejectedInBothContainers) {
+  // m, the layer count and eb come straight off the header in both
+  // containers.  A value no compress() call writes is malformed input:
+  // decoding throws std::runtime_error, never the std::invalid_argument
+  // the quantizer or the predictor would raise.
+  const Dims dims{12, 10, 8};
+  const auto values = golden_values<float>(dims, 3);
+  Options opts;
+  opts.eb_abs = 0.05;
+  opts.exec.threads = 2;
+  struct Container {
+    const char* name;
+    std::vector<std::uint8_t> stream;
+    std::size_t eb_at;  // then m at eb_at + 8, layers at eb_at + 9
+    void (*decode)(std::span<const std::uint8_t>);
+  };
+  const Container containers[] = {
+      // magic 4, version, dtype, flags, rank, three 1-byte extents
+      {"SZ14", compress(std::span<const float>(values), dims, opts), 11,
+       [](std::span<const std::uint8_t> s) { (void)decompress(s); }},
+      // magic 4, rank, three 1-byte extents, chunks
+      {"SZP3", parallel_compress(values, dims, opts, 3).stream, 9,
+       [](std::span<const std::uint8_t> s) {
+         (void)parallel_decompress(s, {.threads = 2});
+       }},
+  };
+  const auto patched = [](const Container& c, std::size_t at, auto value) {
+    auto s = c.stream;
+    std::memcpy(s.data() + at, &value, sizeof value);
+    return s;
+  };
+  for (const Container& c : containers) {
+    ASSERT_EQ(c.stream[c.eb_at + 8], 8) << c.name << ": m moved";
+    ASSERT_EQ(c.stream[c.eb_at + 9], 1) << c.name << ": layers moved";
+    EXPECT_NO_THROW(c.decode(c.stream)) << c.name;
+    for (const std::uint8_t m : {0, 1, 17, 40})
+      EXPECT_THROW(c.decode(patched(c, c.eb_at + 8, m)), std::runtime_error)
+          << c.name << " m=" << int{m};
+    for (const std::uint8_t layers : {0, 9, 200})
+      EXPECT_THROW(c.decode(patched(c, c.eb_at + 9, layers)),
+                   std::runtime_error)
+          << c.name << " layers=" << int{layers};
+    for (const double eb : {-0.05, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()})
+      EXPECT_THROW(c.decode(patched(c, c.eb_at, eb)), std::runtime_error)
+          << c.name << " eb=" << eb;
+  }
+  // SZP3's entropy-backend byte (after decorrelate) names a table row.
+  const Container& szp3 = containers[1];
+  ASSERT_EQ(szp3.stream[szp3.eb_at + 11], 0) << "entropy byte moved";
+  EXPECT_THROW(szp3.decode(patched(szp3, szp3.eb_at + 11, std::uint8_t{2})),
+               std::runtime_error);
 }
 
 TEST(Format, CompressedStreamIsDeterministic) {

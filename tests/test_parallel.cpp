@@ -148,7 +148,7 @@ TEST(ParallelCodec, RoundTripMatchesBound) {
   Options opts;
   opts.eb_abs = 0.01;
   const auto result = compress_with(f.values, f.dims, opts, 4);
-  const auto out = parallel_decompress(result.stream, 4);
+  const auto out = parallel_decompress(result.stream, {.threads = 4});
   EXPECT_EQ(out.dims, f.dims);
   for (std::size_t i = 0; i < f.values.size(); ++i)
     ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
@@ -191,7 +191,7 @@ TEST(ParallelCodec, TurboStreamDeterministicAndConformant) {
   // Cross-check: a turbo slab container decodes through parallel_decompress
   // within the bound, at any worker count.
   for (const std::size_t threads : {1u, 3u}) {
-    const auto out = parallel_decompress(a.stream, threads);
+    const auto out = parallel_decompress(a.stream, {.threads = threads});
     ASSERT_EQ(out.data.size(), f.values.size());
     for (std::size_t i = 0; i < f.values.size(); ++i)
       ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
@@ -219,7 +219,7 @@ TEST(ParallelCodec, RansBackendRoundTripsAndIsWorkerCountInvariant) {
   EXPECT_NE(a.stream, h.stream);
 
   for (const std::size_t threads : {1u, 3u}) {
-    const auto out = parallel_decompress(a.stream, threads);
+    const auto out = parallel_decompress(a.stream, {.threads = threads});
     ASSERT_EQ(out.data.size(), f.values.size());
     for (std::size_t i = 0; i < f.values.size(); ++i)
       ASSERT_LE(std::fabs(static_cast<double>(f.values[i]) -
@@ -227,7 +227,7 @@ TEST(ParallelCodec, RansBackendRoundTripsAndIsWorkerCountInvariant) {
                 1e-3);
     // Identical codes either way: the reconstruction must match the
     // Huffman container's bit for bit.
-    const auto hout = parallel_decompress(h.stream, threads);
+    const auto hout = parallel_decompress(h.stream, {.threads = threads});
     EXPECT_EQ(out.data, hout.data);
   }
 }
@@ -241,7 +241,7 @@ TEST(ParallelCodec, EntropyTimingsReported) {
     opts.exec.entropy = backend;
     const auto result = compress_with(f.values, f.dims, opts, 2, 4);
     EXPECT_GT(result.entropy_encode_seconds, 0.0);
-    const auto out = parallel_decompress(result.stream, 2);
+    const auto out = parallel_decompress(result.stream, {.threads = 2});
     EXPECT_GT(out.entropy_decode_seconds, 0.0);
   }
 }
@@ -267,7 +267,7 @@ TEST(ParallelCodec, RelativeBoundIndependentOfChunking) {
   Options opts;
   opts.eb_rel = 1e-3;
   const auto a = compress_with(f.values, f.dims, opts, 2, 4);
-  const auto out = parallel_decompress(a.stream, 2);
+  const auto out = parallel_decompress(a.stream, {.threads = 2});
   double lo = f.values[0], hi = f.values[0];
   for (const float v : f.values) {
     lo = std::min<double>(lo, v);
@@ -286,18 +286,39 @@ TEST(ParallelCodec, ChunkCountCappedByRows) {
   opts.eb_abs = 0.01;
   const auto result = compress_with(f.values, f.dims, opts, 16, 16);
   EXPECT_LE(result.chunks, 4u);
-  const auto out = parallel_decompress(result.stream, 2);
+  const auto out = parallel_decompress(result.stream, {.threads = 2});
   EXPECT_EQ(out.data.size(), f.values.size());
 }
 
 TEST(ParallelCodec, SingleChunkMatchesSequentialCodec) {
-  const auto f = data::climate2d(32, 32);
-  Options opts;
-  opts.eb_abs = 0.01;
-  const auto par = compress_with(f.values, f.dims, opts, 1, 1);
-  const auto seq_out = decompress(compress(f.values, f.dims, opts));
-  const auto par_out = parallel_decompress(par.stream, 1);
-  EXPECT_EQ(seq_out.data, par_out.data);
+  // One slab is the one-chunk case of the chunk codec that also writes the
+  // sequential stream, so the two decode bit-identically for every rank,
+  // entropy backend, layer count and decorrelation mode.
+  const data::Field fields[] = {
+      data::smooth1d(2000),
+      data::climate2d(32, 32),
+      data::hurricane3d(8, 16, 16),
+      {data::climate2d(48, 40).values, Dims{4, 6, 8, 10}, "climate4d"},
+  };
+  for (const data::Field& f : fields)
+    for (const auto entropy :
+         {EntropyBackend::kHuffman, EntropyBackend::kRans})
+      for (const unsigned layers : {1u, 2u})
+        for (const bool decorrelate : {false, true}) {
+          Options opts;
+          opts.eb_abs = 0.01;
+          opts.layers = layers;
+          opts.decorrelate = decorrelate;
+          opts.exec.entropy = entropy;
+          const auto par = compress_with(f.values, f.dims, opts, 1, 1);
+          const auto seq_out = decompress(compress(f.values, f.dims, opts));
+          const auto par_out =
+              parallel_decompress(par.stream, {.threads = 1});
+          EXPECT_EQ(seq_out.data, par_out.data)
+              << f.dims.to_string()
+              << " rans=" << (entropy == EntropyBackend::kRans)
+              << " layers=" << layers << " decorrelate=" << decorrelate;
+        }
 }
 
 TEST(ParallelCodec, PredictableCountAggregates) {
@@ -311,7 +332,8 @@ TEST(ParallelCodec, PredictableCountAggregates) {
 
 TEST(ParallelCodec, MalformedStreamThrows) {
   const std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5, 6, 7, 8};
-  EXPECT_THROW((void)parallel_decompress(junk, 2), std::runtime_error);
+  EXPECT_THROW((void)parallel_decompress(junk, {.threads = 2}),
+               std::runtime_error);
 }
 
 TEST(IoModelTest, BandwidthSaturates) {

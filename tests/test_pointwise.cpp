@@ -50,9 +50,10 @@ TEST(Pointwise, SignsSurvive) {
       decompress_pointwise_rel(compress_pointwise_rel(f.values, f.dims, pwrel));
   std::size_t negatives = 0;
   for (std::size_t i = 0; i < f.values.size(); ++i) {
-    if (f.values[i] != 0.0f)
+    if (f.values[i] != 0.0f) {
       ASSERT_EQ(std::signbit(out.data[i]), std::signbit(f.values[i]))
           << "at " << i;
+    }
     negatives += std::signbit(f.values[i]);
   }
   ASSERT_GT(negatives, 0u) << "test field should contain negative values";

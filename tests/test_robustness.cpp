@@ -72,7 +72,7 @@ TEST(Robustness, RandomGarbageNeverCrashes) {
     must_not_crash([&] { (void)decompress(junk); });
     must_not_crash([&] { (void)decompress64(junk); });
     must_not_crash([&] { (void)snapshot_list(junk); });
-    must_not_crash([&] { (void)parallel_decompress(junk, 2); });
+    must_not_crash([&] { (void)parallel_decompress(junk, {.threads = 2}); });
     must_not_crash([&] { (void)deflate_like_decompress(junk); });
   }
 }

@@ -225,20 +225,14 @@ TEST(ServeDaemon, ByteCountersMatchTheWire) {
     ASSERT_EQ(reply.kind, kStatusOk);
     received += kFrameHeaderSize + reply.body.size();
   }
-  // The stats snapshot is taken after its request was read and before its
-  // own reply is written.  A reply on another session is counted just
-  // after its write returns, so the snapshot may trail the wire by that
-  // step: ask again (each answer is itself on the wire) until it settles.
-  Metrics s;
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    send(*conns[0], kOpStats, {});
-    const Frame reply = recv_frame(*conns[0]);
-    ASSERT_EQ(reply.kind, kStatusOk);
-    ByteReader in(reply.body);
-    s = decode_stats_response(in);
-    if (metric(s, "bytes_out") == received) break;
-    received += kFrameHeaderSize + reply.body.size();
-  }
+  // A reply is counted whole before its first byte is written, and the
+  // stats snapshot is taken before its own reply is queued: it holds
+  // exactly the replies the client has received, on every session.
+  send(*conns[0], kOpStats, {});
+  const Frame reply = recv_frame(*conns[0]);
+  ASSERT_EQ(reply.kind, kStatusOk);
+  ByteReader in(reply.body);
+  const Metrics s = decode_stats_response(in);
   EXPECT_EQ(metric(s, "bytes_out"), received);
   EXPECT_EQ(metric(s, "bytes_in"), sent);
   server.stop();

@@ -368,14 +368,13 @@ int cmd_compress(const Args& a) {
     raw_bytes = values.size() * sizeof(float);
     stream = compress_pointwise_rel(values, dims, a.pwrel, opts, &stats);
   } else if (a.dtype == "f32" && threaded) {
-    // Whole-field threaded path: slab container, shared Huffman table.
+    // Whole-field threaded path: slab container, one shared entropy table.
     // The pool travels on the policy: -t 0 borrows the process-wide pool
     // (one worker per core); an explicit count gets a private pool.
     const auto values = data::read_f32(a.input);
     raw_bytes = values.size() * sizeof(float);
-    std::optional<ThreadPool> own;
-    if (threads != 0) own.emplace(threads);
-    opts.exec.pool = own ? &*own : &shared_pool();
+    if (threads == 0) opts.exec.pool = &shared_pool();
+    opts.exec.threads = threads;
     auto result = parallel_compress(values, dims, opts);
     stats.total = values.size();
     stats.predictable = result.predictable;
@@ -411,20 +410,18 @@ int cmd_compress(const Args& a) {
 int cmd_decompress(const Args& a) {
   const auto stream = data::read_bytes(a.input);
   Timer timer;
-  // Parallel slab containers carry their own magic ("SZP2").
+  // Parallel slab containers carry their own magic ("SZP3", or "SZP2").
   if (is_parallel_stream(stream)) {
+    // -t 0 borrows the process-wide pool, a count gets a private pool.
     const std::size_t threads = a.threads.value_or(1);
-    std::optional<ThreadPool> own;
-    if (threads != 0) own.emplace(threads);
-    ThreadPool& pool = own ? *own : shared_pool();
-    ExecPolicy exec;
-    exec.pool = &pool;
-    const auto out = parallel_decompress(stream, exec);
+    ThreadPool* const shared = threads == 0 ? &shared_pool() : nullptr;
+    const auto out =
+        parallel_decompress(stream, {.pool = shared, .threads = threads});
     write_values(a.output, out.data);
     std::printf("decompressed %s f32 (parallel container, %zu threads) "
                 "in %.3fs\n",
-                out.dims.to_string().c_str(), pool.thread_count(),
-                timer.seconds());
+                out.dims.to_string().c_str(),
+                shared ? shared->thread_count() : threads, timer.seconds());
     return 0;
   }
   // Pointwise containers carry their own magic ("SZPR").
@@ -461,7 +458,8 @@ int cmd_info(const Args& a) {
               (1u << h.interval_bits) - 1, h.interval_bits);
   std::printf("  layers       : %u\n", h.layers);
   std::printf("  decorrelate  : %s\n", h.decorrelate ? "yes" : "no");
-  std::printf("  entropy      : %s\n", h.rans_entropy ? "rans" : "huffman");
+  std::printf("  entropy      : %s\n",
+              h.entropy == EntropyBackend::kRans ? "rans" : "huffman");
   std::printf("  stream bytes : %zu (%.2f bits/value)\n", stream.size(),
               bit_rate(stream.size(), h.dims.count()));
   return 0;
