@@ -11,13 +11,13 @@
 namespace sz14::archive {
 namespace {
 
-/// The lead-plane contract for backends that can only decode a whole
-/// block: drop the planes past `lead`.
+/// The box contract for backends that can only decode a whole block:
+/// drop the planes past the box's last one.
 template <typename T>
 std::vector<T> leading_planes(std::vector<T> values, const Dims& block_dims,
-                              std::size_t lead) {
-  if (lead < block_dims.extent(0) && values.size() == block_dims.count())
-    values.resize(lead * (block_dims.count() / block_dims.extent(0)));
+                              const LeadBox& box) {
+  if (box[0] < block_dims.extent(0) && values.size() == block_dims.count())
+    values.resize(box[0] * (block_dims.count() / block_dims.extent(0)));
   return values;
 }
 
@@ -40,9 +40,9 @@ std::vector<std::uint8_t> sz14_c32(std::span<const float> block,
 }
 
 std::vector<float> sz14_d32(std::span<const std::uint8_t> stream,
-                            const Dims& /*block_dims*/, std::size_t lead,
+                            const Dims& /*block_dims*/, const LeadBox& box,
                             const ExecPolicy& exec) {
-  return decompress(stream, exec, lead).data;
+  return decompress(stream, exec, box).data;
 }
 
 std::vector<std::uint8_t> sz14_c64(std::span<const double> block,
@@ -55,9 +55,9 @@ std::vector<std::uint8_t> sz14_c64(std::span<const double> block,
 }
 
 std::vector<double> sz14_d64(std::span<const std::uint8_t> stream,
-                             const Dims& /*block_dims*/, std::size_t lead,
+                             const Dims& /*block_dims*/, const LeadBox& box,
                              const ExecPolicy& exec) {
-  return decompress64(stream, exec, lead).data;
+  return decompress64(stream, exec, box).data;
 }
 
 // --- zfp_like / fpzip_like: f32 through the baseline classes --------------
@@ -69,10 +69,10 @@ std::vector<std::uint8_t> zfp_c32(std::span<const float> block,
 }
 
 std::vector<float> zfp_d32(std::span<const std::uint8_t> stream,
-                           const Dims& block_dims, std::size_t lead,
+                           const Dims& block_dims, const LeadBox& box,
                            const ExecPolicy& exec) {
   return leading_planes(baselines::Zfp().decompress(stream, exec),
-                        block_dims, lead);
+                        block_dims, box);
 }
 
 std::vector<std::uint8_t> fpzip_c32(std::span<const float> block,
@@ -82,10 +82,10 @@ std::vector<std::uint8_t> fpzip_c32(std::span<const float> block,
 }
 
 std::vector<float> fpzip_d32(std::span<const std::uint8_t> stream,
-                             const Dims& block_dims, std::size_t lead,
+                             const Dims& block_dims, const LeadBox& box,
                              const ExecPolicy& exec) {
   return leading_planes(baselines::Fpzip().decompress(stream, exec),
-                        block_dims, lead);
+                        block_dims, box);
 }
 
 // --- gzip_like: f32 via the baseline class, f64 as raw deflated bytes -----
@@ -97,10 +97,10 @@ std::vector<std::uint8_t> gzip_c32(std::span<const float> block,
 }
 
 std::vector<float> gzip_d32(std::span<const std::uint8_t> stream,
-                            const Dims& block_dims, std::size_t lead,
+                            const Dims& block_dims, const LeadBox& box,
                             const ExecPolicy& exec) {
   return leading_planes(baselines::Gzip().decompress(stream, exec),
-                        block_dims, lead);
+                        block_dims, box);
 }
 
 std::vector<std::uint8_t> gzip_c64(std::span<const double> block,
@@ -112,14 +112,14 @@ std::vector<std::uint8_t> gzip_c64(std::span<const double> block,
 }
 
 std::vector<double> gzip_d64(std::span<const std::uint8_t> stream,
-                             const Dims& block_dims, std::size_t lead,
+                             const Dims& block_dims, const LeadBox& box,
                              const ExecPolicy& /*exec*/) {
   const auto bytes = deflate_like_decompress(stream);
   if (bytes.size() % sizeof(double) != 0)
     throw std::runtime_error("archive: gzip_like f64 payload not 8-aligned");
   std::vector<double> values(bytes.size() / sizeof(double));
   std::memcpy(values.data(), bytes.data(), bytes.size());
-  return leading_planes(std::move(values), block_dims, lead);
+  return leading_planes(std::move(values), block_dims, box);
 }
 
 constexpr CodecOps kCodecs[] = {

@@ -33,13 +33,16 @@ inline constexpr std::uint8_t kCodecGzip = 4;
 /// (modulo kTurbo's explicit compress-side bit-identity trade), so scratch
 /// and pool choices are invisible in the data.
 ///
-/// A decompress op returns the first `lead` planes of the block along axis
-/// 0: exactly min(lead, extent(0)) x (other extents of `block_dims`)
-/// values, row-major, bit-identical to that prefix of the whole block (any
-/// lead >= extent(0) is the whole block).  sz14 stops its decode at the
-/// last plane; the baseline backends decode in full and truncate.  A
-/// stream whose decoded size does not match `block_dims` is returned
-/// untruncated, so the caller's size check still sees the mismatch.
+/// A decompress op decodes the leading box `box` of the block (LeadBox;
+/// the archive reader passes the box its region needs).  It returns the
+/// box's planes along axis 0, exactly min(box[0], extent(0)) x (other
+/// extents of `block_dims`) values, row-major, with every value inside
+/// the box bit-identical to the whole block's decode (any box covering
+/// the block is the whole block).  sz14 decodes only the box and leaves
+/// the rest of its planes zero; the baseline backends decode in full and
+/// truncate to the box's planes.  A stream whose decoded size does not
+/// match `block_dims` is returned untruncated, so the caller's size check
+/// still sees the mismatch.
 struct CodecOps {
   std::uint8_t id;
   const char* name;
@@ -50,7 +53,8 @@ struct CodecOps {
                                           double eb_abs,
                                           const ExecPolicy& exec);
   std::vector<float> (*decompress32)(std::span<const std::uint8_t> stream,
-                                     const Dims& block_dims, std::size_t lead,
+                                     const Dims& block_dims,
+                                     const LeadBox& box,
                                      const ExecPolicy& exec);
 
   std::vector<std::uint8_t> (*compress64)(std::span<const double> block,
@@ -59,7 +63,7 @@ struct CodecOps {
                                           const ExecPolicy& exec);
   std::vector<double> (*decompress64)(std::span<const std::uint8_t> stream,
                                       const Dims& block_dims,
-                                      std::size_t lead,
+                                      const LeadBox& box,
                                       const ExecPolicy& exec);
 };
 

@@ -15,20 +15,20 @@ namespace {
 template <typename T>
 std::vector<T> codec_decompress(const CodecOps& ops,
                                 std::span<const std::uint8_t> payload,
-                                const Dims& block_dims, std::size_t lead,
+                                const Dims& block_dims, const LeadBox& box,
                                 const ExecPolicy& exec) {
   if constexpr (std::is_same_v<T, float>) {
-    return ops.decompress32(payload, block_dims, lead, exec);
+    return ops.decompress32(payload, block_dims, box, exec);
   } else {
     if (ops.decompress64 == nullptr)
       throw std::runtime_error(std::string("archive: codec '") + ops.name +
                                "' has no f64 path");
-    return ops.decompress64(payload, block_dims, lead, exec);
+    return ops.decompress64(payload, block_dims, box, exec);
   }
 }
 
 /// Copy the intersection of block `i` (decoded, at least through the
-/// region's last axis-0 plane) and the read's region into its output.
+/// region's part of the block) and the read's region into its output.
 template <typename T>
 void scatter_block(const BlockGrid& grid, std::size_t i,
                    const std::vector<T>& block, PartialRead<T>& r) {
@@ -262,7 +262,7 @@ ThreadPool& ArchiveReader::serving_pool() const {
 template <typename T>
 std::vector<T> ArchiveReader::decode_block(
     const FieldEntry& f, std::size_t block_index, const Dims& block_dims,
-    std::size_t lead, const ExecPolicy& exec,
+    const LeadBox& box, const ExecPolicy& exec,
     std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
   // Zero-copy fast path: decode straight from the mmap'd payload.  When
@@ -271,8 +271,10 @@ std::vector<T> ArchiveReader::decode_block(
   // steady-state serving preads into the same buffer every time,
   // allocation-free.
   std::span<const std::uint8_t> payload = source_.view(b.offset, b.size);
+  std::unique_ptr<std::uint8_t[]> staged_own;
   if (payload.empty() && b.size > 0) {
-    const std::span<std::uint8_t> staged = scratch_.local().payload(b.size);
+    const std::span<std::uint8_t> staged =
+        scratch_payload_or(exec.scratch, staged_own, b.size);
     source_.read_at(b.offset, staged);
     payload = staged;
   }
@@ -303,7 +305,7 @@ std::vector<T> ArchiveReader::decode_block(
   }
   const CodecOps& ops = *codec_by_id(f.codec);  // validated in read_footer
   std::vector<T> block =
-      codec_decompress<T>(ops, payload, block_dims, lead, exec);
+      codec_decompress<T>(ops, payload, block_dims, box, exec);
   blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
   return block;
 }
@@ -377,9 +379,13 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
                    PreadFile::Advice::kWillNeed);
   }
 
-  // Per-read execution policy: block tasks are single-threaded (no pool)
-  // and draw their buffers from the reader's arena.
-  const ExecPolicy exec{.scratch = &scratch_};
+  // Per-read execution policy: block tasks are single-threaded (no pool).
+  // Pool workers draw their buffers from the reader's arena; the calling
+  // thread's share uses none, so the arena stays bounded by the pool size
+  // (see the CodecScratch lifetime note).
+  ThreadPool& pool = serving_pool();
+  const ExecPolicy worker_exec{.scratch = &scratch_};
+  const ExecPolicy caller_exec{};
 
   // Per-call repair tally: decode_block bumps it so the damage report can
   // say how many of THIS call's blocks were reconstructed (the member
@@ -387,31 +393,35 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
   std::atomic<std::uint64_t> call_repairs{0};
 
   // A block that will not outlive this read (no cache to keep it, no
-  // single-flight followers to share it) is decoded only through the
-  // region's last plane along axis 0: the decode runs in scan order, so
-  // the planes past that one are never needed.  Decided once per read, so
-  // a cache enabled mid-read never receives a partial block.
+  // single-flight followers to share it) is decoded only over the box
+  // from its origin to the region's far corner: every predictor tap
+  // reaches back on every axis, so nothing past that box is needed.
+  // Decided once per read, so a cache enabled mid-read never receives a
+  // partial block.
   const bool coalesce = coalescing();
   const bool keep_blocks = coalesce || cache_.enabled();
-  const auto lead_of = [&](std::size_t i, const Dims& be) {
-    if (keep_blocks) return be.extent(0);
+  const auto box_of = [&](std::size_t i, const Dims& be) {
+    LeadBox box{};
     std::array<std::size_t, kMaxDims> bo{};
     grid.block_origin(i, bo);
-    return std::min(be.extent(0),
-                    region.origin[0] + region.extent[0] - bo[0]);
+    for (std::size_t a = 0; a < be.rank(); ++a) {
+      const std::size_t need = region.origin[a] + region.extent[a] - bo[a];
+      box[a] = keep_blocks ? be.extent(a) : std::min(be.extent(a), need);
+    }
+    return box;
   };
 
   // Decode one block (size-validated) and hand it to the cache as an
   // immutable shared vector; without the cache the plain vector (only its
-  // leading planes) is scattered and dropped.  scatter_block never reads
-  // past the lead: it copies only the block's intersection with the
-  // region.
+  // box) is scattered and dropped.  scatter_block never reads past the
+  // box: it copies only the block's intersection with the region.
   const auto decode_validated = [&](std::size_t i) {
     const Dims be = grid.block_extents(i);
-    const std::size_t lead = lead_of(i, be);
-    std::vector<T> decoded =
-        decode_block<T>(f, i, be, lead, exec, &call_repairs);
-    const std::size_t expect = lead * (be.count() / be.extent(0));
+    const LeadBox box = box_of(i, be);
+    std::vector<T> decoded = decode_block<T>(
+        f, i, be, box, pool.on_worker_thread() ? worker_exec : caller_exec,
+        &call_repairs);
+    const std::size_t expect = box[0] * (be.count() / be.extent(0));
     if (decoded.size() != expect)
       throw std::runtime_error("archive: block " + std::to_string(i) +
                                " of field '" + f.name + "' decoded to " +
@@ -487,12 +497,11 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
     }
   };
 
-  // Pipelined serving: each pool task preads its own payload and decodes
+  // Pipelined serving: each task preads its own payload and decodes
   // immediately, so one block's I/O overlaps another's decompression.
-  // Decodes run ONLY on pool workers — a bounded thread set — so the
-  // reader's scratch arena cannot grow with an unbounded stream of
-  // short-lived caller threads (see the CodecScratch lifetime note).
-  serving_pool().run_batch(misses.size(), decode_or_hole);
+  // The calling thread takes its share of the blocks (the caller's share
+  // uses no arena, see above), so a one-block read never leaves it.
+  pool.run_batch(misses.size(), decode_or_hole);
   r.misses.clear();
   if (damage == nullptr) return;
   damage->repaired += call_repairs.load(std::memory_order_relaxed);

@@ -10,9 +10,11 @@
 // A read is two steps.  probe() runs on the calling thread: it validates
 // the request, looks each intersecting block up in the decoded-block
 // cache once and scatters the hits.  decode() serves each miss as ONE
-// pool task that preads its payload, checksums, decodes, and scatters —
-// so block i's I/O overlaps block j's decompression instead of an
-// all-payloads-first barrier.  A fully cached read never touches the pool.
+// task that preads its payload, checksums, decodes, and scatters — so
+// block i's I/O overlaps block j's decompression instead of an
+// all-payloads-first barrier.  The calling thread runs its share of the
+// tasks and pool workers the rest.  A fully cached read never touches the
+// pool.
 //
 // `blocks_decoded()` counts every block decode since construction (or the
 // last reset), which is how tests and benches verify that a region read
@@ -78,9 +80,10 @@ struct ReaderOptions {
   /// read (0 = hardware_concurrency()).  Unused when `pool` is set.
   std::size_t threads = 0;
   /// Borrowed block-serving pool (the daemon passes its serving pool, so
-  /// a request's block decodes run inline on one worker).  Decodes run
-  /// only on pool workers — a bounded thread set — so the reader's
-  /// scratch arena cannot grow with a stream of short-lived callers.
+  /// a request's block decodes run inline on one worker).  Only pool
+  /// workers — a bounded thread set — decode with the reader's scratch
+  /// arena; the calling thread's share of a read uses no arena, so the
+  /// arena cannot grow with a stream of short-lived callers.
   ThreadPool* pool = nullptr;
   /// kStrict throws std::runtime_error on bad magic, truncated trailer,
   /// footer checksum mismatch or malformed index; kSalvage and kDegraded
@@ -302,14 +305,14 @@ class ArchiveReader {
 
  private:
   /// pread + CRC + decode of one block (cache not consulted here).  The
-  /// CRC covers the whole payload; the decode returns only the first
-  /// `lead` planes along axis 0 (CodecOps contract).  A CRC failure
-  /// attempts parity reconstruction; on success `*repairs` (when
-  /// non-null) is bumped and the exact data is returned, otherwise
-  /// BlockDamagedError is thrown.
+  /// CRC covers the whole payload; the decode covers only the leading
+  /// `box` of the block (CodecOps contract).  A pread stages the payload
+  /// in `exec.scratch` when it is set.  A CRC failure attempts parity
+  /// reconstruction; on success `*repairs` (when non-null) is bumped and
+  /// the exact data is returned, otherwise BlockDamagedError is thrown.
   template <typename T>
   std::vector<T> decode_block(const FieldEntry& f, std::size_t block_index,
-                              const Dims& block_dims, std::size_t lead,
+                              const Dims& block_dims, const LeadBox& box,
                               const ExecPolicy& exec,
                               std::atomic<std::uint64_t>* repairs) const;
 

@@ -240,8 +240,9 @@ void ArchiveWriter::append_impl(const std::string& name,
   const std::size_t n = grid.block_count();
 
   // Per-writer execution policy: hand every block task the writer's
-  // scratch arena — per-worker buffer slots that persist across
-  // appends, so batch ingest allocates walk buffers only on first touch.
+  // scratch arena — per-thread buffer slots (the pool's workers and the
+  // appending thread) that persist across appends, so batch ingest
+  // allocates walk buffers only on first touch.
   // Each block task is a complete walk+encode, so with several blocks in
   // flight block i+1's prediction pass naturally overlaps block i's
   // entropy encode — the same pipeline shape as the parallel slab codec.

@@ -61,9 +61,12 @@ struct WriterOptions {
   /// `exec.pool` the block-compression pool and, when it is null,
   /// `exec.threads` the workers of the writer's own pool
   /// (0 = hardware_concurrency()).  `exec.scratch` is ignored: the writer
-  /// keeps one per-worker arena across appends, so batch ingest stops
-  /// paying per-block buffer allocation.  (`= {}` spares callers that
-  /// set only the fields below GCC's -Wmissing-field-initializers.)
+  /// keeps one arena across appends, so batch ingest stops paying
+  /// per-block buffer allocation.  The thread that calls append_field()
+  /// compresses its share of the blocks too, so the arena holds one slot
+  /// per pool worker plus one per thread that appends.  (`= {}` spares
+  /// callers that set only the fields below GCC's
+  /// -Wmissing-field-initializers.)
   ExecPolicy exec = {};
   /// > 0 enables XOR block-group parity: every group of that many
   /// consecutive blocks of a field gets one parity payload (XOR of the
@@ -201,7 +204,7 @@ class ArchiveWriter {
   std::unordered_set<std::string> names_;  // O(1) duplicate-append rejection
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  // owned_pool_ or opts_.exec.pool
-  CodecScratch scratch_;  // reused across appends (per-worker slots)
+  CodecScratch scratch_;  // reused across appends (per-thread slots)
   bool finished_ = false;
   bool broken_ = false;
 };

@@ -4,6 +4,7 @@
 // layout is defined in exactly one place.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -25,8 +26,15 @@ class ByteWriter {
   template <typename T>
   void put(T v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    // resize + memcpy, not a range insert: GCC 12 misreads a small range
+    // insert into an empty vector as an overflow (-Wstringop-overflow).
+    if constexpr (sizeof(T) == 1) {
+      bytes_.push_back(std::bit_cast<std::uint8_t>(v));
+    } else {
+      const std::size_t at = bytes_.size();
+      bytes_.resize(at + sizeof(T));
+      std::memcpy(bytes_.data() + at, &v, sizeof(T));
+    }
   }
 
   void put_bytes(std::span<const std::uint8_t> data) {
@@ -67,6 +75,13 @@ class ByteWriter {
  private:
   std::vector<std::uint8_t> bytes_;
 };
+
+/// Bytes ByteWriter::put_varint(v) appends.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Bounds-checked deserializer over a borrowed byte span.
 class ByteReader {

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -83,5 +84,17 @@ class Dims {
   std::size_t rank_ = 0;
   std::size_t count_ = 0;
 };
+
+/// A leading box of an array: indices [0, box[a]) on each axis a, slowest
+/// first.  An entry past its axis's extent means the whole axis; entries
+/// past the array's rank are ignored.
+using LeadBox = std::array<std::size_t, kMaxDims>;
+
+/// The box that covers every array.
+inline constexpr LeadBox kWholeBox = {
+    std::numeric_limits<std::size_t>::max(),
+    std::numeric_limits<std::size_t>::max(),
+    std::numeric_limits<std::size_t>::max(),
+    std::numeric_limits<std::size_t>::max()};
 
 }  // namespace sz14

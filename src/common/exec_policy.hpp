@@ -164,7 +164,7 @@ struct ExecPolicy {
 
 /// Working buffer from `scratch`'s arena, or a fresh caller-owned
 /// allocation when it is null (`own` keeps it alive; uninitialized either
-/// way — callers write every element).  These three helpers are the only
+/// way — callers write every element).  These four helpers are the only
 /// scratch-or-fresh selection logic in the codebase.
 [[nodiscard]] inline std::span<std::uint16_t> scratch_codes_or(
     CodecScratch* scratch, std::unique_ptr<std::uint16_t[]>& own,
@@ -180,6 +180,16 @@ template <typename T>
                                                    std::size_t n) {
   if (scratch != nullptr) return scratch->local().recon<T>(n);
   own = std::make_unique_for_overwrite<T[]>(n);
+  return {own.get(), n};
+}
+
+/// Compressed-payload staging from the arena, or a fresh allocation in
+/// `own` (uninitialized either way — the caller fills it).
+[[nodiscard]] inline std::span<std::uint8_t> scratch_payload_or(
+    CodecScratch* scratch, std::unique_ptr<std::uint8_t[]>& own,
+    std::size_t n) {
+  if (scratch != nullptr) return scratch->local().payload(n);
+  own = std::make_unique_for_overwrite<std::uint8_t[]>(n);
   return {own.get(), n};
 }
 

@@ -38,7 +38,8 @@ struct EntropyTable::Ops {
   void (*read)(EntropyTable&, ByteReader&);
   void (*write)(const EntropyTable&, ByteWriter&);
   void (*append)(const EntropyTable&, std::span<const std::uint16_t> codes,
-                 std::span<const std::uint64_t> hist, ByteWriter&);
+                 std::span<const std::uint64_t> hist, ByteWriter&,
+                 std::size_t trailing);
   void (*decode)(const EntropyTable&, std::span<const std::uint8_t> payload,
                  std::size_t n_codes, std::vector<std::uint16_t>& codes,
                  std::size_t limit);
@@ -64,11 +65,15 @@ const EntropyTable::Ops& EntropyTable::ops_of(EntropyBackend backend) {
          huffman_write_lengths(t.lengths_, out);
        },
        [](const EntropyTable& t, std::span<const std::uint16_t> codes,
-          std::span<const std::uint64_t> hist, ByteWriter& out) {
+          std::span<const std::uint64_t> hist, ByteWriter& out,
+          std::size_t trailing) {
          std::uint64_t bits = 0;
          for (std::size_t s = 0; s < hist.size(); ++s)
            bits += hist[s] * t.lengths_[s];
-         out.put_varint((bits + 7) / 8);
+         const auto bytes = static_cast<std::size_t>((bits + 7) / 8);
+         out.vector().reserve(out.size() + varint_size(bytes) + bytes +
+                              trailing);
+         out.put_varint(bytes);
          huffman_append_payload(codes, t.packed_, out.vector(), bits);
        },
        [](const EntropyTable& t, std::span<const std::uint8_t> payload,
@@ -92,9 +97,12 @@ const EntropyTable::Ops& EntropyTable::ops_of(EntropyBackend backend) {
          rans_write_freqs(t.freqs_, out);
        },
        [](const EntropyTable& t, std::span<const std::uint16_t> codes,
-          std::span<const std::uint64_t> /*hist*/, ByteWriter& out) {
+          std::span<const std::uint64_t> /*hist*/, ByteWriter& out,
+          std::size_t trailing) {
          std::vector<std::uint8_t> payload;
          rans_append_payload(codes, *t.rans_enc_, payload);
+         out.vector().reserve(out.size() + varint_size(payload.size()) +
+                              payload.size() + trailing);
          out.put_varint(payload.size());
          out.put_bytes(payload);
        },
@@ -132,8 +140,9 @@ void EntropyTable::write(ByteWriter& out, bool tagged) const {
 
 void EntropyTable::append_payload(std::span<const std::uint16_t> codes,
                                   std::span<const std::uint64_t> hist,
-                                  ByteWriter& out) const {
-  ops_->append(*this, codes, hist, out);
+                                  ByteWriter& out,
+                                  std::size_t trailing) const {
+  ops_->append(*this, codes, hist, out, trailing);
 }
 
 void EntropyTable::decode_payload(std::span<const std::uint8_t> payload,
@@ -147,16 +156,17 @@ template <typename T>
 void decode_chunk(const EntropyTable& table,
                   std::span<const std::uint8_t> payload, std::size_t n_codes,
                   std::span<const std::uint8_t> unpred_bits, const Dims& dims,
-                  const ChunkParams& p, std::span<T> out,
-                  std::vector<T>* grow, CodecScratch* scratch,
-                  double* entropy_seconds) {
+                  std::span<const std::size_t> box, const ChunkParams& p,
+                  std::span<T> out, std::vector<T>* grow,
+                  CodecScratch* scratch, double* entropy_seconds) {
   // The code array is the largest decode-side working buffer; the arena
   // keeps it (and the walk's staging vectors) alive across calls.
   std::vector<std::uint16_t> codes_own;
   auto& codes = scratch_code_vector_or(scratch, codes_own);
   std::optional<ThreadCpuTimer> timer;
   if (entropy_seconds) timer.emplace();
-  table.decode_payload(payload, n_codes, codes, dims.count());
+  table.decode_payload(payload, n_codes, codes,
+                       detail::box_limit(dims, box));
   if (entropy_seconds) *entropy_seconds = timer->seconds();
   if (grow) {
     grow->resize(dims.count());
@@ -166,17 +176,19 @@ void decode_chunk(const EntropyTable& table,
   const LinearQuantizer quantizer(p.interval_bits, p.eb);
   const UnpredictableCodecT<T> unpred(p.eb);
   BitReader br(unpred_bits);
-  detail::pq_decompress_walk<T>(codes, dims, predictor, quantizer, unpred,
-                                p.decorrelate, out, br, scratch);
+  detail::pq_decompress_walk<T>(codes, dims, box, predictor, quantizer,
+                                unpred, p.decorrelate, out, br, scratch);
 }
 
 template void decode_chunk(const EntropyTable&, std::span<const std::uint8_t>,
                            std::size_t, std::span<const std::uint8_t>,
-                           const Dims&, const ChunkParams&, std::span<float>,
+                           const Dims&, std::span<const std::size_t>,
+                           const ChunkParams&, std::span<float>,
                            std::vector<float>*, CodecScratch*, double*);
 template void decode_chunk(const EntropyTable&, std::span<const std::uint8_t>,
                            std::size_t, std::span<const std::uint8_t>,
-                           const Dims&, const ChunkParams&, std::span<double>,
+                           const Dims&, std::span<const std::size_t>,
+                           const ChunkParams&, std::span<double>,
                            std::vector<double>*, CodecScratch*, double*);
 
 }  // namespace sz14

@@ -72,10 +72,13 @@ class EntropyTable {
 
   /// Append one chunk's payload as `varint n_bytes | payload`.  `hist` is
   /// that chunk's own histogram: when it fixes the payload size (Huffman)
-  /// the bits go straight into `out`.
+  /// the bits go straight into `out`.  Once the payload size is known,
+  /// `out` grows once, by the section plus the `trailing` bytes the caller
+  /// appends after it, so a container that ends with those bytes is one
+  /// exact allocation.
   void append_payload(std::span<const std::uint16_t> codes,
-                      std::span<const std::uint64_t> hist,
-                      ByteWriter& out) const;
+                      std::span<const std::uint64_t> hist, ByteWriter& out,
+                      std::size_t trailing = 0) const;
 
   /// Decode the first min(limit, n_codes) of the `n_codes` codes in one
   /// chunk's payload into `codes`.  Every check of the declared count
@@ -102,11 +105,15 @@ class EntropyTable {
   std::optional<RansDecoder> rans_dec_;
 };
 
-/// Decode one chunk: its entropy payload (`n_codes` codes, see
-/// EntropyTable::decode_payload), then the reconstruction walk over `dims`,
-/// which may be just the first planes of the chunk along axis 0 — axis 0
-/// is the slowest and every predictor tap reaches back in scan order, so a
-/// prefix decodes exactly like a chunk of that shape.
+/// Decode one chunk, or only its leading box: the entropy payload
+/// (`n_codes` codes, see EntropyTable::decode_payload) through the box's
+/// last point, then the reconstruction walk.  `dims` is the chunk's shape,
+/// which may be just its first planes along axis 0, and `box` (box[a] in
+/// [1, extent(a)] of `dims`) the part to reconstruct.  Every predictor
+/// tap reaches back on every axis (paper Theorem 1, k_j >= 0), so a point
+/// depends only on the box from the origin to itself: values inside the
+/// box are bit-identical to a whole-chunk decode, and values outside it
+/// are left as they are (ranks 1 and 4 decode the box's planes whole).
 ///
 /// The values go to `out` (dims.count() elements), or, when `grow` is
 /// non-null, to *grow, resized only after the payload has passed its
@@ -117,8 +124,8 @@ template <typename T>
 void decode_chunk(const EntropyTable& table,
                   std::span<const std::uint8_t> payload, std::size_t n_codes,
                   std::span<const std::uint8_t> unpred_bits, const Dims& dims,
-                  const ChunkParams& p, std::span<T> out,
-                  std::vector<T>* grow, CodecScratch* scratch,
-                  double* entropy_seconds = nullptr);
+                  std::span<const std::size_t> box, const ChunkParams& p,
+                  std::span<T> out, std::vector<T>* grow,
+                  CodecScratch* scratch, double* entropy_seconds = nullptr);
 
 }  // namespace sz14

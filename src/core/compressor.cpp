@@ -112,7 +112,9 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
                out);
   table.write(out, /*tagged=*/true);
   out.put_varint(n);
-  table.append_payload(codes, hist, out);
+  table.append_payload(
+      codes, hist, out,
+      varint_size(walk.unpred_bits.size()) + walk.unpred_bits.size());
   out.put_varint(walk.unpred_bits.size());
   out.put_bytes(walk.unpred_bits);
 
@@ -126,21 +128,27 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
 }
 
 /// Shared decode core: into the caller's `fixed_out` (which must already
-/// match the element count), or into *owned_out when it is non-null.
-/// Only the first `lead` planes along axis 0 are decoded; the entropy
-/// section is still consumed and checked against the full header.
+/// match the element count of the box's planes), or into *owned_out when
+/// it is non-null.  Only the leading `box` is decoded; the entropy section
+/// is still parsed and checked against the full header.
 template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
-                           const ExecPolicy& exec, std::size_t lead) {
+                           const ExecPolicy& exec, const LeadBox& box) {
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
   if (h.dtype != dtype_of<T>())
     throw std::runtime_error("sz14: stream dtype mismatch (use decompress" +
                              std::string(h.dtype == kDtypeF64 ? "64" : "") +
                              ")");
-  // lead = 0 is an empty shape, which Dims rejects (invalid_argument).
-  const Dims dims = h.dims.with_planes(std::min(lead, h.dims.extent(0)));
+  LeadBox b{};
+  for (std::size_t a = 0; a < h.dims.rank(); ++a) {
+    if (box[a] == 0)
+      throw std::invalid_argument("sz14: empty decode box on axis " +
+                                  std::to_string(a));
+    b[a] = std::min(box[a], h.dims.extent(a));
+  }
+  const Dims dims = h.dims.with_planes(b[0]);
   if (!owned_out && fixed_out.size() != dims.count())
     throw std::invalid_argument("sz14: output buffer size mismatch");
 
@@ -153,6 +161,7 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   const auto payload = in.get_bytes(static_cast<std::size_t>(in.get_varint()));
   const auto unpred = in.get_bytes(static_cast<std::size_t>(in.get_varint()));
   decode_chunk<T>(table, payload, n_codes, unpred, dims,
+                  {b.data(), dims.rank()},
                   {h.eb_abs, h.interval_bits, h.layers, h.decorrelate},
                   fixed_out, owned_out, exec.scratch);
   return {dims, h.eb_abs};
@@ -179,29 +188,29 @@ StreamDtype stream_dtype(std::span<const std::uint8_t> stream) {
 }
 
 DecompressResult decompress(std::span<const std::uint8_t> stream,
-                            const ExecPolicy& exec, std::size_t lead) {
+                            const ExecPolicy& exec, const LeadBox& box) {
   DecompressResult r;
   static_cast<StreamInfo&>(r) =
-      decompress_core<float>(stream, {}, &r.data, exec, lead);
+      decompress_core<float>(stream, {}, &r.data, exec, box);
   return r;
 }
 
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
-                                const ExecPolicy& exec, std::size_t lead) {
+                                const ExecPolicy& exec, const LeadBox& box) {
   DecompressResult64 r;
   static_cast<StreamInfo&>(r) =
-      decompress_core<double>(stream, {}, &r.data, exec, lead);
+      decompress_core<double>(stream, {}, &r.data, exec, box);
   return r;
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<float> out, const ExecPolicy& exec) {
-  return decompress_core<float>(stream, out, nullptr, exec, kAllPlanes);
+  return decompress_core<float>(stream, out, nullptr, exec, kWholeBox);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
                            std::span<double> out, const ExecPolicy& exec) {
-  return decompress_core<double>(stream, out, nullptr, exec, kAllPlanes);
+  return decompress_core<double>(stream, out, nullptr, exec, kWholeBox);
 }
 
 }  // namespace sz14

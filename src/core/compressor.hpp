@@ -112,28 +112,28 @@ struct DecompressResultT : StreamInfo {
 using DecompressResult = DecompressResultT<float>;
 using DecompressResult64 = DecompressResultT<double>;
 
-/// `lead` value meaning "every plane": decode the whole stream.
-inline constexpr std::size_t kAllPlanes =
-    std::numeric_limits<std::size_t>::max();
-
 /// Decompress a float32 stream.  Throws std::runtime_error on malformed
 /// input or dtype mismatch.  `exec` supplies the scratch arena per call;
 /// decoding has one exact implementation, so `exec.mode` plays no part.
 ///
-/// `lead` decodes only the first min(lead, extent(0)) planes along axis 0
-/// (the slowest): the values are bit-identical to that prefix of the full
-/// decode, the decode stops there, and the result's `dims` is the decoded
-/// shape {min(lead, extent(0)), d1, ...}.  The whole stream is still
-/// parsed and its header and entropy counts checked.  lead = 0 throws
+/// `box` decodes only the leading box it names.  Every predictor tap
+/// reaches back on every axis (paper Theorem 1), so a value depends only
+/// on the box from the origin to itself: values inside the box are
+/// bit-identical to the full decode.  The result keeps the full decode's
+/// layout, cut to the box's planes: its `dims` is {min(box[0],
+/// extent(0)), extent(1), ...}, and values outside the box are zero
+/// (rank 4 decodes the box's planes whole).  The entropy decode stops
+/// after the box's last point; the whole stream is still parsed and its
+/// header and entropy counts checked.  A zero box entry throws
 /// std::invalid_argument.
 DecompressResult decompress(std::span<const std::uint8_t> stream,
                             const ExecPolicy& exec = {},
-                            std::size_t lead = kAllPlanes);
+                            const LeadBox& box = kWholeBox);
 
 /// Decompress a float64 stream (same contract as decompress()).
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
                                 const ExecPolicy& exec = {},
-                                std::size_t lead = kAllPlanes);
+                                const LeadBox& box = kWholeBox);
 
 /// Decode a stream directly into a caller-owned buffer (no intermediate
 /// allocation or copy).  `out.size()` must equal the stream's element

@@ -424,12 +424,17 @@ wavefront_rows(Body body,  // by value: counters and
   return body;
 }
 
+/// The 2D and 3D walks cover the leading box `box` (box[a] <= extent(a))
+/// of `dims`: loops run over the box's extents, while strides, linear
+/// indices and natural row ids (begin_row) stay the whole array's, so a
+/// box point sees exactly the inputs it sees in a whole-array walk.
 template <typename T, typename Body>
-void walk2(const Dims& dims, const LayerPredictor& predictor, Body& body) {
-  const std::size_t R = dims.extent(0), C = dims.extent(1);
+void walk2(const Dims& dims, std::span<const std::size_t> box,
+           const LayerPredictor& predictor, Body& body) {
+  const std::size_t R = box[0], C = box[1];
   const std::size_t n = dims.count();
   const std::size_t L = predictor.layers();
-  const std::size_t s0 = dims.stride(0);  // == C
+  const std::size_t s0 = dims.stride(0);
   const auto taps = predictor.taps();
   std::array<std::size_t, kMaxDims> coord{};
   // Border rows (r < L): strict left-to-right.
@@ -454,9 +459,10 @@ void walk2(const Dims& dims, const LayerPredictor& predictor, Body& body) {
 }
 
 template <typename T, typename Body>
-void walk3(const Dims& dims, const LayerPredictor& predictor, Body& body) {
-  const std::size_t P = dims.extent(0), R = dims.extent(1),
-                    C = dims.extent(2);
+void walk3(const Dims& dims, std::span<const std::size_t> box,
+           const LayerPredictor& predictor, Body& body) {
+  const std::size_t P = box[0], R = box[1], C = box[2];
+  const std::size_t rows = dims.extent(1);  // natural rows per plane
   const std::size_t n = dims.count();
   const std::size_t L = predictor.layers();
   const std::size_t s0 = dims.stride(0), s1 = dims.stride(1);
@@ -467,7 +473,7 @@ void walk3(const Dims& dims, const LayerPredictor& predictor, Body& body) {
     // Border rows of this plane (whole plane when p < L): strict order.
     const std::size_t rb = (p < L) ? R : std::min(L, R);
     for (std::size_t r = 0; r < rb; ++r) {
-      RowState st = body.begin_row(p * R + r);
+      RowState st = body.begin_row(p * rows + r);
       coord[1] = r;
       for (std::size_t c = 0; c < C; ++c) {
         coord[2] = c;
@@ -481,7 +487,8 @@ void walk3(const Dims& dims, const LayerPredictor& predictor, Body& body) {
     for (std::size_t r = rb; r < R;) {
       const std::size_t g = std::min(kWave, R - r);
       body = wavefront_rows<T>(body, predictor, n, C, L, s0, s1, /*rank=*/3,
-                               /*row0=*/p * R + r, /*base0=*/p * s0 + r * s1,
+                               /*row0=*/p * rows + r,
+                               /*base0=*/p * s0 + r * s1,
                                /*row_stride=*/s1, g,
                                std::span<const std::size_t>(plane_prefix, 1),
                                /*r_first=*/r, taps.data(), taps.size());
@@ -490,18 +497,21 @@ void walk3(const Dims& dims, const LayerPredictor& predictor, Body& body) {
   }
 }
 
+/// Walk the leading box `box` of `dims`.  Ranks 1 and 4 walk all of
+/// `dims`: a rank-1 box is its plane prefix, and the rank-4 generic walk
+/// runs whole planes.
 template <typename T, typename Body>
-void walk_fast(const Dims& dims, const LayerPredictor& predictor,
-               Body& body) {
+void walk_fast(const Dims& dims, std::span<const std::size_t> box,
+               const LayerPredictor& predictor, Body& body) {
   switch (dims.rank()) {
     case 1:
       walk1<T>(dims, predictor, body);
       break;
     case 2:
-      walk2<T>(dims, predictor, body);
+      walk2<T>(dims, box, predictor, body);
       break;
     case 3:
-      walk3<T>(dims, predictor, body);
+      walk3<T>(dims, box, predictor, body);
       break;
     default:
       walk_generic<T>(dims, predictor, body);
@@ -541,7 +551,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
         static_cast<double>(radius),
         radius,
         decorrelate};
-    walk_fast<T>(dims, predictor, body);
+    walk_fast<T>(dims, dims.extents(), predictor, body);
     return PassCounters{body.predictable, body.strict_hits};
   };
   const PassCounters counters = mode == HotPathMode::kTurbo
@@ -572,22 +582,32 @@ PassCounters pq_compress_walk_generic(std::span<const T> data,
   return {body.predictable, body.strict_hits};
 }
 
+std::size_t box_limit(const Dims& dims, std::span<const std::size_t> box) {
+  const std::size_t rank = dims.rank();
+  if (rank != 2 && rank != 3) return dims.count();
+  std::size_t last = 0;
+  for (std::size_t a = 0; a < rank; ++a) last += (box[a] - 1) * dims.stride(a);
+  return last + 1;
+}
+
 template <typename T>
 void pq_decompress_walk(std::span<const std::uint16_t> codes,
-                        const Dims& dims, const LayerPredictor& predictor,
+                        const Dims& dims, std::span<const std::size_t> box,
+                        const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred,
                         bool decorrelate, std::span<T> out, BitReader& br,
                         CodecScratch* scratch) {
   // Pre-decode the unpredictable stream in index order and record each
   // natural row's starting rank so wavefront rows can pull independently.
+  // The codes end at the box's last point, which may cut its row short.
   // With a scratch arena both staging vectors keep their capacity across
   // calls; they are consumed within this walk, so reuse is invisible.
   const std::size_t n = codes.size();
   const std::size_t rank = dims.rank();
   const std::size_t rowlen =
       (rank == 2 || rank == 3) ? dims.extent(rank - 1) : n;
-  const std::size_t nrows = rowlen ? n / rowlen : 0;
+  const std::size_t nrows = (n + rowlen - 1) / rowlen;
   std::vector<std::size_t> local_row_rank;
   std::vector<T> local_unpred_vals;
   CodecScratch::Buffers* bufs = scratch ? &scratch->local() : nullptr;
@@ -595,12 +615,12 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
       bufs ? bufs->row_ranks() : local_row_rank;
   std::vector<T>& unpred_vals =
       bufs ? bufs->unpredictable_values<T>() : local_unpred_vals;
-  row_rank.assign(nrows ? nrows : 1, 0);
+  row_rank.assign(nrows, 0);
   unpred_vals.clear();
   std::size_t i = 0;
   for (std::size_t row = 0; row < nrows; ++row) {
     row_rank[row] = unpred_vals.size();
-    for (std::size_t c = 0; c < rowlen; ++c, ++i)
+    for (const std::size_t end = std::min(i + rowlen, n); i < end; ++i)
       if (codes[i] == 0) unpred_vals.push_back(unpred.decode(br));
   }
   const auto radius =
@@ -613,7 +633,7 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
                              decorrelate,
                              unpred_vals.data(),
                              row_rank.data()};
-  walk_fast<T>(dims, predictor, body);
+  walk_fast<T>(dims, box, predictor, body);
 }
 
 template PassCounters pq_compress_walk<float>(
@@ -633,12 +653,14 @@ template PassCounters pq_compress_walk_generic<double>(
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     std::span<std::uint16_t>, std::span<double>, BitWriter&);
 template void pq_decompress_walk<float>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<float>&, bool,
+    std::span<const std::uint16_t>, const Dims&, std::span<const std::size_t>,
+    const LayerPredictor&, const LinearQuantizer&,
+    const UnpredictableCodecT<float>&, bool,
     std::span<float>, BitReader&, CodecScratch*);
 template void pq_decompress_walk<double>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<double>&, bool,
+    std::span<const std::uint16_t>, const Dims&, std::span<const std::size_t>,
+    const LayerPredictor&, const LinearQuantizer&,
+    const UnpredictableCodecT<double>&, bool,
     std::span<double>, BitReader&, CodecScratch*);
 
 }  // namespace sz14::detail

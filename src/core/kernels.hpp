@@ -70,14 +70,24 @@ PassCounters pq_compress_walk_generic(std::span<const T> data,
                                       std::span<std::uint16_t> codes,
                                       std::span<T> recon, BitWriter& bw);
 
+/// Codes a decode of the leading box `box` of `dims` consumes: every point
+/// up to the box's last one in scan order (ranks 2 and 3), or all of
+/// `dims` (ranks 1 and 4, whose walks run whole planes).
+std::size_t box_limit(const Dims& dims, std::span<const std::size_t> box);
+
 /// Decompress-side mirror: consumes codes plus the unpredictable bitstream
-/// into out (out.size() == dims.count() == codes.size()); the error bound
-/// is the quantizer's.  `scratch`, when non-null, supplies the pre-decoded
-/// unpredictable-value and row-rank buffers (reused across calls, never
-/// visible in the output).
+/// into out (out.size() == dims.count()); the error bound is the
+/// quantizer's.  Only the leading box `box` (box[a] in [1, extent(a)]) is
+/// reconstructed, with codes.size() == box_limit(dims, box): every
+/// predictor tap reaches back on every axis, so a box point decodes
+/// exactly as in the whole array, and `out` outside the box is left
+/// untouched (ranks 2 and 3).  `scratch`, when non-null, supplies the
+/// pre-decoded unpredictable-value and row-rank buffers (reused across
+/// calls, never visible in the output).
 template <typename T>
 void pq_decompress_walk(std::span<const std::uint16_t> codes,
-                        const Dims& dims, const LayerPredictor& predictor,
+                        const Dims& dims, std::span<const std::size_t> box,
+                        const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred,
                         bool decorrelate, std::span<T> out, BitReader& br,
@@ -100,12 +110,14 @@ extern template PassCounters pq_compress_walk_generic<double>(
     const LinearQuantizer&, const UnpredictableCodecT<double>&, double, bool,
     std::span<std::uint16_t>, std::span<double>, BitWriter&);
 extern template void pq_decompress_walk<float>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<float>&, bool,
+    std::span<const std::uint16_t>, const Dims&, std::span<const std::size_t>,
+    const LayerPredictor&, const LinearQuantizer&,
+    const UnpredictableCodecT<float>&, bool,
     std::span<float>, BitReader&, CodecScratch*);
 extern template void pq_decompress_walk<double>(
-    std::span<const std::uint16_t>, const Dims&, const LayerPredictor&,
-    const LinearQuantizer&, const UnpredictableCodecT<double>&, bool,
+    std::span<const std::uint16_t>, const Dims&, std::span<const std::size_t>,
+    const LayerPredictor&, const LinearQuantizer&,
+    const UnpredictableCodecT<double>&, bool,
     std::span<double>, BitReader&, CodecScratch*);
 
 }  // namespace sz14::detail

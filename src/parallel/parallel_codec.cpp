@@ -202,7 +202,8 @@ ParallelDecompressResult parallel_decompress(
   // slab decodes straight into its place in the output array.
   pool.run_batch(chunks, [&](std::size_t c) {
     const auto [offset, sub] = slab_of(dims, chunks, c);
-    decode_chunk<float>(table, payloads[c], sub.count(), unpreds[c], sub, p,
+    decode_chunk<float>(table, payloads[c], sub.count(), unpreds[c], sub,
+                        sub.extents(), p,
                         std::span<float>(r.data).subspan(offset, sub.count()),
                         nullptr, exec.scratch, &entropy_seconds[c]);
   });

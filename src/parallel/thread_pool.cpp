@@ -1,5 +1,9 @@
 #include "parallel/thread_pool.hpp"
 
+#include <atomic>
+#include <exception>
+#include <memory>
+
 namespace sz14 {
 namespace {
 
@@ -53,30 +57,47 @@ void ThreadPool::run_batch(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::mutex m;
-  std::condition_variable cv;
-  std::size_t done = 0;
-  std::exception_ptr error;
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([&, i] {
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard lock(m);
-        if (!error) error = std::current_exception();
+  // Shared with the helpers, which may start after this call returned: a
+  // late helper claims an index past n and touches nothing but this
+  // state, never `fn` (whose frame may be gone by then).
+  struct Batch {
+    const std::function<void(std::size_t)>* fn;
+    std::size_t n;
+    std::atomic<std::size_t> next{0};
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t done = 0;
+    std::exception_ptr error;
+
+    /// Claim and run indices until none is left.
+    void work() {
+      std::size_t ran = 0;
+      for (;; ++ran) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) break;
+        try {
+          (*fn)(i);
+        } catch (...) {
+          const std::lock_guard lock(m);
+          if (!error) error = std::current_exception();
+        }
       }
-      {
-        // Notify while holding the lock: once the caller sees done == n it
-        // destroys m/cv, so an unlocked notify could touch freed state.
-        std::lock_guard lock(m);
-        ++done;
-        cv.notify_one();
-      }
-    });
-  }
-  std::unique_lock lock(m);
-  cv.wait(lock, [&] { return done == n; });
-  if (error) std::rethrow_exception(error);
+      if (ran == 0) return;
+      const std::lock_guard lock(m);
+      done += ran;
+      if (done == n) cv.notify_one();
+    }
+  };
+  const auto batch = std::make_shared<Batch>();
+  batch->fn = &fn;
+  batch->n = n;
+  // The caller is one of the at most thread_count() threads on the batch.
+  const std::size_t helpers = std::min(n, workers_.size()) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) submit([batch] { batch->work(); });
+  batch->work();
+  std::unique_lock lock(batch->m);
+  batch->cv.wait(lock, [&] { return batch->done == n; });
+  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 void ThreadPool::worker_loop() {

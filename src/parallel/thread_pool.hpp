@@ -27,20 +27,26 @@ class ThreadPool {
   /// Block until every submitted task has finished.
   void wait();
 
-  /// Batch API: run `fn(i)` for i in [0, n) on the pool and block until all
-  /// n tasks complete.  Tracks completion with its own counter, so it is
-  /// safe on a pool shared with unrelated submit() traffic.  The first
-  /// exception thrown by any task is rethrown on the calling thread after
-  /// the batch drains.
+  /// Batch API: run `fn(i)` once for each i in [0, n) and block until all
+  /// n calls have finished.  The calling thread works too: it and at most
+  /// thread_count() - 1 helper tasks queued on the pool claim indices from
+  /// one shared counter, so a batch runs on at most thread_count() threads
+  /// and a one-task batch never leaves the caller.  The caller waits only
+  /// for the calls already claimed; a helper that starts late finds no
+  /// index left and never touches `fn`, so `fn` may die as soon as this
+  /// returns.  Every call runs even when one throws; the first exception
+  /// is rethrown on the calling thread after the batch.  Safe on a pool
+  /// shared with unrelated submit() traffic: the caller keeps claiming
+  /// while helpers wait in the queue.
   ///
   /// Reentrancy: when called FROM one of this pool's own workers (a task
   /// that itself fans out — e.g. an archive read served on the pool a
   /// caller also borrowed for its own batches), the batch runs inline on
-  /// the calling worker instead of being queued.  Queue-and-wait from a
-  /// worker deadlocks once every worker blocks on a nested batch (the
-  /// queued tasks have nobody left to run them); inline execution keeps
-  /// nested fan-out correct, merely unparallelized.  The first exception
-  /// then propagates immediately (no drain barrier to honor).
+  /// the calling worker and queues no helper.  Queue-and-wait from a
+  /// worker could leave every worker blocked on a nested batch; inline
+  /// execution keeps nested fan-out correct, merely unparallelized.  The
+  /// first exception then propagates immediately (no drain barrier to
+  /// honor).
   void run_batch(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// True when the calling thread is one of this pool's workers.

@@ -189,15 +189,17 @@ TEST(Archive, ReadRegionDecodesOnlyIntersectingBlocks) {
   }
 }
 
-// Cache-off region reads decode each touched block only through the
-// region's last plane; cached reads decode whole blocks.  For every codec
-// row, a region ending on each plane of a block must read bit-identically
-// through both paths and as the same slice of a whole-field read.
+// Cache-off region reads decode each touched block only over the box from
+// its origin to the region's far corner; cached reads decode whole blocks.
+// For every codec row, a region ending on each plane, row and column of a
+// block must read bit-identically through both paths and as the same
+// slice of a whole-field read.
 template <typename T>
-void expect_prefix_reads_match(const std::string& codec,
-                               EntropyBackend entropy) {
+void expect_box_reads_match(const std::string& codec,
+                            EntropyBackend entropy) {
   const Dims dims{20, 12, 10};
-  const Dims block{8, 8, 8};  // axis-0 blocks: [0,8) [8,16) [16,20)
+  const Dims block{8, 8, 8};  // blocks: [0,8) [8,16) [16,20) x [0,8) [8,12)
+                              // x [0,8) [8,10)
   std::vector<T> data(dims.count());
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<T>(std::sin(0.013 * static_cast<double>(i)) +
@@ -205,7 +207,7 @@ void expect_prefix_reads_match(const std::string& codec,
   const std::string what =
       codec + (entropy == EntropyBackend::kRans ? "/rans" : "") +
       (std::is_same_v<T, double> ? "/f64" : "/f32");
-  const std::string path = tmp_path("prefix_" + codec + ".sza");
+  const std::string path = tmp_path("box_" + codec + ".sza");
   {
     ArchiveWriter w(path, {.exec = {.entropy = entropy}});
     w.append_field("v", std::span<const T>(data), dims, block, codec, 1e-3);
@@ -215,42 +217,53 @@ void expect_prefix_reads_match(const std::string& codec,
   ArchiveReader cached(path, {.threads = 2});
   cached.set_cache_capacity(std::size_t{64} << 20);
   const auto whole = cold.read<T>("v");
-  for (std::size_t end0 = 1; end0 <= dims.extent(0); ++end0) {
-    Region region;
-    region.rank = 3;
-    region.origin = {(end0 - 1) / 2, 3, 2};
-    region.extent = {end0 - region.origin[0], 6, 5};
-    const auto a = cold.read<T>("v", region);
-    const auto b = cached.read<T>("v", region);
-    ASSERT_EQ(a.size(), region.count()) << what;
-    ASSERT_EQ(b.size(), region.count()) << what;
-    std::size_t idx = 0, mismatches = 0;
-    for (std::size_t i = 0; i < region.extent[0]; ++i)
-      for (std::size_t j = 0; j < region.extent[1]; ++j)
-        for (std::size_t k = 0; k < region.extent[2]; ++k, ++idx) {
-          const std::size_t lin = (region.origin[0] + i) * dims.stride(0) +
-                                  (region.origin[1] + j) * dims.stride(1) +
-                                  region.origin[2] + k;
-          if (std::memcmp(&a[idx], &whole[lin], sizeof(T)) != 0 ||
-              std::memcmp(&b[idx], &whole[lin], sizeof(T)) != 0)
-            ++mismatches;
+  // One axis sweeps every end; the other two end inside their first block
+  // or inside a later one.
+  constexpr std::size_t kOtherEnds[2][3] = {{5, 6, 5}, {13, 11, 9}};
+  for (std::size_t axis = 0; axis < 3; ++axis)
+    for (const auto& ends : kOtherEnds)
+      for (std::size_t end = 1; end <= dims.extent(axis); ++end) {
+        Region region;
+        region.rank = 3;
+        for (std::size_t a = 0; a < 3; ++a) {
+          const std::size_t e = a == axis ? end : ends[a];
+          region.origin[a] = (e - 1) / 2;
+          region.extent[a] = e - region.origin[a];
         }
-    EXPECT_EQ(mismatches, 0u) << what << " end0=" << end0;
-  }
+        const auto a = cold.read<T>("v", region);
+        const auto b = cached.read<T>("v", region);
+        ASSERT_EQ(a.size(), region.count()) << what;
+        ASSERT_EQ(b.size(), region.count()) << what;
+        std::size_t idx = 0, mismatches = 0;
+        for (std::size_t i = 0; i < region.extent[0]; ++i)
+          for (std::size_t j = 0; j < region.extent[1]; ++j)
+            for (std::size_t k = 0; k < region.extent[2]; ++k, ++idx) {
+              const std::size_t lin =
+                  (region.origin[0] + i) * dims.stride(0) +
+                  (region.origin[1] + j) * dims.stride(1) +
+                  region.origin[2] + k;
+              if (std::memcmp(&a[idx], &whole[lin], sizeof(T)) != 0 ||
+                  std::memcmp(&b[idx], &whole[lin], sizeof(T)) != 0)
+                ++mismatches;
+            }
+        EXPECT_EQ(mismatches, 0u)
+            << what << " axis " << axis << " end " << end << " others "
+            << ends[0] << "/" << ends[1] << "/" << ends[2];
+      }
   std::remove(path.c_str());
 }
 
-TEST(Archive, PrefixDecodedRegionsMatchFullDecodeForEveryCodec) {
+TEST(Archive, BoxDecodedRegionsMatchFullDecodeForEveryCodec) {
   for (const char* codec : {"sz14", "zfp_like", "fpzip_like", "gzip_like"})
-    expect_prefix_reads_match<float>(codec, EntropyBackend::kHuffman);
-  expect_prefix_reads_match<float>("sz14", EntropyBackend::kRans);
-  expect_prefix_reads_match<double>("sz14", EntropyBackend::kHuffman);
-  expect_prefix_reads_match<double>("sz14", EntropyBackend::kRans);
-  expect_prefix_reads_match<double>("gzip_like", EntropyBackend::kHuffman);
+    expect_box_reads_match<float>(codec, EntropyBackend::kHuffman);
+  expect_box_reads_match<float>("sz14", EntropyBackend::kRans);
+  expect_box_reads_match<double>("sz14", EntropyBackend::kHuffman);
+  expect_box_reads_match<double>("sz14", EntropyBackend::kRans);
+  expect_box_reads_match<double>("gzip_like", EntropyBackend::kHuffman);
 }
 
-TEST(Archive, PrefixDecodedRegionReadRepairsFromParity) {
-  const std::string path = tmp_path("prefix_parity.sza");
+TEST(Archive, BoxDecodedRegionReadRepairsFromParity) {
+  const std::string path = tmp_path("box_parity.sza");
   const Dims dims{16, 16};
   const auto data = smooth_field(dims);
   {
@@ -270,7 +283,7 @@ TEST(Archive, PrefixDecodedRegionReadRepairsFromParity) {
   bytes[static_cast<std::size_t>(target)] ^= 0xFF;
   data::write_bytes(path, bytes);
 
-  // Rows 1..2 of block 0: a three-plane prefix of a damaged block.
+  // Rows 1..2, columns 2..6 of block 0: a 3x7 box of a damaged block.
   ArchiveReader r(path);
   Region region;
   region.rank = 2;

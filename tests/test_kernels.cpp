@@ -8,6 +8,7 @@
 // format break.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -91,19 +92,19 @@ std::vector<T> expect_walks_match(std::span<const T> data, const Dims& dims,
 
   std::vector<T> out(n);
   BitReader br(gen_bits);
-  detail::pq_decompress_walk<T>(gen_codes, dims, predictor, quantizer, unpred,
-                                decorrelate, out, br);
+  detail::pq_decompress_walk<T>(gen_codes, dims, dims.extents(), predictor,
+                                quantizer, unpred, decorrelate, out, br);
   expect_bitwise_equal(gen_recon, out, what + ": decode");
   return gen_recon;
 }
 
 template <typename T>
-std::vector<T> decode_stream(std::span<const std::uint8_t> stream,
-                             std::size_t lead = kAllPlanes) {
+DecompressResultT<T> decode_stream(std::span<const std::uint8_t> stream,
+                                   const LeadBox& box = kWholeBox) {
   if constexpr (std::is_same_v<T, float>) {
-    return decompress(stream, {}, lead).data;
+    return decompress(stream, {}, box);
   } else {
-    return decompress64(stream, {}, lead).data;
+    return decompress64(stream, {}, box);
   }
 }
 
@@ -137,7 +138,7 @@ void run_equivalence(const KernelCase& kc) {
 
   // End to end: the compress() stream decodes to the oracle's values.
   const auto stream = compress(data, kc.dims, opts);
-  expect_bitwise_equal(oracle, decode_stream<T>(stream),
+  expect_bitwise_equal(oracle, decode_stream<T>(stream).data,
                        what + ": stream decode");
 
   // And the reconstruction must satisfy the bound.
@@ -198,12 +199,27 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
   }
 }
 
-/// Prefix decode: for every lead, decompress(stream, {}, lead) returns
-/// exactly the first `lead` planes (axis 0) of the full decode, bit for
-/// bit; a lead at or past extent(0) is the full decode.
+/// Every box of `dims`, as a list of LeadBoxes (entries past the rank 0).
+std::vector<LeadBox> every_box(const Dims& dims) {
+  std::vector<LeadBox> boxes;
+  LeadBox b{};
+  for (std::size_t a = 0; a < dims.rank(); ++a) b[a] = 1;
+  for (;;) {
+    boxes.push_back(b);
+    std::size_t a = dims.rank();
+    while (a > 0 && b[a - 1] == dims.extent(a - 1)) b[--a] = 1;
+    if (a == 0) return boxes;
+    ++b[a - 1];
+  }
+}
+
+/// Box decode: for every box, decompress(stream, {}, box) keeps the full
+/// decode's layout cut to the box's planes; values inside the box are
+/// bit-identical to the full decode, and values outside it are zero
+/// (ranks 2 and 3; ranks 1 and 4 decode the box's planes whole).
 template <typename T>
-void run_prefix_equivalence(const Dims& dims, EntropyBackend entropy,
-                            unsigned layers, bool decorrelate) {
+void run_box_equivalence(const Dims& dims, EntropyBackend entropy,
+                         unsigned layers, bool decorrelate) {
   const auto values =
       to_dtype<T>(adversarial_values(dims.count(), 77 + dims.rank()));
   Options opts;
@@ -216,42 +232,61 @@ void run_prefix_equivalence(const Dims& dims, EntropyBackend entropy,
       "dims=" + dims.to_string() + " layers=" + std::to_string(layers) +
       " decorrelate=" + std::to_string(decorrelate) +
       " rans=" + std::to_string(entropy == EntropyBackend::kRans);
-  const auto full = decode_stream<T>(stream);
+  const auto full = decode_stream<T>(stream).data;
   ASSERT_EQ(full.size(), dims.count()) << what;
-  const std::size_t e0 = dims.extent(0);
-  const std::size_t plane = dims.count() / e0;
-  for (std::size_t lead = 1; lead <= e0; ++lead) {
-    const std::vector<T> want(full.begin(),
-                              full.begin() + static_cast<std::ptrdiff_t>(
-                                                 lead * plane));
-    expect_bitwise_equal(want, decode_stream<T>(stream, lead),
-                         what + " lead=" + std::to_string(lead));
+  const std::size_t rank = dims.rank();
+  const bool whole_planes = rank == 1 || rank == 4;
+  std::array<std::size_t, kMaxDims> coord{};
+  for (const LeadBox& box : every_box(dims)) {
+    const auto got = decode_stream<T>(stream, box);
+    ASSERT_TRUE(got.dims == dims.with_planes(box[0])) << what;
+    ASSERT_EQ(got.data.size(), got.dims.count()) << what;
+    std::size_t wrong = 0, first = 0;
+    for (std::size_t i = 0; i < got.data.size(); ++i) {
+      dims.unravel(i, {coord.data(), rank});
+      bool inside = true;
+      for (std::size_t a = 0; a < rank; ++a) inside &= coord[a] < box[a];
+      const T want = inside || whole_planes ? full[i] : T{0};
+      if (std::memcmp(&want, &got.data[i], sizeof(T)) != 0 && wrong++ == 0)
+        first = i;
+    }
+    std::string name = what + " box=";
+    for (std::size_t a = 0; a < rank; ++a) {
+      if (a > 0) name += 'x';
+      name += std::to_string(box[a]);
+    }
+    EXPECT_EQ(wrong, 0u) << name << " first wrong index " << first;
   }
-  for (const std::size_t lead : {e0 + 1, e0 + 7, kAllPlanes})
-    expect_bitwise_equal(full, decode_stream<T>(stream, lead),
-                         what + " lead>=extent0");
+  // A box reaching past the extents is the whole array.
+  LeadBox past{};
+  for (std::size_t a = 0; a < rank; ++a) past[a] = dims.extent(a) + 3;
+  for (const LeadBox& box : {past, kWholeBox})
+    expect_bitwise_equal(full, decode_stream<T>(stream, box).data,
+                         what + " box past extents");
 
-  // Damage is still caught with a lead: every truncation, and a flipped
+  // Damage is still caught with a box: every truncation, and a flipped
   // header extent (the entropy count no longer matches dims).
+  const LeadBox corner = {1, 1, 1, 1};
   const std::size_t step = std::max<std::size_t>(1, stream.size() / 61);
   for (std::size_t len = 0; len < stream.size(); len += step) {
     const std::span<const std::uint8_t> cut(stream.data(), len);
     EXPECT_ANY_THROW((void)decode_stream<T>(cut)) << what << " len=" << len;
-    EXPECT_ANY_THROW((void)decode_stream<T>(cut, 1)) << what << " len=" << len;
+    EXPECT_ANY_THROW((void)decode_stream<T>(cut, corner))
+        << what << " len=" << len;
   }
   // Header: magic(4) version dtype flags rank, then one varint byte per
   // extent (every test extent is < 128).
   constexpr std::size_t kFirstExtentByte = 8;
-  for (std::size_t a = 0; a < dims.rank(); ++a) {
+  for (std::size_t a = 0; a < rank; ++a) {
     auto flipped = stream;
     flipped[kFirstExtentByte + a] ^= 0x01;
     EXPECT_ANY_THROW((void)decode_stream<T>(flipped)) << what << " axis " << a;
-    EXPECT_ANY_THROW((void)decode_stream<T>(flipped, 1))
+    EXPECT_ANY_THROW((void)decode_stream<T>(flipped, corner))
         << what << " axis " << a;
   }
 }
 
-TEST(PrefixDecode, LeadingPlanesMatchFullDecode) {
+TEST(BoxDecode, EveryBoxMatchesFullDecode) {
   const Dims shapes[] = {Dims{97}, Dims{13, 17}, Dims{7, 9, 11},
                          Dims{4, 3, 5, 6}};
   for (const Dims& d : shapes)
@@ -259,20 +294,39 @@ TEST(PrefixDecode, LeadingPlanesMatchFullDecode) {
          {EntropyBackend::kHuffman, EntropyBackend::kRans})
       for (unsigned layers : {1u, 2u})
         for (bool dec : {false, true}) {
-          run_prefix_equivalence<float>(d, entropy, layers, dec);
-          run_prefix_equivalence<double>(d, entropy, layers, dec);
+          run_box_equivalence<float>(d, entropy, layers, dec);
+          run_box_equivalence<double>(d, entropy, layers, dec);
         }
 }
 
-TEST(PrefixDecode, ReportsDecodedShapeAndRejectsZeroLead) {
+TEST(BoxDecode, ReportsDecodedShapeAndRejectsEmptyBox) {
   const auto f = data::hurricane3d(8, 12, 12);
   Options opts;
   opts.eb_abs = 1e-3;
   const auto stream = compress(f.values, f.dims, opts);
-  const auto r = decompress(stream, {}, 3);
+  const auto r = decompress(stream, {}, {3, 5, 7});
   EXPECT_TRUE(r.dims == (Dims{3, 12, 12}));
   EXPECT_EQ(r.data.size(), r.dims.count());
-  EXPECT_THROW((void)decompress(stream, {}, 0), std::invalid_argument);
+  for (const LeadBox& empty :
+       {LeadBox{0, 12, 12}, LeadBox{8, 0, 12}, LeadBox{8, 12, 0}})
+    EXPECT_THROW((void)decompress(stream, {}, empty), std::invalid_argument);
+  // Entries past the rank are ignored.
+  EXPECT_NO_THROW((void)decompress(stream, {}, {8, 12, 12, 0}));
+}
+
+/// compress() grows its stream once the payload size is known, so the
+/// returned vector holds no slack.
+TEST(CompressOutput, OneExactAllocation) {
+  const auto f = data::hurricane3d(25, 32, 32);
+  for (const EntropyBackend entropy :
+       {EntropyBackend::kHuffman, EntropyBackend::kRans}) {
+    Options opts;
+    opts.eb_rel = 1e-4;
+    opts.exec.entropy = entropy;
+    const auto stream = compress(f.values, f.dims, opts);
+    EXPECT_EQ(stream.capacity(), stream.size())
+        << "rans=" << (entropy == EntropyBackend::kRans);
+  }
 }
 
 TEST(DecompressInto, MatchesDecompressAndValidatesSize) {

@@ -3,9 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/exec_policy.hpp"
 #include "common/timer.hpp"
@@ -94,16 +100,102 @@ TEST(ThreadPoolTest, SharedPoolIsUsable) {
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadDetection) {
+  // A batch runs on the calling thread and this pool's workers only: every
+  // task sees exactly one of the two, and never another pool's worker.
   ThreadPool pool(2);
   ThreadPool other(1);
   EXPECT_FALSE(pool.on_worker_thread());  // caller is not a worker
-  std::atomic<int> inside{0}, cross{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> inside{0}, on_caller{0}, cross{0};
   pool.run_batch(8, [&](std::size_t) {
-    if (pool.on_worker_thread()) ++inside;
+    const bool worker = pool.on_worker_thread();
+    const bool self = std::this_thread::get_id() == caller;
+    if (worker && !self) ++inside;
+    if (self && !worker) ++on_caller;
     if (other.on_worker_thread()) ++cross;  // never: wrong pool
   });
-  EXPECT_EQ(inside.load(), 8);
+  EXPECT_EQ(inside.load() + on_caller.load(), 8);
   EXPECT_EQ(cross.load(), 0);
+}
+
+TEST(ThreadPoolTest, RunBatchRunsEachIndexOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 1000u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.run_batch(n, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+  }
+}
+
+TEST(ThreadPoolTest, RunBatchRunsOnAtMostThreadCountThreads) {
+  // The caller plus at most P - 1 helpers: never more than P tasks at
+  // once, and never more than P distinct threads.
+  constexpr std::size_t kThreads = 3;
+  ThreadPool pool(kThreads);
+  std::atomic<std::size_t> running{0}, peak{0};
+  std::mutex m;
+  std::set<std::thread::id> threads;
+  pool.run_batch(48, [&](std::size_t) {
+    const std::size_t now = ++running;
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    {
+      const std::lock_guard lock(m);
+      threads.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    --running;
+  });
+  EXPECT_LE(peak.load(), kThreads);
+  EXPECT_LE(threads.size(), kThreads);
+}
+
+TEST(ThreadPoolTest, OneTaskBatchRunsOnTheCaller) {
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  pool.run_batch(1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, RunBatchFnMayDieWhileLateHelpersAreQueued) {
+  // Both workers are busy, so the batch's helper waits in the queue while
+  // the caller runs every task and returns.  `fn` is destroyed right
+  // away; the helper that starts afterwards must not touch it (the
+  // sanitizer jobs see a use after free if it does).
+  ThreadPool pool(2);
+  std::mutex m;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> blocked{0};
+  std::atomic<bool> gave_up{false};
+  for (int w = 0; w < 2; ++w)
+    pool.submit([&] {
+      ++blocked;
+      std::unique_lock lock(m);
+      // A batch that waited for the workers would wait for this release;
+      // the deadline turns that into a failure instead of a hang.
+      const auto released = [&] { return release; };
+      if (!cv.wait_for(lock, std::chrono::seconds(10), released))
+        gave_up = true;
+    });
+  while (blocked.load() < 2) std::this_thread::yield();
+
+  std::vector<int> hits(4, 0);
+  auto fn = std::make_unique<std::function<void(std::size_t)>>(
+      [&](std::size_t i) { ++hits[i]; });
+  pool.run_batch(hits.size(), *fn);
+  fn.reset();
+  EXPECT_FALSE(gave_up.load()) << "the batch waited for busy workers";
+  EXPECT_EQ(hits, std::vector<int>(4, 1));
+  {
+    const std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait();  // the late helper has run by now
+  EXPECT_EQ(hits, std::vector<int>(4, 1));
 }
 
 TEST(ThreadPoolTest, NestedRunBatchFromWorkerDoesNotDeadlock) {
