@@ -81,6 +81,9 @@ class CodecScratch {
     }
     /// Decode-side per-row unpredictable ranks.
     [[nodiscard]] std::vector<std::size_t>& row_ranks() { return row_ranks_; }
+    /// The 1-layer walk's anti-diagonal staging (both sides), reused by
+    /// capacity.
+    [[nodiscard]] std::vector<double>& diagonals() { return diagonals_; }
 
     /// Block-gather staging buffer (archive writer's subcuboid copy) —
     /// deliberately distinct from recon(): the codec call inside the same
@@ -126,6 +129,7 @@ class CodecScratch {
     std::vector<float> unpred32_;
     std::vector<double> unpred64_;
     std::vector<std::size_t> row_ranks_;
+    std::vector<double> diagonals_;
   };
 
   /// The calling thread's buffer set (created on first use).

@@ -10,7 +10,8 @@ namespace sz14 {
 template <typename T>
 ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
                        const ChunkParams& p, HotPathMode mode,
-                       std::span<std::uint16_t> codes, std::span<T> recon) {
+                       std::span<std::uint16_t> codes, std::span<T> recon,
+                       CodecScratch* scratch) {
   const LayerPredictor predictor(dims, p.layers);
   // Decorrelation dithers the quantization grid by a per-index offset; the
   // rounding guarantee is unaffected, but the error loses its spatial
@@ -20,16 +21,18 @@ ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
   BitWriter bw;
   const detail::PassCounters c = detail::pq_compress_walk<T>(
       data, dims, predictor, quantizer, unpred, p.eb, p.decorrelate, mode,
-      codes, recon, bw);
+      codes, recon, bw, scratch);
   return {std::move(bw).finish(), c.predictable, c.strict_hits};
 }
 
 template ChunkWalk encode_chunk(std::span<const float>, const Dims&,
                                 const ChunkParams&, HotPathMode,
-                                std::span<std::uint16_t>, std::span<float>);
+                                std::span<std::uint16_t>, std::span<float>,
+                                CodecScratch*);
 template ChunkWalk encode_chunk(std::span<const double>, const Dims&,
                                 const ChunkParams&, HotPathMode,
-                                std::span<std::uint16_t>, std::span<double>);
+                                std::span<std::uint16_t>, std::span<double>,
+                                CodecScratch*);
 
 /// One backend: its section magic (0 = none) and the five table jobs.
 struct EntropyTable::Ops {

@@ -47,11 +47,13 @@ struct ChunkWalk {
 
 /// Predict and quantize one chunk on the calling thread.  `codes` and
 /// `recon` must hold data.size() == dims.count() elements; the walk writes
-/// every one.  Throws std::invalid_argument for an m or n out of range.
+/// every one.  `scratch`, when non-null, supplies the walk's staging.
+/// Throws std::invalid_argument for an m or n out of range.
 template <typename T>
 ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
                        const ChunkParams& p, HotPathMode mode,
-                       std::span<std::uint16_t> codes, std::span<T> recon);
+                       std::span<std::uint16_t> codes, std::span<T> recon,
+                       CodecScratch* scratch);
 
 /// One entropy table serving any number of chunks.  The backend choice is
 /// made here, once: every method dispatches through the backend's row of

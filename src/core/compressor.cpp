@@ -58,7 +58,7 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   r.reconstructed.resize(data.size());
   static_cast<ChunkWalk&>(r) =
       encode_chunk<T>(data, dims, {eb, interval_bits, layers, decorrelate},
-                      exec.mode, r.codes, r.reconstructed);
+                      exec.mode, r.codes, r.reconstructed, exec.scratch);
   return r;
 }
 
@@ -97,7 +97,8 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
       scratch_recon_or<T>(opts.exec.scratch, recon_own, n);
   const ChunkParams p{eb, opts.interval_bits, opts.layers, opts.decorrelate};
   const ChunkWalk walk =
-      encode_chunk<T>(data, dims, p, opts.exec.mode, codes, recon);
+      encode_chunk<T>(data, dims, p, opts.exec.mode, codes, recon,
+                      opts.exec.scratch);
   const auto hist = huffman_histogram(codes, p.alphabet_size());
   const EntropyTable table(opts.exec.entropy, hist);
 

@@ -158,8 +158,8 @@ struct PassResultT : ChunkWalk {
 using PassResult = PassResultT<float>;
 
 /// Run the pass on its own (codes + reconstruction, no entropy stage).
-/// `exec` selects the hot path per call (scratch is unused here — the
-/// result owns its buffers).
+/// `exec` selects the hot path per call; the result owns its buffers, so
+/// `exec.scratch` supplies only the walk's staging.
 template <typename T>
 PassResultT<T> prediction_quantization_pass(std::span<const T> data,
                                             const Dims& dims, unsigned layers,

@@ -95,7 +95,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
         scratch_recon_or<float>(opts.exec.scratch, recon_own, w.count);
     w.walk = encode_chunk<float>(data.subspan(offset, w.count), sub, p,
                                  opts.exec.mode, {w.codes.get(), w.count},
-                                 recon);
+                                 recon, opts.exec.scratch);
     w.hist = huffman_histogram({w.codes.get(), w.count}, p.alphabet_size());
   });
 

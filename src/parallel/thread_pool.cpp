@@ -3,6 +3,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace sz14 {
 namespace {
@@ -97,7 +98,11 @@ void ThreadPool::run_batch(std::size_t n,
   batch->work();
   std::unique_lock lock(batch->m);
   batch->cv.wait(lock, [&] { return batch->done == n; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  // Take the exception out of the batch: a late helper may destroy the
+  // batch while the caller's handler still reads the exception.
+  const std::exception_ptr error = std::exchange(batch->error, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

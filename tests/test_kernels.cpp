@@ -1,15 +1,17 @@
 // Equivalence proofs for the dimension-specialized fused kernels
-// (core/kernels): under every supported configuration the wavefront walk
-// must produce the same codes, bit-identical reconstructions and the same
-// unpredictable bitstream as the seed's generic CoordWalker walk
-// (detail::pq_compress_walk_generic, the oracle), and pq_decompress_walk
-// must replay that reconstruction exactly.  Together with the golden
-// streams in test_format.cpp this lets the hot path evolve without a
-// format break.
+// (core/kernels): under every supported configuration the reordered walks
+// (the anti-diagonal kernel at each of its lane widths, the row
+// wavefront) must produce the same codes, bit-identical reconstructions
+// and the same unpredictable bitstream as the seed's generic CoordWalker
+// walk (detail::pq_compress_walk_generic, the oracle), and
+// pq_decompress_walk must replay that reconstruction exactly.  Together
+// with the golden streams in test_format.cpp this lets the hot path evolve
+// without a format break.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "common/bitstream.hpp"
 #include "common/rng.hpp"
 #include "core/compressor.hpp"
+#include "core/field_utils.hpp"
 #include "core/kernels.hpp"
 #include "data/generators.hpp"
 
@@ -199,6 +202,207 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
   }
 }
 
+// ------------------------------------------- anti-diagonal lane widths
+
+/// The scalar turbo walk, in index order: LayerPredictor::predict and
+/// LinearQuantizer::quantize_turbo, the reference arithmetic the turbo
+/// kernels mirror.  Returns the walk's counters.
+template <typename T>
+detail::PassCounters turbo_oracle(std::span<const T> data, const Dims& dims,
+                                  double eb, bool decorrelate,
+                                  std::vector<std::uint16_t>& codes,
+                                  std::vector<T>& recon, BitWriter& bw) {
+  const LayerPredictor predictor(dims, 1);
+  const LinearQuantizer quantizer(8, eb);
+  const UnpredictableCodecT<T> unpred(eb);
+  detail::PassCounters c;
+  CoordWalker walker(dims);
+  for (std::size_t i = 0; i < data.size(); ++i, walker.advance()) {
+    double pred = predictor.predict<T>(recon, walker.coord(), i);
+    if (decorrelate) pred += dither_for(i, eb);
+    const QuantResultT<T> q = quantizer.quantize_turbo<T>(data[i], pred);
+    codes[i] = q.code;
+    recon[i] = q.predictable ? q.reconstructed : unpred.encode(data[i], bw);
+    c.predictable += q.predictable ? 1 : 0;
+  }
+  return c;
+}
+
+/// Every lane width of the 1-layer kernel against the scalar oracles:
+/// kFast against the generic walk (codes, reconstruction bits,
+/// unpredictable bits, `predictable`, `strict_hits`), kTurbo against
+/// turbo_oracle, and each width's decode against the oracle's values.
+/// Returns the oracle's unpredictable count.
+template <typename T>
+std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
+                               double eb, bool decorrelate,
+                               const std::string& what,
+                               CodecScratch* scratch = nullptr) {
+  const LayerPredictor predictor(dims, 1);
+  const LinearQuantizer quantizer(8, eb);
+  const UnpredictableCodecT<T> unpred(eb);
+  const std::size_t n = dims.count();
+  std::size_t unpredictable = 0;
+  for (const HotPathMode mode : {HotPathMode::kFast, HotPathMode::kTurbo}) {
+    const bool turbo = mode == HotPathMode::kTurbo;
+    std::vector<std::uint16_t> want_codes(n);
+    std::vector<T> want_recon(n);
+    BitWriter want_bw;
+    const detail::PassCounters want =
+        turbo ? turbo_oracle<T>(data, dims, eb, decorrelate, want_codes,
+                                want_recon, want_bw)
+              : detail::pq_compress_walk_generic<T>(
+                    data, dims, predictor, quantizer, unpred, eb, decorrelate,
+                    want_codes, want_recon, want_bw);
+    const auto want_bits = std::move(want_bw).finish();
+    for (const unsigned lanes : detail::lorenzo_lane_widths()) {
+      const std::string at = what + " lanes=" + std::to_string(lanes) +
+                             (turbo ? " turbo" : " fast");
+      std::vector<std::uint16_t> codes(n);
+      std::vector<T> recon(n);
+      BitWriter bw;
+      const detail::PassCounters got = detail::lorenzo_compress_walk<T>(
+          lanes, data, dims, quantizer, unpred, decorrelate, mode, codes,
+          recon, bw, scratch);
+      EXPECT_EQ(want_codes, codes) << at << ": codes";
+      expect_bitwise_equal(want_recon, recon, at + ": reconstruction");
+      EXPECT_EQ(want_bits, std::move(bw).finish())
+          << at << ": unpredictable bits";
+      EXPECT_EQ(want.predictable, got.predictable) << at;
+      if (!turbo) {
+        EXPECT_EQ(want.strict_hits, got.strict_hits) << at;
+      }
+
+      std::vector<T> out(n);
+      BitReader br(want_bits);
+      detail::lorenzo_decompress_walk<T>(lanes, want_codes, dims,
+                                         dims.extents(), quantizer, unpred,
+                                         decorrelate, out, br, scratch);
+      expect_bitwise_equal(want_recon, out, at + ": decode");
+    }
+    if (!turbo) unpredictable = n - want.predictable;
+  }
+  return unpredictable;
+}
+
+std::vector<Dims> lane_shapes() {
+  return {
+      Dims{5, 37},      Dims{37, 5},     Dims{1, 19},     Dims{19, 1},
+      Dims{1, 1},       Dims{9, 9},      Dims{3, 5, 23},  Dims{4, 23, 5},
+      Dims{1, 7, 9},    Dims{3, 1, 17},  Dims{3, 17, 1},  Dims{1, 1, 1},
+      Dims{2, 9, 9},    Dims{25, 32, 32}, Dims{25, 32, 29},
+      // More than one 32-row band per plane, the last one partial.
+      Dims{70, 9},      Dims{3, 70, 9},
+  };
+}
+
+TEST(LaneWidths, BaselineAlwaysThenAvx2) {
+  const auto widths = detail::lorenzo_lane_widths();
+  ASSERT_FALSE(widths.empty());
+  EXPECT_EQ(widths.front(), 2u);
+  for (std::size_t k = 1; k < widths.size(); ++k)
+    EXPECT_GT(widths[k], widths[k - 1]);
+  const LinearQuantizer quantizer(8, 0.1);
+  const UnpredictableCodecT<float> unpred(0.1);
+  std::vector<float> data(6), recon(6);
+  std::vector<std::uint16_t> codes(6);
+  BitWriter bw;
+  EXPECT_THROW((void)detail::lorenzo_compress_walk<float>(
+                   3, data, Dims{2, 3}, quantizer, unpred, false,
+                   HotPathMode::kFast, codes, recon, bw),
+               std::invalid_argument);
+}
+
+/// Every shape class (R < C, R > C, R = 1, C = 1, P = 1, the archive's
+/// 25x32x32 block and its 25x32x29 edge block) on the adversarial values,
+/// whose NaN, Inf and denormal points take the raw escape, plus a
+/// signaling NaN that must come back with its bits.
+TEST(LaneWidths, EveryWidthMatchesTheScalarWalks) {
+  for (const Dims& dims : lane_shapes())
+    for (const bool dec : {false, true}) {
+      auto values = adversarial_values(dims.count(), 500 + dims.count());
+      if (values.size() > 20)
+        values[19] = std::numeric_limits<float>::signaling_NaN();
+      const std::string what =
+          "dims=" + dims.to_string() + " decorrelate=" + std::to_string(dec);
+      (void)expect_lanes_match<float>(values, dims, 1e-3, dec, what + " f32");
+      const auto wide = to_dtype<double>(values);
+      (void)expect_lanes_match<double>(wide, dims, 1e-3, dec, what + " f64");
+    }
+}
+
+TEST(LaneWidths, MostlyUnpredictableBlock) {
+  // White noise against a bound far below its spread: most points miss
+  // every interval, so most lanes take the scalar fix-up.
+  const Dims dims{6, 17, 13};
+  Rng rng(91);
+  std::vector<float> values(dims.count());
+  for (float& v : values) v = static_cast<float>(rng.normal());
+  const std::size_t unpredictable =
+      expect_lanes_match<float>(values, dims, 1e-3, false, "noise");
+  EXPECT_GE(4 * unpredictable, dims.count());
+}
+
+TEST(LaneWidths, TurboTiesFollowTheReciprocal) {
+  // Along the turbo walk, each point is put within a few ulps of 1.5
+  // intervals off its prediction, where the reciprocal multiply and the
+  // exact divide can round apart; a point is kept where they do.  The
+  // turbo lanes must follow the reciprocal there.
+  const Dims dims{3, 9, 11};
+  const double eb = 0.05;
+  const LayerPredictor predictor(dims, 1);
+  const LinearQuantizer quantizer(8, eb);
+  const UnpredictableCodecT<double> unpred(eb);
+  std::vector<double> values(dims.count()), recon(dims.count());
+  std::size_t split = 0;
+  CoordWalker walker(dims);
+  for (std::size_t i = 0; i < values.size(); ++i, walker.advance()) {
+    const double pred = predictor.predict<double>(recon, walker.coord(), i);
+    const double tie = pred + (i % 2 == 0 ? 3 : -3) * eb;
+    double x = tie;
+    for (int k = 0; k < 32; ++k) x = std::nextafter(x, -1e9);
+    for (int k = 0; k < 64; ++k, x = std::nextafter(x, 1e9)) {
+      if (quantizer.quantize<double>(x, pred).code !=
+          quantizer.quantize_turbo<double>(x, pred).code)
+        break;
+    }
+    const bool found = quantizer.quantize<double>(x, pred).code !=
+                       quantizer.quantize_turbo<double>(x, pred).code;
+    values[i] = found ? x : tie;
+    split += found ? 1 : 0;
+    const auto q = quantizer.quantize_turbo<double>(values[i], pred);
+    recon[i] = q.predictable ? q.reconstructed : unpred.reconstruct(values[i]);
+  }
+  EXPECT_GE(4 * split, dims.count());
+  (void)expect_lanes_match<double>(values, dims, eb, false, "ties");
+}
+
+TEST(LaneWidths, TallThinFieldStagesOnlyDiagonals) {
+  // A 100000 x 3 plane has 100002 diagonals of at most 3 points.  Rank 2
+  // stages a ring of three diagonals, so the arena stays tiny; rank 3
+  // stages two planes of compact diagonals, O(plane + R + C).
+  CodecScratch scratch;
+  const Dims tall{100000, 3};
+  const auto values = adversarial_values(tall.count(), 7);
+  (void)expect_lanes_match<float>(values, tall, 1e-3, false, "100000x3",
+                                  &scratch);
+  EXPECT_LE(scratch.local().diagonals().size(), 64u);
+
+  const Dims deep{2, 20000, 3};
+  const auto deep_values = adversarial_values(deep.count(), 8);
+  (void)expect_lanes_match<float>(deep_values, deep, 1e-3, false,
+                                  "2x20000x3", &scratch);
+  const std::size_t R = 20000, C = 3, W = detail::lorenzo_lane_widths().back();
+  EXPECT_LE(scratch.local().diagonals().size(),
+            4 * R * C + 3 * (R + C + 1) * (W + 2));
+
+  // A second walk of the same shape reuses the arena's staging.
+  const double* staged = scratch.local().diagonals().data();
+  (void)expect_lanes_match<float>(deep_values, deep, 1e-3, false,
+                                  "2x20000x3 again", &scratch);
+  EXPECT_EQ(staged, scratch.local().diagonals().data());
+}
+
 /// Every box of `dims`, as a list of LeadBoxes (entries past the rank 0).
 std::vector<LeadBox> every_box(const Dims& dims) {
   std::vector<LeadBox> boxes;
@@ -236,8 +440,39 @@ void run_box_equivalence(const Dims& dims, EntropyBackend entropy,
   ASSERT_EQ(full.size(), dims.count()) << what;
   const std::size_t rank = dims.rank();
   const bool whole_planes = rank == 1 || rank == 4;
+  // The stream's codes and unpredictable bits, for the walk-level box
+  // decodes at every lane width of the 1-layer kernel.
+  const bool diagonal = layers == 1 && (rank == 2 || rank == 3);
+  const LinearQuantizer quantizer(8, opts.eb_abs);
+  const UnpredictableCodecT<T> unpred(opts.eb_abs);
+  std::vector<std::uint16_t> codes(dims.count());
+  std::vector<T> recon(dims.count());
+  BitWriter bw;
+  (void)detail::pq_compress_walk_generic<T>(
+      values, dims, LayerPredictor(dims, layers), quantizer, unpred,
+      opts.eb_abs, decorrelate, codes, recon, bw);
+  const auto bits = std::move(bw).finish();
   std::array<std::size_t, kMaxDims> coord{};
   for (const LeadBox& box : every_box(dims)) {
+    if (diagonal) {
+      const std::size_t limit = detail::box_limit(dims, box);
+      for (const unsigned lanes : detail::lorenzo_lane_widths()) {
+        std::vector<T> out(dims.count());
+        BitReader br(bits);
+        detail::lorenzo_decompress_walk<T>(
+            lanes, {codes.data(), limit}, dims, {box.data(), rank}, quantizer,
+            unpred, decorrelate, out, br);
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          dims.unravel(i, {coord.data(), rank});
+          bool inside = true;
+          for (std::size_t a = 0; a < rank; ++a) inside &= coord[a] < box[a];
+          const T want = inside ? full[i] : T{0};
+          wrong += std::memcmp(&want, &out[i], sizeof(T)) != 0 ? 1 : 0;
+        }
+        EXPECT_EQ(wrong, 0u) << what << " lanes=" << lanes;
+      }
+    }
     const auto got = decode_stream<T>(stream, box);
     ASSERT_TRUE(got.dims == dims.with_planes(box[0])) << what;
     ASSERT_EQ(got.data.size(), got.dims.count()) << what;
@@ -287,8 +522,9 @@ void run_box_equivalence(const Dims& dims, EntropyBackend entropy,
 }
 
 TEST(BoxDecode, EveryBoxMatchesFullDecode) {
-  const Dims shapes[] = {Dims{97}, Dims{13, 17}, Dims{7, 9, 11},
-                         Dims{4, 3, 5, 6}};
+  // {37, 5} and {2, 35, 4} span two 32-row bands of the 1-layer kernel.
+  const Dims shapes[] = {Dims{97},     Dims{13, 17},    Dims{7, 9, 11},
+                         Dims{4, 3, 5, 6}, Dims{37, 5}, Dims{2, 35, 4}};
   for (const Dims& d : shapes)
     for (const EntropyBackend entropy :
          {EntropyBackend::kHuffman, EntropyBackend::kRans})

@@ -235,15 +235,20 @@ TEST(ServeFailures, SlowReplyRestartsTheIdleClock) {
   server.start();
 
   archive::ArchiveReader direct(path, {.threads = 1});
+  const auto want = direct.read<float>("f");
   Client client("loopback", server.endpoint(), quick(/*retries=*/0));
   // The next request stalls 150 ms on the server, longer than the idle
   // timeout, before its reply goes out.  Sending that reply is traffic:
   // the session must not be reaped the moment the reply has left, or the
-  // follow-up read 20 ms later lands on a closed connection.
+  // follow-up read 20 ms later lands on a closed connection.  Nothing else
+  // runs between the two reads: a direct decode there (slow under a
+  // sanitizer on a busy machine) could itself outlast the idle timeout.
   fail::arm("serve.server.drop_request", {fail::Kind::kStall, 0, 1, 150});
-  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
+  const auto first = client.read<float>("f");
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(client.read<float>("f"), direct.read<float>("f"));
+  const auto second = client.read<float>("f");
+  EXPECT_EQ(first, want);
+  EXPECT_EQ(second, want);
   EXPECT_EQ(client.reconnects(), 0u);
 
   server.stop();
