@@ -77,7 +77,7 @@ class BitReader {
     if (avail >= 8) {
       // One unaligned load + byte swap covers the whole window.
       std::memcpy(&w, data_.data() + byte, 8);
-      w = byteswap64(w);
+      w = __builtin_bswap64(w);
     } else {
       w = 0;
       for (std::size_t k = 0; k < avail; ++k)
@@ -108,18 +108,6 @@ class BitReader {
   }
 
  private:
-  static std::uint64_t byteswap64(std::uint64_t v) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    return __builtin_bswap64(v);
-#else
-    v = ((v & 0x00FF'00FF'00FF'00FFull) << 8) |
-        ((v >> 8) & 0x00FF'00FF'00FF'00FFull);
-    v = ((v & 0x0000'FFFF'0000'FFFFull) << 16) |
-        ((v >> 16) & 0x0000'FFFF'0000'FFFFull);
-    return (v << 32) | (v >> 32);
-#endif
-  }
-
   std::span<const std::uint8_t> data_;
   std::uint64_t pos_ = 0;
 };

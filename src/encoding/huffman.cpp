@@ -13,20 +13,6 @@ namespace sz14 {
 
 namespace {
 
-// Big-endian interpretation of an 8-byte window (the payload is MSB-first),
-// mirroring BitReader's internal load.
-inline std::uint64_t load_bswap64(std::uint64_t v) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_bswap64(v);
-#else
-  v = ((v & 0x00FF'00FF'00FF'00FFull) << 8) |
-      ((v >> 8) & 0x00FF'00FF'00FF'00FFull);
-  v = ((v & 0x0000'FFFF'0000'FFFFull) << 16) |
-      ((v >> 16) & 0x0000'FFFF'0000'FFFFull);
-  return (v << 32) | (v >> 32);
-#endif
-}
-
 struct Node {
   std::uint64_t freq;
   std::int32_t left;    // node index or -1
@@ -527,8 +513,8 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
       const std::size_t byte = static_cast<std::size_t>(p0 >> 3);
       if (byte > last_start) break;
       std::uint64_t w;
-      std::memcpy(&w, base + byte, 8);
-      w = load_bswap64(w) << (p0 & 7);
+      std::memcpy(&w, base + byte, 8);  // MSB-first, as BitReader::peek
+      w = __builtin_bswap64(w) << (p0 & 7);
       unsigned used = 0;
       while (used + table_bits <= 57 &&
              i + HuffmanDecoder::kMaxTableSymbols <= n_symbols) {
@@ -560,14 +546,6 @@ void huffman_decode_payload_into(const HuffmanDecoder& dec,
     br.skip(static_cast<unsigned>((e >> 4) & 0xFu));
   }
   for (; i < n_symbols; ++i) out[i] = dec.decode(br);
-}
-
-std::vector<std::uint16_t> huffman_decode_payload(
-    const HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
-    std::size_t n_symbols) {
-  std::vector<std::uint16_t> out;
-  huffman_decode_payload_into(dec, payload, n_symbols, out);
-  return out;
 }
 
 std::vector<std::uint16_t> huffman_decode(ByteReader& in) {

@@ -89,17 +89,12 @@ void huffman_write_lengths(std::span<const std::uint8_t> lengths,
 /// malformed input.
 std::vector<std::uint8_t> huffman_read_lengths(ByteReader& in);
 
-/// Decode exactly `n_symbols` from a raw bit payload produced by
-/// huffman_append_payload() with the same table.  Throws on truncated or
-/// corrupt payloads (declared symbol count must fit the payload bits).
-std::vector<std::uint16_t> huffman_decode_payload(
-    const class HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
-    std::size_t n_symbols);
-
-/// huffman_decode_payload() into a caller-owned vector, so batch decoders
-/// can reuse its capacity across calls: `n_symbols` is checked against the
-/// payload, then the first min(limit, n_symbols) symbols are decoded (`out`
-/// is resized to that count).
+/// Decode a raw bit payload produced by huffman_append_payload() with the
+/// same table into a caller-owned vector, so batch decoders can reuse its
+/// capacity across calls: `n_symbols` is checked against the payload (it
+/// must fit the payload bits), then the first min(limit, n_symbols)
+/// symbols are decoded (`out` is resized to that count).  Throws on
+/// truncated or corrupt payloads.
 void huffman_decode_payload_into(
     const class HuffmanDecoder& dec, std::span<const std::uint8_t> payload,
     std::size_t n_symbols, std::vector<std::uint16_t>& out,

@@ -229,48 +229,4 @@ void RansDecoder::decode_payload_into(std::span<const std::uint8_t> payload,
     throw std::runtime_error("rans: trailing payload bytes");
 }
 
-void rans_encode(std::span<const std::uint16_t> symbols,
-                 std::size_t alphabet_size, ByteWriter& out) {
-  if (alphabet_size == 0 || alphabet_size > (std::size_t{1} << 16))
-    throw std::invalid_argument("rans_encode: bad alphabet size");
-  std::vector<std::uint64_t> counts(alphabet_size, 0);
-  for (auto s : symbols) {
-    if (s >= alphabet_size)
-      throw std::invalid_argument("rans: symbol out of alphabet");
-    ++counts[s];
-  }
-  const auto freqs = rans_normalize_freqs(counts);
-  out.put<std::uint32_t>(kRansMagic);
-  rans_write_freqs(freqs, out);
-  out.put_varint(symbols.size());
-  std::vector<std::uint8_t> payload;
-  if (!symbols.empty()) {
-    const RansEncTable table(freqs);
-    rans_append_payload(symbols, table, payload);
-  }
-  out.put_varint(payload.size());
-  out.put_bytes(payload);
-}
-
-std::size_t rans_decode_into(ByteReader& in, std::vector<std::uint16_t>& out,
-                             std::size_t max_symbols, std::size_t limit) {
-  if (in.get<std::uint32_t>() != kRansMagic)
-    throw std::runtime_error("rans: bad section magic");
-  const auto freqs = rans_read_freqs(in);
-  const auto n_symbols = static_cast<std::size_t>(in.get_varint());
-  if (n_symbols > max_symbols)
-    throw std::runtime_error("rans: symbol count exceeds caller bound");
-  const auto payload = in.get_bytes(static_cast<std::size_t>(in.get_varint()));
-  const RansDecoder dec(freqs);
-  dec.decode_payload_into(payload, n_symbols, out, limit);
-  return n_symbols;
-}
-
-std::vector<std::uint16_t> rans_decode(ByteReader& in,
-                                       std::size_t max_symbols) {
-  std::vector<std::uint16_t> out;
-  rans_decode_into(in, out, max_symbols);
-  return out;
-}
-
 }  // namespace sz14

@@ -32,7 +32,8 @@ inline constexpr std::uint32_t kRansL = 1u << 23;
 /// nonzero slot.
 inline constexpr unsigned kRansProbBits = 16;
 inline constexpr std::uint32_t kRansProbScale = 1u << kRansProbBits;
-/// Magic prefixing a serialized rANS section ("RANS" big-endian).
+/// Magic prefixing a tagged rANS table in an SZ14 stream ("RANS"
+/// big-endian; see EntropyTable in core/chunk_codec.hpp).
 inline constexpr std::uint32_t kRansMagic = 0x52414E53;
 
 /// Scale a raw histogram to frequencies summing to exactly kRansProbScale,
@@ -110,24 +111,5 @@ class RansDecoder {
   std::vector<std::uint32_t> freq_;
   std::vector<std::uint32_t> cum_;
 };
-
-/// One-shot section encoder, the rANS counterpart of huffman_encode():
-///   u32 kRansMagic | freq table (rans_write_freqs layout, alphabet
-///   included) | varint n_symbols | varint n_payload_bytes | payload
-/// `alphabet_size` must be > every symbol.
-void rans_encode(std::span<const std::uint16_t> symbols,
-                 std::size_t alphabet_size, ByteWriter& out);
-
-/// Inverse of rans_encode().  `max_symbols` caps the declared symbol count
-/// BEFORE any allocation — unlike Huffman, a degenerate one-symbol rANS
-/// stream spends ~0 bits per symbol, so the payload size bounds nothing and
-/// the caller must supply the count it expects (e.g. dims.count()).
-/// Decodes the first min(limit, n_symbols) symbols, consumes the whole
-/// section from `in` and returns the declared count.
-std::size_t rans_decode_into(
-    ByteReader& in, std::vector<std::uint16_t>& out, std::size_t max_symbols,
-    std::size_t limit = std::numeric_limits<std::size_t>::max());
-std::vector<std::uint16_t> rans_decode(ByteReader& in,
-                                       std::size_t max_symbols);
 
 }  // namespace sz14

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -104,13 +105,15 @@ TEST(Archive, MultiFieldRoundTripF32AndF64) {
   const Dims dims{12, 16, 10};
   const auto f32_data = smooth_field(dims);
   const auto f64_data = smooth_field64(dims);
-  const double eb = 1e-4;
+  // Each lossy field keeps its own bound, four decades apart.
+  const double eb32 = 1e-2;
+  const double eb64 = 1e-6;
   {
     ArchiveWriter w(path, {.exec = {.threads = 2}});
     w.append_field("lossy32", std::span<const float>(f32_data), dims,
-                   Dims{4, 8, 8}, "sz14", eb);
+                   Dims{4, 8, 8}, "sz14", eb32);
     w.append_field("lossy64", std::span<const double>(f64_data), dims,
-                   Dims{6, 8, 4}, "sz14", eb);
+                   Dims{6, 8, 4}, "sz14", eb64);
     w.append_field("exact32", std::span<const float>(f32_data), dims,
                    Dims{12, 16, 10}, "fpzip_like", 0.0);
     w.append_field("exact64", std::span<const double>(f64_data), dims,
@@ -121,16 +124,25 @@ TEST(Archive, MultiFieldRoundTripF32AndF64) {
   ASSERT_EQ(r.fields().size(), 4u);
   EXPECT_EQ(r.field("lossy32").dims, dims);
   EXPECT_EQ(r.field("lossy64").dtype, kDtypeF64);
+  EXPECT_EQ(r.field("lossy32").eb_abs, eb32);
+  EXPECT_EQ(r.field("lossy64").eb_abs, eb64);
 
   const auto lossy32 = r.read<float>("lossy32");
   ASSERT_EQ(lossy32.size(), dims.count());
+  double max_err32 = 0;
   for (std::size_t i = 0; i < lossy32.size(); ++i)
-    EXPECT_LE(std::abs(lossy32[i] - f32_data[i]), eb) << "at " << i;
+    max_err32 = std::max<double>(max_err32,
+                                 std::abs(lossy32[i] - f32_data[i]));
+  EXPECT_LE(max_err32, eb32);
+  // The loose field was not coded under the tight field's bound.
+  EXPECT_GT(max_err32, eb64);
 
   const auto lossy64 = r.read<double>("lossy64");
   ASSERT_EQ(lossy64.size(), dims.count());
+  double max_err64 = 0;
   for (std::size_t i = 0; i < lossy64.size(); ++i)
-    EXPECT_LE(std::abs(lossy64[i] - f64_data[i]), eb) << "at " << i;
+    max_err64 = std::max(max_err64, std::abs(lossy64[i] - f64_data[i]));
+  EXPECT_LE(max_err64, eb64);
 
   EXPECT_EQ(r.read<float>("exact32"), f32_data);
   EXPECT_EQ(r.read<double>("exact64"), f64_data);

@@ -270,7 +270,7 @@ TEST(HuffmanFastDecode, MatchesBitwiseOnMaxLengthCodes) {
 }
 
 TEST(HuffmanMultiSymbol, PayloadDecodeMatchesBitwiseOnRandomTables) {
-  // huffman_decode_payload drives the multi-symbol table path (up to
+  // huffman_decode_payload_into drives the multi-symbol table path (up to
   // kMaxTableSymbols codes per lookup); it must agree symbol-for-symbol
   // with a pure decode_bitwise walk on arbitrary valid tables.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -292,7 +292,9 @@ TEST(HuffmanMultiSymbol, PayloadDecodeMatchesBitwiseOnRandomTables) {
     huffman_append_payload(message, packed, payload);
 
     const HuffmanDecoder dec(lens);
-    EXPECT_EQ(huffman_decode_payload(dec, payload, message.size()), message);
+    std::vector<std::uint16_t> out;
+    huffman_decode_payload_into(dec, payload, message.size(), out);
+    EXPECT_EQ(out, message);
 
     BitReader slow(payload);
     for (auto s : message) EXPECT_EQ(dec.decode_bitwise(slow), s);
@@ -321,7 +323,9 @@ TEST(HuffmanMultiSymbol, ShortCodesChainUpToThreePerLookup) {
     std::vector<std::uint8_t> payload;
     huffman_append_payload(message, packed, payload);
     const HuffmanDecoder dec(lens);
-    EXPECT_EQ(huffman_decode_payload(dec, payload, n), message) << "n=" << n;
+    std::vector<std::uint16_t> out;
+    huffman_decode_payload_into(dec, payload, n, out);
+    EXPECT_EQ(out, message) << "n=" << n;
   }
 }
 
@@ -347,7 +351,9 @@ TEST(HuffmanMultiSymbol, MixedShortAndFallbackCodes) {
   std::vector<std::uint8_t> payload;
   huffman_append_payload(message, packed, payload);
   const HuffmanDecoder dec(lens);
-  EXPECT_EQ(huffman_decode_payload(dec, payload, message.size()), message);
+  std::vector<std::uint16_t> out;
+  huffman_decode_payload_into(dec, payload, message.size(), out);
+  EXPECT_EQ(out, message);
 }
 
 TEST(HuffmanFastDecode, OversubscribedLengthTableRejected) {
@@ -468,8 +474,11 @@ TEST(HuffmanSplitPhase, MergedHistogramPayloadRoundTrip) {
   EXPECT_EQ(read_lengths, lengths);
 
   const HuffmanDecoder dec(read_lengths);
-  EXPECT_EQ(huffman_decode_payload(dec, pa, slab_a.size()), slab_a);
-  EXPECT_EQ(huffman_decode_payload(dec, pb, slab_b.size()), slab_b);
+  std::vector<std::uint16_t> out;
+  huffman_decode_payload_into(dec, pa, slab_a.size(), out);
+  EXPECT_EQ(out, slab_a);
+  huffman_decode_payload_into(dec, pb, slab_b.size(), out);
+  EXPECT_EQ(out, slab_b);
 }
 
 TEST(HuffmanSplitPhase, PayloadBitsHintMatchesScan) {
@@ -498,8 +507,10 @@ TEST(HuffmanSplitPhase, DecodePayloadRejectsOverdeclaredCount) {
   std::vector<std::uint8_t> payload;
   huffman_append_payload(symbols, packed, payload);
   const HuffmanDecoder dec(lengths);
-  EXPECT_EQ(huffman_decode_payload(dec, payload, 100), symbols);
-  EXPECT_THROW((void)huffman_decode_payload(dec, payload, 100000),
+  std::vector<std::uint16_t> out;
+  huffman_decode_payload_into(dec, payload, 100, out);
+  EXPECT_EQ(out, symbols);
+  EXPECT_THROW(huffman_decode_payload_into(dec, payload, 100000, out),
                std::runtime_error);
 }
 

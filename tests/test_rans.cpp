@@ -10,19 +10,43 @@
 #include "common/bytebuffer.hpp"
 #include "common/dims.hpp"
 #include "common/rng.hpp"
+#include "core/chunk_codec.hpp"
 #include "core/compressor.hpp"
 #include "encoding/huffman.hpp"
 
 namespace sz14 {
 namespace {
 
+/// One chunk's rANS section as the split-phase API lays it out:
+///   rans_write_freqs table | varint n_payload_bytes | payload
+std::vector<std::uint8_t> encode_section(
+    std::span<const std::uint16_t> symbols, std::size_t alphabet) {
+  const auto freqs =
+      rans_normalize_freqs(huffman_histogram(symbols, alphabet));
+  std::vector<std::uint8_t> payload;
+  rans_append_payload(symbols, RansEncTable(freqs), payload);
+  ByteWriter w;
+  rans_write_freqs(freqs, w);
+  w.put_varint(payload.size());
+  w.put_bytes(payload);
+  return std::move(w).take();
+}
+
+/// Inverse of encode_section(); `n_symbols` comes from the caller, as it
+/// does from a stream header.
+std::vector<std::uint16_t> decode_section(std::span<const std::uint8_t> bytes,
+                                          std::size_t n_symbols) {
+  ByteReader r(bytes);
+  const RansDecoder dec(rans_read_freqs(r));
+  const auto payload = r.get_bytes(static_cast<std::size_t>(r.get_varint()));
+  std::vector<std::uint16_t> out;
+  dec.decode_payload_into(payload, n_symbols, out);
+  return out;
+}
+
 std::vector<std::uint16_t> roundtrip(std::span<const std::uint16_t> symbols,
                                      std::size_t alphabet) {
-  ByteWriter w;
-  rans_encode(symbols, alphabet, w);
-  auto bytes = std::move(w).take();
-  ByteReader r(bytes);
-  return rans_decode(r, symbols.size());
+  return decode_section(encode_section(symbols, alphabet), symbols.size());
 }
 
 TEST(RansNormalize, SumsToScaleAndKeepsPresentSymbols) {
@@ -92,12 +116,9 @@ TEST(RansRoundTrip, SingleSymbolStream) {
   // Degenerate distribution: the whole interval belongs to one symbol, so
   // the payload is just the two state flushes (~0 bits/symbol).
   const std::vector<std::uint16_t> symbols(5000, 7);
-  ByteWriter w;
-  rans_encode(symbols, 16, w);
-  const auto bytes = std::move(w).take();
-  EXPECT_LT(bytes.size(), 32u);  // 8 payload bytes + header
-  ByteReader r(bytes);
-  EXPECT_EQ(rans_decode(r, symbols.size()), symbols);
+  const auto bytes = encode_section(symbols, 16);
+  EXPECT_LT(bytes.size(), 32u);  // 8 payload bytes + table
+  EXPECT_EQ(decode_section(bytes, symbols.size()), symbols);
 }
 
 TEST(RansRoundTrip, EmptyStream) {
@@ -141,15 +162,15 @@ TEST(RansEfficiency, SubBitCostBeatsHuffmanOnDominantSymbol) {
     symbols.push_back(static_cast<std::uint16_t>(
         r < 970 ? 128 : (r < 985 ? 127 : 129)));
   }
-  ByteWriter rw, hw;
-  rans_encode(symbols, 256, rw);
+  const auto rans_bytes = encode_section(symbols, 256);
+  ByteWriter hw;
   huffman_encode(symbols, 256, hw);
   const double rans_bits =
-      8.0 * static_cast<double>(rw.size()) /
+      8.0 * static_cast<double>(rans_bytes.size()) /
       static_cast<double>(symbols.size());
   const double entropy = shannon_entropy_bits(symbols, 256);
   EXPECT_LT(rans_bits, entropy + 0.05);
-  EXPECT_LT(rw.size(), hw.size());
+  EXPECT_LT(rans_bytes.size(), hw.size());
 }
 
 TEST(RansSplitPhase, SharedTableAcrossSlabs) {
@@ -192,26 +213,34 @@ TEST(RansErrors, ZeroFrequencySymbolThrowsOnEncode) {
 }
 
 TEST(RansErrors, SymbolOutOfAlphabetThrows) {
+  const auto freqs = rans_normalize_freqs(std::vector<std::uint64_t>(4, 1));
   const std::vector<std::uint16_t> symbols = {4};
-  ByteWriter w;
-  EXPECT_THROW(rans_encode(symbols, 4, w), std::invalid_argument);
+  std::vector<std::uint8_t> payload;
+  EXPECT_THROW(rans_append_payload(symbols, RansEncTable(freqs), payload),
+               std::invalid_argument);
 }
 
-TEST(RansErrors, BadMagicThrows) {
-  const std::vector<std::uint8_t> junk = {0x01, 0x02, 0x03, 0x04, 0x05};
-  ByteReader r(junk);
-  std::vector<std::uint16_t> out;
-  EXPECT_THROW(rans_decode_into(r, out, 100), std::runtime_error);
-}
-
-TEST(RansErrors, SymbolCountBeyondCallerBoundRejected) {
-  const std::vector<std::uint16_t> symbols(100, 2);
+TEST(RansErrors, BadTagRejectedThroughEntropyTable) {
+  // The SZ14 stream tags its rANS table with kRansMagic; a table whose tag
+  // is off by one bit must be refused before the frequencies are read.
+  const std::vector<std::uint16_t> symbols = {1, 2, 2, 3};
+  const auto hist = huffman_histogram(symbols, 4);
   ByteWriter w;
-  rans_encode(symbols, 4, w);
+  EntropyTable(EntropyBackend::kRans, hist).write(w, /*tagged=*/true);
   auto bytes = std::move(w).take();
+  {
+    ByteReader r(bytes);
+    EXPECT_EQ(r.get<std::uint32_t>(), kRansMagic);
+  }
+  {
+    ByteReader r(bytes);
+    const EntropyTable table(EntropyBackend::kRans, r, /*tagged=*/true);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  bytes[0] ^= 0x01;
   ByteReader r(bytes);
-  std::vector<std::uint16_t> out;
-  EXPECT_THROW(rans_decode_into(r, out, 99), std::runtime_error);
+  EXPECT_THROW(EntropyTable(EntropyBackend::kRans, r, /*tagged=*/true),
+               std::runtime_error);
 }
 
 TEST(RansErrors, MalformedFreqTables) {
@@ -273,17 +302,10 @@ TEST(RansErrors, MalformedFreqTables) {
 }
 
 TEST(RansErrors, NonemptyPayloadForEmptyStreamRejected) {
-  ByteWriter w;
-  w.put<std::uint32_t>(kRansMagic);
-  rans_write_freqs(std::vector<std::uint32_t>(4, 0), w);
-  w.put_varint(0);  // n_symbols
-  w.put_varint(3);  // but 3 payload bytes
+  const RansDecoder dec(std::vector<std::uint32_t>(4, 0));
   const std::uint8_t junk[3] = {1, 2, 3};
-  w.put_bytes(junk);
-  auto bytes = std::move(w).take();
-  ByteReader r(bytes);
   std::vector<std::uint16_t> out;
-  EXPECT_THROW(rans_decode_into(r, out, 100), std::runtime_error);
+  EXPECT_THROW(dec.decode_payload_into(junk, 0, out), std::runtime_error);
 }
 
 TEST(RansErrors, TruncationSweepAlwaysThrows) {
@@ -292,13 +314,12 @@ TEST(RansErrors, TruncationSweepAlwaysThrows) {
   Rng rng(23);
   std::vector<std::uint16_t> symbols(800);
   for (auto& s : symbols) s = static_cast<std::uint16_t>(rng.below(40));
-  ByteWriter w;
-  rans_encode(symbols, 64, w);
-  const auto bytes = std::move(w).take();
+  const auto bytes = encode_section(symbols, 64);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    ByteReader r(std::span<const std::uint8_t>(bytes.data(), cut));
-    std::vector<std::uint16_t> out;
-    EXPECT_THROW(rans_decode_into(r, out, symbols.size()), std::runtime_error)
+    EXPECT_THROW(
+        (void)decode_section(
+            std::span<const std::uint8_t>(bytes.data(), cut), symbols.size()),
+        std::runtime_error)
         << "cut at " << cut;
   }
 }
@@ -311,18 +332,14 @@ TEST(RansErrors, PayloadBitFlipSweepNeverCrashes) {
   Rng rng(29);
   std::vector<std::uint16_t> symbols(600);
   for (auto& s : symbols) s = static_cast<std::uint16_t>(rng.below(100));
-  ByteWriter w;
-  rans_encode(symbols, 128, w);
-  const auto bytes = std::move(w).take();
+  const auto bytes = encode_section(symbols, 128);
   std::size_t threw = 0;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     auto corrupt = bytes;
     corrupt[i] ^= 0x55;
-    ByteReader r(corrupt);
-    std::vector<std::uint16_t> out;
     try {
-      rans_decode_into(r, out, symbols.size());
-      EXPECT_LE(out.size(), symbols.size());
+      EXPECT_EQ(decode_section(corrupt, symbols.size()).size(),
+                symbols.size());
     } catch (const std::exception&) {
       ++threw;
     }

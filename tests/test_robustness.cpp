@@ -17,7 +17,6 @@
 #include "baselines/registry.hpp"
 #include "common/rng.hpp"
 #include "core/compressor.hpp"
-#include "core/snapshot.hpp"
 #include "data/generators.hpp"
 #include "data/io.hpp"
 #include "encoding/deflate_like.hpp"
@@ -71,7 +70,6 @@ TEST(Robustness, RandomGarbageNeverCrashes) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
     must_not_crash([&] { (void)decompress(junk); });
     must_not_crash([&] { (void)decompress64(junk); });
-    must_not_crash([&] { (void)snapshot_list(junk); });
     must_not_crash([&] { (void)parallel_decompress(junk, {.threads = 2}); });
     must_not_crash([&] { (void)deflate_like_decompress(junk); });
   }
