@@ -101,25 +101,20 @@ double max_abs_error(std::span<const float> a, std::span<const float> b) {
   return m;
 }
 
-/// Measure one hot-path mode.  The mode rides opts.exec (per-call policy),
-/// and a per-measure scratch arena is reused across reps exactly as a
-/// batch workload would.
+/// Measure one hot-path mode.  The mode rides opts.exec (per-call
+/// policy); every rep's codec call owns its buffers.
 StageTimes measure(const data::Field& f, const Options& opts, int reps,
                    std::vector<float>* recon_out) {
-  CodecScratch scratch;
-  Options timed = opts;
-  timed.exec.scratch = &scratch;
-
   StageTimes st;
   std::vector<std::uint8_t> stream;
   st.compress_s = bench::best_of(reps, [&] {
-    stream = compress(f.values, f.dims, timed);
+    stream = compress(f.values, f.dims, opts);
   });
   st.stream_bytes = stream.size();
 
   std::vector<float> out(f.dims.count());
   st.decompress_s = bench::best_of(reps, [&] {
-    (void)decompress_into(stream, out, timed.exec);
+    (void)decompress_into(stream, out);
   });
   st.max_error = max_abs_error(f.values, out);
 
@@ -128,11 +123,11 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   st.pass_s = bench::best_of(reps, [&] {
     (void)prediction_quantization_pass(f.values, f.dims, opts.layers,
                                        opts.interval_bits, opts.eb_abs,
-                                       false, timed.exec);
+                                       false, opts.exec);
   });
   const auto pass = prediction_quantization_pass(
       f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs, false,
-      timed.exec);
+      opts.exec);
   // The entropy stage exactly as compress() runs it: histogram, table,
   // then the stream's section (tagged table, code count, payload).
   const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs);
@@ -145,11 +140,11 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
     w.put_varint(pass.codes.size());
     table.append_payload(pass.codes, hist, w);
   });
-  // Reuse a code vector across reps like decompress_into does with the
-  // arena, so entropy_decode_s and decompress_s amortize allocation the
-  // same way and their difference (kernel_decode_s) stays meaningful.
-  std::vector<std::uint16_t> decode_codes;
+  // A fresh code vector per rep, as decompress_into allocates one, so
+  // entropy_decode_s and decompress_s pay allocation the same way and
+  // their difference (kernel_decode_s) stays meaningful.
   st.entropy_decode_s = bench::best_of(reps, [&] {
+    std::vector<std::uint16_t> decode_codes;
     ByteReader in(stream);
     const EntropyTable table(read_header(in).entropy, in, /*tagged=*/true);
     const auto n_codes = static_cast<std::size_t>(in.get_varint());
@@ -175,11 +170,9 @@ struct ParallelTimes {
 
 ParallelTimes measure_parallel(const data::Field& f, const Options& opts,
                                int reps, ThreadPool& pool) {
-  // Pool and scratch travel on the policy; mode already set by the caller.
-  CodecScratch scratch;
+  // The pool travels on the policy; mode already set by the caller.
   Options timed = opts;
   timed.exec.pool = &pool;
-  timed.exec.scratch = &scratch;
   ParallelTimes pt;
   ParallelResult result;
   // Manual best-of so the entropy breakdown comes from the same rep as the

@@ -83,12 +83,6 @@ struct FieldEntry {
     for (const auto& b : blocks) n += b.size;
     return n;
   }
-
-  [[nodiscard]] std::uint64_t parity_bytes() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& p : parity) n += p.size;
-    return n;
-  }
 };
 
 void write_superblock(ByteWriter& out, std::uint8_t flags = 0);

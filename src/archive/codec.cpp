@@ -27,8 +27,9 @@ std::vector<T> leading_planes(std::vector<T> values, const Dims& block_dims,
 // ExecPolicy: an ArchiveWriter whose policy selects kTurbo compresses
 // every block through the reciprocal-multiply kernels (bound-conformant,
 // not bit-identical to kFast archives of the same data — each mode is
-// individually deterministic, so CRCs reproduce within a mode), and the
-// writer's scratch arena serves every block task.
+// individually deterministic, so CRCs reproduce within a mode).  Decoding
+// is exact whatever mode wrote the block, so the decode hooks take no
+// policy.
 
 std::vector<std::uint8_t> sz14_c32(std::span<const float> block,
                                    const Dims& dims, double eb_abs,
@@ -40,9 +41,8 @@ std::vector<std::uint8_t> sz14_c32(std::span<const float> block,
 }
 
 std::vector<float> sz14_d32(std::span<const std::uint8_t> stream,
-                            const Dims& /*block_dims*/, const LeadBox& box,
-                            const ExecPolicy& exec) {
-  return decompress(stream, exec, box).data;
+                            const Dims& /*block_dims*/, const LeadBox& box) {
+  return decompress(stream, box).data;
 }
 
 std::vector<std::uint8_t> sz14_c64(std::span<const double> block,
@@ -55,9 +55,9 @@ std::vector<std::uint8_t> sz14_c64(std::span<const double> block,
 }
 
 std::vector<double> sz14_d64(std::span<const std::uint8_t> stream,
-                             const Dims& /*block_dims*/, const LeadBox& box,
-                             const ExecPolicy& exec) {
-  return decompress64(stream, exec, box).data;
+                             const Dims& /*block_dims*/,
+                             const LeadBox& box) {
+  return decompress64(stream, box).data;
 }
 
 // --- zfp_like / fpzip_like: f32 through the baseline classes --------------
@@ -69,9 +69,8 @@ std::vector<std::uint8_t> zfp_c32(std::span<const float> block,
 }
 
 std::vector<float> zfp_d32(std::span<const std::uint8_t> stream,
-                           const Dims& block_dims, const LeadBox& box,
-                           const ExecPolicy& exec) {
-  return leading_planes(baselines::Zfp().decompress(stream, exec),
+                           const Dims& block_dims, const LeadBox& box) {
+  return leading_planes(baselines::Zfp().decompress(stream),
                         block_dims, box);
 }
 
@@ -82,9 +81,8 @@ std::vector<std::uint8_t> fpzip_c32(std::span<const float> block,
 }
 
 std::vector<float> fpzip_d32(std::span<const std::uint8_t> stream,
-                             const Dims& block_dims, const LeadBox& box,
-                             const ExecPolicy& exec) {
-  return leading_planes(baselines::Fpzip().decompress(stream, exec),
+                             const Dims& block_dims, const LeadBox& box) {
+  return leading_planes(baselines::Fpzip().decompress(stream),
                         block_dims, box);
 }
 
@@ -97,9 +95,8 @@ std::vector<std::uint8_t> gzip_c32(std::span<const float> block,
 }
 
 std::vector<float> gzip_d32(std::span<const std::uint8_t> stream,
-                            const Dims& block_dims, const LeadBox& box,
-                            const ExecPolicy& exec) {
-  return leading_planes(baselines::Gzip().decompress(stream, exec),
+                            const Dims& block_dims, const LeadBox& box) {
+  return leading_planes(baselines::Gzip().decompress(stream),
                         block_dims, box);
 }
 
@@ -112,8 +109,7 @@ std::vector<std::uint8_t> gzip_c64(std::span<const double> block,
 }
 
 std::vector<double> gzip_d64(std::span<const std::uint8_t> stream,
-                             const Dims& block_dims, const LeadBox& box,
-                             const ExecPolicy& /*exec*/) {
+                             const Dims& block_dims, const LeadBox& box) {
   const auto bytes = deflate_like_decompress(stream);
   if (bytes.size() % sizeof(double) != 0)
     throw std::runtime_error("archive: gzip_like f64 payload not 8-aligned");

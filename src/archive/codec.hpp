@@ -26,12 +26,11 @@ inline constexpr std::uint8_t kCodecGzip = 4;
 
 /// Operations table row.  `compress64`/`decompress64` are null for backends
 /// without a double-precision path; the writer rejects f64 fields for them.
-/// Both directions receive the caller's ExecPolicy (per-call hot-path mode +
-/// scratch arena — the sz14 backend honors both; the baseline backends
-/// accept and ignore it).  Execution policy never reaches the on-disk
-/// format: compressed bytes and decoded values are policy-independent
-/// (modulo kTurbo's explicit compress-side bit-identity trade), so scratch
-/// and pool choices are invisible in the data.
+/// The compress ops receive the caller's ExecPolicy (per-call hot-path mode
+/// and entropy backend — the sz14 backend honors both; the baseline
+/// backends accept and ignore it).  Decoding is exact whatever policy
+/// wrote the block, so the decompress ops take none, and decoded values
+/// are policy-independent.
 ///
 /// A decompress op decodes the leading box `box` of the block (LeadBox;
 /// the archive reader passes the box its region needs).  It returns the
@@ -54,8 +53,7 @@ struct CodecOps {
                                           const ExecPolicy& exec);
   std::vector<float> (*decompress32)(std::span<const std::uint8_t> stream,
                                      const Dims& block_dims,
-                                     const LeadBox& box,
-                                     const ExecPolicy& exec);
+                                     const LeadBox& box);
 
   std::vector<std::uint8_t> (*compress64)(std::span<const double> block,
                                           const Dims& block_dims,
@@ -63,8 +61,7 @@ struct CodecOps {
                                           const ExecPolicy& exec);
   std::vector<double> (*decompress64)(std::span<const std::uint8_t> stream,
                                       const Dims& block_dims,
-                                      const LeadBox& box,
-                                      const ExecPolicy& exec);
+                                      const LeadBox& box);
 };
 
 /// All registered codecs, id-ascending.

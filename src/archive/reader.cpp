@@ -15,15 +15,14 @@ namespace {
 template <typename T>
 std::vector<T> codec_decompress(const CodecOps& ops,
                                 std::span<const std::uint8_t> payload,
-                                const Dims& block_dims, const LeadBox& box,
-                                const ExecPolicy& exec) {
+                                const Dims& block_dims, const LeadBox& box) {
   if constexpr (std::is_same_v<T, float>) {
-    return ops.decompress32(payload, block_dims, box, exec);
+    return ops.decompress32(payload, block_dims, box);
   } else {
     if (ops.decompress64 == nullptr)
       throw std::runtime_error(std::string("archive: codec '") + ops.name +
                                "' has no f64 path");
-    return ops.decompress64(payload, block_dims, box, exec);
+    return ops.decompress64(payload, block_dims, box);
   }
 }
 
@@ -262,21 +261,17 @@ ThreadPool& ArchiveReader::serving_pool() const {
 template <typename T>
 std::vector<T> ArchiveReader::decode_block(
     const FieldEntry& f, std::size_t block_index, const Dims& block_dims,
-    const LeadBox& box, const ExecPolicy& exec,
-    std::atomic<std::uint64_t>* repairs) const {
+    const LeadBox& box, std::atomic<std::uint64_t>* repairs) const {
   const BlockEntry& b = f.blocks[block_index];
   // Zero-copy fast path: decode straight from the mmap'd payload.  When
   // the bytes are not mapped (pread mode, map fallback, short map, or a
-  // shard-spanning window), staging comes from this thread's arena slot:
-  // steady-state serving preads into the same buffer every time,
-  // allocation-free.
+  // shard-spanning window), the payload is staged in a buffer of its own.
   std::span<const std::uint8_t> payload = source_.view(b.offset, b.size);
-  std::unique_ptr<std::uint8_t[]> staged_own;
+  std::unique_ptr<std::uint8_t[]> staged;
   if (payload.empty() && b.size > 0) {
-    const std::span<std::uint8_t> staged =
-        scratch_payload_or(exec.scratch, staged_own, b.size);
-    source_.read_at(b.offset, staged);
-    payload = staged;
+    staged = std::make_unique_for_overwrite<std::uint8_t[]>(b.size);
+    payload = {staged.get(), b.size};
+    source_.read_at(b.offset, {staged.get(), b.size});
   }
   std::vector<std::uint8_t> repaired;  // keeps a reconstruction alive
   if (crc32(payload) != b.crc) {
@@ -305,7 +300,7 @@ std::vector<T> ArchiveReader::decode_block(
   }
   const CodecOps& ops = *codec_by_id(f.codec);  // validated in read_footer
   std::vector<T> block =
-      codec_decompress<T>(ops, payload, block_dims, box, exec);
+      codec_decompress<T>(ops, payload, block_dims, box);
   blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
   return block;
 }
@@ -379,13 +374,7 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
                    PreadFile::Advice::kWillNeed);
   }
 
-  // Per-read execution policy: block tasks are single-threaded (no pool).
-  // Pool workers draw their buffers from the reader's arena; the calling
-  // thread's share uses none, so the arena stays bounded by the pool size
-  // (see the CodecScratch lifetime note).
   ThreadPool& pool = serving_pool();
-  const ExecPolicy worker_exec{.scratch = &scratch_};
-  const ExecPolicy caller_exec{};
 
   // Per-call repair tally: decode_block bumps it so the damage report can
   // say how many of THIS call's blocks were reconstructed (the member
@@ -418,9 +407,7 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
   const auto decode_validated = [&](std::size_t i) {
     const Dims be = grid.block_extents(i);
     const LeadBox box = box_of(i, be);
-    std::vector<T> decoded = decode_block<T>(
-        f, i, be, box, pool.on_worker_thread() ? worker_exec : caller_exec,
-        &call_repairs);
+    std::vector<T> decoded = decode_block<T>(f, i, be, box, &call_repairs);
     const std::size_t expect = box[0] * (be.count() / be.extent(0));
     if (decoded.size() != expect)
       throw std::runtime_error("archive: block " + std::to_string(i) +
@@ -499,8 +486,8 @@ void ArchiveReader::decode(PartialRead<T>& r, ReadDamage* damage) const {
 
   // Pipelined serving: each task preads its own payload and decodes
   // immediately, so one block's I/O overlaps another's decompression.
-  // The calling thread takes its share of the blocks (the caller's share
-  // uses no arena, see above), so a one-block read never leaves it.
+  // The calling thread takes its share of the blocks, so a one-block read
+  // never leaves it.
   pool.run_batch(misses.size(), decode_or_hole);
   r.misses.clear();
   if (damage == nullptr) return;

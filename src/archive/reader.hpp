@@ -3,7 +3,7 @@
 // O(blocks-touched) random access from ANY number of threads sharing one
 // reader.  All state mutated after construction is synchronized — block
 // payload reads are positional (pread, no shared cursor), the decode pool
-// is once-initialized, scratch buffers are per-thread arena slots, and the
+// is once-initialized, every block decode owns its buffers, and the
 // optional decoded-block cache is an internally locked LRU — so read<T>()
 // is const and data-race-free.
 //
@@ -80,16 +80,14 @@ struct ReaderOptions {
   /// read (0 = hardware_concurrency()).  Unused when `pool` is set.
   std::size_t threads = 0;
   /// Borrowed block-serving pool (the daemon passes its serving pool, so
-  /// a request's block decodes run inline on one worker).  Only pool
-  /// workers — a bounded thread set — decode with the reader's scratch
-  /// arena; the calling thread's share of a read uses no arena, so the
-  /// arena cannot grow with a stream of short-lived callers.
+  /// a request's block decodes run inline on one worker).  Pool workers
+  /// and the calling thread decode their shares of a read identically.
   ThreadPool* pool = nullptr;
   /// kStrict throws std::runtime_error on bad magic, truncated trailer,
   /// footer checksum mismatch or malformed index; kSalvage and kDegraded
   /// fall back to the last valid checkpoint instead (see OpenMode).
   OpenMode open = OpenMode::kStrict;
-  /// kPread stages every payload through a scratch buffer; kMmap maps the
+  /// kPread stages every payload through a per-block buffer; kMmap maps the
   /// payload files and decodes straight from the mapping (zero-copy),
   /// falling back to pread when mapping is unavailable.  Decoded values
   /// are bit-identical either way.
@@ -306,14 +304,12 @@ class ArchiveReader {
  private:
   /// pread + CRC + decode of one block (cache not consulted here).  The
   /// CRC covers the whole payload; the decode covers only the leading
-  /// `box` of the block (CodecOps contract).  A pread stages the payload
-  /// in `exec.scratch` when it is set.  A CRC failure attempts parity
+  /// `box` of the block (CodecOps contract).  A CRC failure attempts parity
   /// reconstruction; on success `*repairs` (when non-null) is bumped and
   /// the exact data is returned, otherwise BlockDamagedError is thrown.
   template <typename T>
   std::vector<T> decode_block(const FieldEntry& f, std::size_t block_index,
                               const Dims& block_dims, const LeadBox& box,
-                              const ExecPolicy& exec,
                               std::atomic<std::uint64_t>* repairs) const;
 
   /// The serving pool, built race-free on first use (metadata-only
@@ -347,7 +343,6 @@ class ArchiveReader {
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> owned_pool_;
   mutable ThreadPool* pool_ = nullptr;  // owned_pool_ or opts_.pool
-  mutable CodecScratch scratch_;        // per-thread slots, reused per read
   mutable BlockCache cache_;
   mutable SingleFlight flight_;
   std::atomic<bool> coalesce_{false};

@@ -239,16 +239,11 @@ void ArchiveWriter::append_impl(const std::string& name,
   const BlockGrid grid(dims, block_dims);
   const std::size_t n = grid.block_count();
 
-  // Per-writer execution policy: hand every block task the writer's
-  // scratch arena — per-thread buffer slots (the pool's workers and the
-  // appending thread) that persist across appends, so batch ingest
-  // allocates walk buffers only on first touch.
   // Each block task is a complete walk+encode, so with several blocks in
   // flight block i+1's prediction pass naturally overlaps block i's
   // entropy encode — the same pipeline shape as the parallel slab codec.
   ExecPolicy block_exec = opts_.exec;
   block_exec.pool = nullptr;  // block tasks are single-threaded
-  block_exec.scratch = &scratch_;
 
   // Gather + compress + checksum every block in parallel; payloads and
   // their index entries land in order (offsets wait for the serial write).
@@ -258,14 +253,12 @@ void ArchiveWriter::append_impl(const std::string& name,
     std::array<std::size_t, kMaxDims> origin{};
     grid.block_origin(i, origin);
     const Dims be = grid.block_extents(i);
-    // Gather staging comes from the arena too (its own buffer — the codec
-    // uses the recon slot while the gathered block is still live), so
-    // steady-state ingest allocates nothing per block.
-    const std::span<T> block = scratch_.local().gather<T>(be.count());
+    const auto staged = std::make_unique_for_overwrite<T[]>(be.count());
+    const std::span<const T> block{staged.get(), be.count()};
     const std::array<std::size_t, kMaxDims> zero{};
     copy_subcuboid(data.data(), dims,
                    std::span<const std::size_t>(origin.data(), dims.rank()),
-                   block.data(), be,
+                   staged.get(), be,
                    std::span<const std::size_t>(zero.data(), dims.rank()),
                    be.extents());
     const auto [lo, hi] = std::minmax_element(block.begin(), block.end());

@@ -60,13 +60,10 @@ struct WriterOptions {
   /// maximum-throughput ingest), `exec.entropy` the entropy backend,
   /// `exec.pool` the block-compression pool and, when it is null,
   /// `exec.threads` the workers of the writer's own pool
-  /// (0 = hardware_concurrency()).  `exec.scratch` is ignored: the writer
-  /// keeps one arena across appends, so batch ingest stops paying
-  /// per-block buffer allocation.  The thread that calls append_field()
-  /// compresses its share of the blocks too, so the arena holds one slot
-  /// per pool worker plus one per thread that appends.  (`= {}` spares
-  /// callers that set only the fields below GCC's
-  /// -Wmissing-field-initializers.)
+  /// (0 = hardware_concurrency()).  The thread that calls append_field()
+  /// compresses its share of the blocks too; every block task owns its
+  /// buffers.  (`= {}` spares callers that set only the fields below
+  /// GCC's -Wmissing-field-initializers.)
   ExecPolicy exec = {};
   /// > 0 enables XOR block-group parity: every group of that many
   /// consecutive blocks of a field gets one parity payload (XOR of the
@@ -91,7 +88,7 @@ class ArchiveWriter {
   explicit ArchiveWriter(const std::string& path, WriterOptions options = {});
 
   /// Positional form kept for perfbench/bench.cpp; `threads` is the
-  /// worker count (policy.threads and policy.scratch are not read).
+  /// worker count (policy.threads is not read).
   [[deprecated("perfbench only; ROADMAP item 8")]]
   ArchiveWriter(const std::string& path, std::size_t threads,
                 ExecPolicy policy = {}, std::uint32_t parity_group = 0,
@@ -204,7 +201,6 @@ class ArchiveWriter {
   std::unordered_set<std::string> names_;  // O(1) duplicate-append rejection
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;  // owned_pool_ or opts_.exec.pool
-  CodecScratch scratch_;  // reused across appends (per-thread slots)
   bool finished_ = false;
   bool broken_ = false;
 };

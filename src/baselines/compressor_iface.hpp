@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/dims.hpp"
-#include "common/exec_policy.hpp"
 
 namespace sz14::baselines {
 
@@ -28,19 +27,10 @@ class CompressorBase {
   [[nodiscard]] virtual std::vector<std::uint8_t> compress(
       std::span<const float> data, const Dims& dims, double eb_abs) = 0;
 
-  /// Decompress a stream this codec produced.
+  /// Decompress a stream this codec produced.  Decoding is exact and
+  /// needs no execution policy.
   [[nodiscard]] virtual std::vector<float> decompress(
       std::span<const std::uint8_t> stream) = 0;
-
-  /// Policy-carrying decode: `exec` selects the decode hot path and scratch
-  /// arena for codecs that honor it (sz14); the default forwards to the
-  /// plain overload, so baselines that decode the same way regardless of
-  /// policy need not override.  Output bytes never depend on `exec`.
-  [[nodiscard]] virtual std::vector<float> decompress(
-      std::span<const std::uint8_t> stream, const ExecPolicy& exec) {
-    (void)exec;
-    return decompress(stream);
-  }
 };
 
 /// All evaluation codecs in the paper's Fig. 6 order:

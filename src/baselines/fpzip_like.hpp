@@ -17,7 +17,6 @@ class Fpzip final : public CompressorBase {
                                                    double eb_abs) override;
   [[nodiscard]] std::vector<float> decompress(
       std::span<const std::uint8_t> stream) override;
-  using CompressorBase::decompress;  // keep the ExecPolicy overload visible
 };
 
 }  // namespace sz14::baselines

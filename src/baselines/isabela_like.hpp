@@ -26,7 +26,6 @@ class Isabela final : public CompressorBase {
                                                    double eb_abs) override;
   [[nodiscard]] std::vector<float> decompress(
       std::span<const std::uint8_t> stream) override;
-  using CompressorBase::decompress;  // keep the ExecPolicy overload visible
 
  private:
   std::size_t window_;

@@ -25,11 +25,6 @@ std::vector<float> Sz14Codec::decompress(
   return sz14::decompress(stream).data;
 }
 
-std::vector<float> Sz14Codec::decompress(std::span<const std::uint8_t> stream,
-                                         const ExecPolicy& exec) {
-  return sz14::decompress(stream, exec).data;
-}
-
 namespace {
 
 // Operations-table registry (one row per codec), so the factory, the

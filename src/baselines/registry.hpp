@@ -19,9 +19,6 @@ class Sz14Codec final : public CompressorBase {
                                                    double eb_abs) override;
   [[nodiscard]] std::vector<float> decompress(
       std::span<const std::uint8_t> stream) override;
-  /// sz14 honors the policy on decode: hot-path mode + scratch arena.
-  [[nodiscard]] std::vector<float> decompress(
-      std::span<const std::uint8_t> stream, const ExecPolicy& exec) override;
 
   /// Stats from the most recent compress() call.
   [[nodiscard]] const CompressStats& last_stats() const noexcept {

@@ -24,7 +24,6 @@ class Sz11 final : public CompressorBase {
                                                    double eb_abs) override;
   [[nodiscard]] std::vector<float> decompress(
       std::span<const std::uint8_t> stream) override;
-  using CompressorBase::decompress;  // keep the ExecPolicy overload visible
 };
 
 }  // namespace sz14::baselines

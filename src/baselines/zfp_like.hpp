@@ -39,7 +39,6 @@ class Zfp final : public CompressorBase {
                                                    double eb_abs) override;
   [[nodiscard]] std::vector<float> decompress(
       std::span<const std::uint8_t> stream) override;
-  using CompressorBase::decompress;  // keep the ExecPolicy overload visible
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] double rate() const noexcept { return rate_; }

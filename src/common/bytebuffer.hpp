@@ -50,12 +50,6 @@ class ByteWriter {
     bytes_.push_back(static_cast<std::uint8_t>(v));
   }
 
-  /// Zigzag-encoded signed LEB128.
-  void put_svarint(std::int64_t v) {
-    put_varint((static_cast<std::uint64_t>(v) << 1) ^
-               static_cast<std::uint64_t>(v >> 63));
-  }
-
   /// Length-prefixed (varint) UTF-8/byte string.
   void put_string(std::string_view s) {
     put_varint(s.size());
@@ -117,11 +111,6 @@ class ByteReader {
       if (!(b & 0x80)) return v;
       shift += 7;
     }
-  }
-
-  [[nodiscard]] std::int64_t get_svarint() {
-    const std::uint64_t z = get_varint();
-    return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
   }
 
   /// Inverse of ByteWriter::put_string.

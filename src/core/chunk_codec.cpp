@@ -10,8 +10,7 @@ namespace sz14 {
 template <typename T>
 ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
                        const ChunkParams& p, HotPathMode mode,
-                       std::span<std::uint16_t> codes, std::span<T> recon,
-                       CodecScratch* scratch) {
+                       std::span<std::uint16_t> codes, std::span<T> recon) {
   const LayerPredictor predictor(dims, p.layers);
   // Decorrelation dithers the quantization grid by a per-index offset; the
   // rounding guarantee is unaffected, but the error loses its spatial
@@ -21,18 +20,16 @@ ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
   BitWriter bw;
   const detail::PassCounters c = detail::pq_compress_walk<T>(
       data, dims, predictor, quantizer, unpred, p.eb, p.decorrelate, mode,
-      codes, recon, bw, scratch);
+      codes, recon, bw);
   return {std::move(bw).finish(), c.predictable, c.strict_hits};
 }
 
 template ChunkWalk encode_chunk(std::span<const float>, const Dims&,
                                 const ChunkParams&, HotPathMode,
-                                std::span<std::uint16_t>, std::span<float>,
-                                CodecScratch*);
+                                std::span<std::uint16_t>, std::span<float>);
 template ChunkWalk encode_chunk(std::span<const double>, const Dims&,
                                 const ChunkParams&, HotPathMode,
-                                std::span<std::uint16_t>, std::span<double>,
-                                CodecScratch*);
+                                std::span<std::uint16_t>, std::span<double>);
 
 /// One backend: its section magic (0 = none) and the five table jobs.
 struct EntropyTable::Ops {
@@ -161,11 +158,8 @@ void decode_chunk(const EntropyTable& table,
                   std::span<const std::uint8_t> unpred_bits, const Dims& dims,
                   std::span<const std::size_t> box, const ChunkParams& p,
                   std::span<T> out, std::vector<T>* grow,
-                  CodecScratch* scratch, double* entropy_seconds) {
-  // The code array is the largest decode-side working buffer; the arena
-  // keeps it (and the walk's staging vectors) alive across calls.
-  std::vector<std::uint16_t> codes_own;
-  auto& codes = scratch_code_vector_or(scratch, codes_own);
+                  double* entropy_seconds) {
+  std::vector<std::uint16_t> codes;
   std::optional<ThreadCpuTimer> timer;
   if (entropy_seconds) timer.emplace();
   table.decode_payload(payload, n_codes, codes,
@@ -180,18 +174,18 @@ void decode_chunk(const EntropyTable& table,
   const UnpredictableCodecT<T> unpred(p.eb);
   BitReader br(unpred_bits);
   detail::pq_decompress_walk<T>(codes, dims, box, predictor, quantizer,
-                                unpred, p.decorrelate, out, br, scratch);
+                                unpred, p.decorrelate, out, br);
 }
 
 template void decode_chunk(const EntropyTable&, std::span<const std::uint8_t>,
                            std::size_t, std::span<const std::uint8_t>,
                            const Dims&, std::span<const std::size_t>,
                            const ChunkParams&, std::span<float>,
-                           std::vector<float>*, CodecScratch*, double*);
+                           std::vector<float>*, double*);
 template void decode_chunk(const EntropyTable&, std::span<const std::uint8_t>,
                            std::size_t, std::span<const std::uint8_t>,
                            const Dims&, std::span<const std::size_t>,
                            const ChunkParams&, std::span<double>,
-                           std::vector<double>*, CodecScratch*, double*);
+                           std::vector<double>*, double*);
 
 }  // namespace sz14

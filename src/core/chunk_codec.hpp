@@ -47,13 +47,11 @@ struct ChunkWalk {
 
 /// Predict and quantize one chunk on the calling thread.  `codes` and
 /// `recon` must hold data.size() == dims.count() elements; the walk writes
-/// every one.  `scratch`, when non-null, supplies the walk's staging.
-/// Throws std::invalid_argument for an m or n out of range.
+/// every one.  Throws std::invalid_argument for an m or n out of range.
 template <typename T>
 ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
                        const ChunkParams& p, HotPathMode mode,
-                       std::span<std::uint16_t> codes, std::span<T> recon,
-                       CodecScratch* scratch);
+                       std::span<std::uint16_t> codes, std::span<T> recon);
 
 /// One entropy table serving any number of chunks.  The backend choice is
 /// made here, once: every method dispatches through the backend's row of
@@ -128,6 +126,6 @@ void decode_chunk(const EntropyTable& table,
                   std::span<const std::uint8_t> unpred_bits, const Dims& dims,
                   std::span<const std::size_t> box, const ChunkParams& p,
                   std::span<T> out, std::vector<T>* grow,
-                  CodecScratch* scratch, double* entropy_seconds = nullptr);
+                  double* entropy_seconds = nullptr);
 
 }  // namespace sz14

@@ -58,7 +58,7 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   r.reconstructed.resize(data.size());
   static_cast<ChunkWalk&>(r) =
       encode_chunk<T>(data, dims, {eb, interval_bits, layers, decorrelate},
-                      exec.mode, r.codes, r.reconstructed, exec.scratch);
+                      exec.mode, r.codes, r.reconstructed);
   return r;
 }
 
@@ -86,19 +86,15 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
 
   // The walk writes every element of codes/recon, so both buffers skip
   // value-initialization (the ~6 bytes/element memset is measurable at
-  // field scale); recon is scratch and dies with this scope — or comes
-  // from the caller's arena, where it survives for the next call.
+  // field scale); both die with this scope.
   const std::size_t n = data.size();
-  std::unique_ptr<std::uint16_t[]> codes_own;
-  std::unique_ptr<T[]> recon_own;
-  const std::span<std::uint16_t> codes =
-      scratch_codes_or(opts.exec.scratch, codes_own, n);
-  const std::span<T> recon =
-      scratch_recon_or<T>(opts.exec.scratch, recon_own, n);
+  const auto codes_own = std::make_unique_for_overwrite<std::uint16_t[]>(n);
+  const auto recon_own = std::make_unique_for_overwrite<T[]>(n);
+  const std::span<std::uint16_t> codes{codes_own.get(), n};
+  const std::span<T> recon{recon_own.get(), n};
   const ChunkParams p{eb, opts.interval_bits, opts.layers, opts.decorrelate};
   const ChunkWalk walk =
-      encode_chunk<T>(data, dims, p, opts.exec.mode, codes, recon,
-                      opts.exec.scratch);
+      encode_chunk<T>(data, dims, p, opts.exec.mode, codes, recon);
   const auto hist = huffman_histogram(codes, p.alphabet_size());
   const EntropyTable table(opts.exec.entropy, hist);
 
@@ -135,7 +131,7 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
 template <typename T>
 StreamInfo decompress_core(std::span<const std::uint8_t> stream,
                            std::span<T> fixed_out, std::vector<T>* owned_out,
-                           const ExecPolicy& exec, const LeadBox& box) {
+                           const LeadBox& box) {
   ByteReader in(stream);
   const StreamHeader h = read_header(in);
   if (h.dtype != dtype_of<T>())
@@ -153,8 +149,8 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   if (!owned_out && fixed_out.size() != dims.count())
     throw std::invalid_argument("sz14: output buffer size mismatch");
 
-  // The entropy backend is read off the stream, never off `exec`.  The
-  // code count must be the header's before anything is allocated.
+  // The entropy backend is read off the stream.  The code count must be
+  // the header's before anything is allocated.
   const EntropyTable table(h.entropy, in, /*tagged=*/true);
   const auto n_codes = static_cast<std::size_t>(in.get_varint());
   if (n_codes != h.dims.count())
@@ -164,7 +160,7 @@ StreamInfo decompress_core(std::span<const std::uint8_t> stream,
   decode_chunk<T>(table, payload, n_codes, unpred, dims,
                   {b.data(), dims.rank()},
                   {h.eb_abs, h.interval_bits, h.layers, h.decorrelate},
-                  fixed_out, owned_out, exec.scratch);
+                  fixed_out, owned_out);
   return {dims, h.eb_abs};
 }
 
@@ -189,29 +185,29 @@ StreamDtype stream_dtype(std::span<const std::uint8_t> stream) {
 }
 
 DecompressResult decompress(std::span<const std::uint8_t> stream,
-                            const ExecPolicy& exec, const LeadBox& box) {
+                            const LeadBox& box) {
   DecompressResult r;
   static_cast<StreamInfo&>(r) =
-      decompress_core<float>(stream, {}, &r.data, exec, box);
+      decompress_core<float>(stream, {}, &r.data, box);
   return r;
 }
 
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
-                                const ExecPolicy& exec, const LeadBox& box) {
+                                const LeadBox& box) {
   DecompressResult64 r;
   static_cast<StreamInfo&>(r) =
-      decompress_core<double>(stream, {}, &r.data, exec, box);
+      decompress_core<double>(stream, {}, &r.data, box);
   return r;
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<float> out, const ExecPolicy& exec) {
-  return decompress_core<float>(stream, out, nullptr, exec, kWholeBox);
+                           std::span<float> out) {
+  return decompress_core<float>(stream, out, nullptr, kWholeBox);
 }
 
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<double> out, const ExecPolicy& exec) {
-  return decompress_core<double>(stream, out, nullptr, exec, kWholeBox);
+                           std::span<double> out) {
+  return decompress_core<double>(stream, out, nullptr, kWholeBox);
 }
 
 }  // namespace sz14

@@ -47,11 +47,11 @@ struct Options {
   /// the reconstruction.  The pointwise bound still holds; the compression
   /// factor drops slightly (one extra bit of interval resolution is spent).
   bool decorrelate = false;
-  /// Execution strategy for this call (hot-path mode, pool, scratch,
-  /// entropy backend).  Never part of the stream CONTENTS contract except
-  /// through two explicit trades: kTurbo's reciprocal quantizer
-  /// (bound-conformant, not bit-identical to kFast) and the rANS backend.
-  /// Scratch and pool choices are invisible in the output.
+  /// Execution strategy for this call (hot-path mode, pool, entropy
+  /// backend).  Never part of the stream CONTENTS contract except through
+  /// two explicit trades: kTurbo's reciprocal quantizer (bound-conformant,
+  /// not bit-identical to kFast) and the rANS backend.  Pool choices are
+  /// invisible in the output.
   ExecPolicy exec;
 };
 
@@ -113,8 +113,8 @@ using DecompressResult = DecompressResultT<float>;
 using DecompressResult64 = DecompressResultT<double>;
 
 /// Decompress a float32 stream.  Throws std::runtime_error on malformed
-/// input or dtype mismatch.  `exec` supplies the scratch arena per call;
-/// decoding has one exact implementation, so `exec.mode` plays no part.
+/// input or dtype mismatch.  Decoding has one exact implementation,
+/// whatever mode or backend wrote the stream, so it takes no ExecPolicy.
 ///
 /// `box` decodes only the leading box it names.  Every predictor tap
 /// reaches back on every axis (paper Theorem 1), so a value depends only
@@ -127,12 +127,10 @@ using DecompressResult64 = DecompressResultT<double>;
 /// header and entropy counts checked.  A zero box entry throws
 /// std::invalid_argument.
 DecompressResult decompress(std::span<const std::uint8_t> stream,
-                            const ExecPolicy& exec = {},
                             const LeadBox& box = kWholeBox);
 
 /// Decompress a float64 stream (same contract as decompress()).
 DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
-                                const ExecPolicy& exec = {},
                                 const LeadBox& box = kWholeBox);
 
 /// Decode a stream directly into a caller-owned buffer (no intermediate
@@ -140,10 +138,9 @@ DecompressResult64 decompress64(std::span<const std::uint8_t> stream,
 /// count, or std::invalid_argument is thrown; dtype mismatches throw
 /// std::runtime_error like decompress().
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<float> out, const ExecPolicy& exec = {});
+                           std::span<float> out);
 StreamInfo decompress_into(std::span<const std::uint8_t> stream,
-                           std::span<double> out,
-                           const ExecPolicy& exec = {});
+                           std::span<double> out);
 
 /// Intermediate products of the prediction + quantization pass — the shared
 /// kernel behind compress(), the best-layer analysis (Sec. III-B), and the
@@ -158,8 +155,7 @@ struct PassResultT : ChunkWalk {
 using PassResult = PassResultT<float>;
 
 /// Run the pass on its own (codes + reconstruction, no entropy stage).
-/// `exec` selects the hot path per call; the result owns its buffers, so
-/// `exec.scratch` supplies only the walk's staging.
+/// `exec` selects the hot path per call; the result owns its buffers.
 template <typename T>
 PassResultT<T> prediction_quantization_pass(std::span<const T> data,
                                             const Dims& dims, unsigned layers,

@@ -908,15 +908,6 @@ int checked_lanes(unsigned lanes) {
                               " is not available");
 }
 
-/// The diagonal staging: the arena's buffer when there is one, else
-/// `own`; zero-filled either way.
-std::span<double> diagonal_staging(CodecScratch* scratch,
-                                   std::vector<double>& own, std::size_t n) {
-  std::vector<double>& v = scratch ? scratch->local().diagonals() : own;
-  v.assign(n, 0.0);
-  return v;
-}
-
 /// Emit the unpredictable bitstream in index order (the walks visit points
 /// out of order; bits must not), storing each point's exact reconstruction.
 template <typename T>
@@ -930,31 +921,20 @@ void emit_unpredictable(std::span<const T> data,
 
 /// The unpredictable values up to codes.size(), decoded in index order,
 /// and each natural row's rank among them.  The codes end at the box's
-/// last point, which may cut its row short.  With a scratch arena both
-/// vectors keep their capacity across calls; they are consumed within the
-/// walk, so reuse is invisible.
+/// last point, which may cut its row short.
 template <typename T>
 struct Predecoded {
-  std::vector<std::size_t> own_rank;
-  std::vector<T> own_vals;
-  std::vector<std::size_t>& row_rank;  // own_rank or the arena's
-  std::vector<T>& vals;                // own_vals or the arena's
-
-  Predecoded(const Predecoded&) = delete;  // would alias the other's own_*
+  std::vector<std::size_t> row_rank;
+  std::vector<T> vals;
 
   Predecoded(std::span<const std::uint16_t> codes, const Dims& dims,
-             const UnpredictableCodecT<T>& unpred, BitReader& br,
-             CodecScratch* scratch)
-      : row_rank(scratch ? scratch->local().row_ranks() : own_rank),
-        vals(scratch ? scratch->local().unpredictable_values<T>()
-                     : own_vals) {
+             const UnpredictableCodecT<T>& unpred, BitReader& br) {
     const std::size_t n = codes.size();
     const std::size_t rank = dims.rank();
     const std::size_t rowlen =
         (rank == 2 || rank == 3) ? dims.extent(rank - 1) : n;
     const std::size_t nrows = (n + rowlen - 1) / rowlen;
     row_rank.assign(nrows, 0);
-    vals.clear();
     std::size_t i = 0;
     for (std::size_t row = 0; row < nrows; ++row) {
       row_rank[row] = vals.size();
@@ -976,6 +956,11 @@ std::span<const unsigned> lorenzo_lane_widths() {
   return {kWidths, count};
 }
 
+std::size_t lorenzo_staging_doubles(unsigned lanes, const Dims& dims,
+                                    std::span<const std::size_t> box) {
+  return DiagBox(dims, box, checked_lanes(lanes)).staging_doubles(3);
+}
+
 template <typename T>
 PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
                                    const Dims& dims,
@@ -983,11 +968,11 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
                                    const UnpredictableCodecT<T>& unpred,
                                    bool decorrelate, HotPathMode mode,
                                    std::span<std::uint16_t> codes,
-                                   std::span<T> recon, BitWriter& bw,
-                                   CodecScratch* scratch) {
+                                   std::span<T> recon, BitWriter& bw) {
   const int w = checked_lanes(lanes);
   const DiagBox box(dims, dims.extents(), w);
-  std::vector<double> own;
+  std::vector<double> staging(
+      lorenzo_staging_doubles(lanes, dims, dims.extents()));
   const EncodeJob<T> job{
       data.data(),
       codes.data(),
@@ -1000,7 +985,7 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
       decorrelate,
       mode == HotPathMode::kTurbo,
       box,
-      diagonal_staging(scratch, own, box.staging_doubles(3)).data()};
+      staging.data()};
 #if defined(SZ14_DIAGONAL_AVX2)
   const PassCounters counters =
       w == 4 ? encode_diagonals<4>(job) : encode_diagonals<2>(job);
@@ -1018,12 +1003,12 @@ void lorenzo_decompress_walk(unsigned lanes,
                              const Dims& dims, std::span<const std::size_t> box,
                              const LinearQuantizer& quantizer,
                              const UnpredictableCodecT<T>& unpred,
-                             bool decorrelate, std::span<T> out, BitReader& br,
-                             CodecScratch* scratch) {
+                             bool decorrelate, std::span<T> out,
+                             BitReader& br) {
   const int w = checked_lanes(lanes);
-  Predecoded<T> pre(codes, dims, unpred, br, scratch);
+  Predecoded<T> pre(codes, dims, unpred, br);
   const DiagBox diag(dims, box, w);
-  std::vector<double> own;
+  std::vector<double> staging(lorenzo_staging_doubles(lanes, dims, box));
   const DecodeJob<T> job{
       codes.data(),
       out.data(),
@@ -1034,7 +1019,7 @@ void lorenzo_decompress_walk(unsigned lanes,
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2),
       decorrelate,
       diag,
-      diagonal_staging(scratch, own, diag.staging_doubles(3)).data()};
+      staging.data()};
 #if defined(SZ14_DIAGONAL_AVX2)
   if (w == 4) return decode_diagonals<4>(job);
 #endif
@@ -1048,8 +1033,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const UnpredictableCodecT<T>& unpred, double eb,
                               bool decorrelate, HotPathMode mode,
                               std::span<std::uint16_t> codes,
-                              std::span<T> recon, BitWriter& bw,
-                              CodecScratch* scratch) {
+                              std::span<T> recon, BitWriter& bw) {
   // The lossless fallback (eb <= 0) makes every point unpredictable: the
   // reordered walks would analyse each point twice (reconstruct in the
   // walk, encode in the emission pass) for zero overlap benefit, so that
@@ -1060,7 +1044,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
   if (takes_diagonal_walk(dims, predictor))
     return lorenzo_compress_walk(lorenzo_lane_widths().back(), data, dims,
                                  quantizer, unpred, decorrelate, mode, codes,
-                                 recon, bw, scratch);
+                                 recon, bw);
   const auto radius =
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
   // kRecip is the only difference between the kFast and kTurbo bodies.
@@ -1116,13 +1100,12 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
                         const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred,
-                        bool decorrelate, std::span<T> out, BitReader& br,
-                        CodecScratch* scratch) {
+                        bool decorrelate, std::span<T> out, BitReader& br) {
   if (takes_diagonal_walk(dims, predictor))
     return lorenzo_decompress_walk(lorenzo_lane_widths().back(), codes, dims,
                                    box, quantizer, unpred, decorrelate, out,
-                                   br, scratch);
-  const Predecoded<T> pre(codes, dims, unpred, br, scratch);
+                                   br);
+  const Predecoded<T> pre(codes, dims, unpred, br);
   const auto radius =
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
   DecompressBodyFast<T> body{codes.data(),
@@ -1140,8 +1123,7 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
   template PassCounters pq_compress_walk<T>(                                  \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
-      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&,        \
-      CodecScratch*);                                                         \
+      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&);       \
   template PassCounters pq_compress_walk_generic<T>(                          \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
@@ -1150,16 +1132,15 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
       std::span<const std::uint16_t>, const Dims&,                            \
       std::span<const std::size_t>, const LayerPredictor&,                    \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, bool,            \
-      std::span<T>, BitReader&, CodecScratch*);                               \
+      std::span<T>, BitReader&);                                              \
   template PassCounters lorenzo_compress_walk<T>(                             \
       unsigned, std::span<const T>, const Dims&, const LinearQuantizer&,      \
       const UnpredictableCodecT<T>&, bool, HotPathMode,                       \
-      std::span<std::uint16_t>, std::span<T>, BitWriter&, CodecScratch*);     \
+      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
   template void lorenzo_decompress_walk<T>(                                   \
       unsigned, std::span<const std::uint16_t>, const Dims&,                  \
       std::span<const std::size_t>, const LinearQuantizer&,                   \
-      const UnpredictableCodecT<T>&, bool, std::span<T>, BitReader&,          \
-      CodecScratch*);
+      const UnpredictableCodecT<T>&, bool, std::span<T>, BitReader&);
 SZ14_KERNEL_INSTANCES(float)
 SZ14_KERNEL_INSTANCES(double)
 #undef SZ14_KERNEL_INSTANCES

@@ -47,8 +47,6 @@ struct PassCounters {
 /// unpredictable-point bits to bw.  Preconditions (checked by the caller):
 /// data.size() == dims.count() == codes.size() == recon.size().  The
 /// lossless fallback (eb <= 0) delegates to pq_compress_walk_generic.
-/// `scratch`, when non-null, supplies the anti-diagonal staging (reused
-/// across calls, never visible in the output).
 template <typename T>
 PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const LayerPredictor& predictor,
@@ -56,8 +54,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const UnpredictableCodecT<T>& unpred, double eb,
                               bool decorrelate, HotPathMode mode,
                               std::span<std::uint16_t> codes,
-                              std::span<T> recon, BitWriter& bw,
-                              CodecScratch* scratch = nullptr);
+                              std::span<T> recon, BitWriter& bw);
 
 /// The seed's CoordWalker walk: one containment-checked prediction per
 /// point in strict index order, unpredictable bits emitted inline, exact
@@ -86,18 +83,14 @@ std::size_t box_limit(const Dims& dims, std::span<const std::size_t> box);
 /// reconstructed, with codes.size() == box_limit(dims, box): every
 /// predictor tap reaches back on every axis, so a box point decodes
 /// exactly as in the whole array, and `out` outside the box is left
-/// untouched (ranks 2 and 3).  `scratch`, when non-null, supplies the
-/// pre-decoded unpredictable-value and row-rank buffers and the
-/// anti-diagonal staging (reused across calls, never visible in the
-/// output).
+/// untouched (ranks 2 and 3).
 template <typename T>
 void pq_decompress_walk(std::span<const std::uint16_t> codes,
                         const Dims& dims, std::span<const std::size_t> box,
                         const LayerPredictor& predictor,
                         const LinearQuantizer& quantizer,
                         const UnpredictableCodecT<T>& unpred,
-                        bool decorrelate, std::span<T> out, BitReader& br,
-                        CodecScratch* scratch = nullptr);
+                        bool decorrelate, std::span<T> out, BitReader& br);
 
 /// Lane widths (doubles per vector) of the 1-layer anti-diagonal kernel
 /// that this build can run on this CPU, narrowest first: 2 (baseline
@@ -116,23 +109,28 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
                                    const UnpredictableCodecT<T>& unpred,
                                    bool decorrelate, HotPathMode mode,
                                    std::span<std::uint16_t> codes,
-                                   std::span<T> recon, BitWriter& bw,
-                                   CodecScratch* scratch = nullptr);
+                                   std::span<T> recon, BitWriter& bw);
 template <typename T>
 void lorenzo_decompress_walk(unsigned lanes,
                              std::span<const std::uint16_t> codes,
                              const Dims& dims, std::span<const std::size_t> box,
                              const LinearQuantizer& quantizer,
                              const UnpredictableCodecT<T>& unpred,
-                             bool decorrelate, std::span<T> out, BitReader& br,
-                             CodecScratch* scratch = nullptr);
+                             bool decorrelate, std::span<T> out, BitReader& br);
+
+/// Doubles of anti-diagonal staging the walks above allocate for the
+/// leading box `box` of `dims` (box = dims.extents() for a compress walk)
+/// at `lanes`, one of lorenzo_lane_widths() (anything else throws
+/// std::invalid_argument).  Rank 2 stages a ring of three diagonals,
+/// rank 3 the compact diagonals of two planes.
+std::size_t lorenzo_staging_doubles(unsigned lanes, const Dims& dims,
+                                    std::span<const std::size_t> box);
 
 #define SZ14_KERNEL_EXTERNS(T)                                                \
   extern template PassCounters pq_compress_walk<T>(                           \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
-      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&,        \
-      CodecScratch*);                                                         \
+      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&);       \
   extern template PassCounters pq_compress_walk_generic<T>(                   \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
@@ -141,16 +139,15 @@ void lorenzo_decompress_walk(unsigned lanes,
       std::span<const std::uint16_t>, const Dims&,                            \
       std::span<const std::size_t>, const LayerPredictor&,                    \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, bool,            \
-      std::span<T>, BitReader&, CodecScratch*);                               \
+      std::span<T>, BitReader&);                                              \
   extern template PassCounters lorenzo_compress_walk<T>(                      \
       unsigned, std::span<const T>, const Dims&, const LinearQuantizer&,      \
       const UnpredictableCodecT<T>&, bool, HotPathMode,                       \
-      std::span<std::uint16_t>, std::span<T>, BitWriter&, CodecScratch*);     \
+      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
   extern template void lorenzo_decompress_walk<T>(                            \
       unsigned, std::span<const std::uint16_t>, const Dims&,                  \
       std::span<const std::size_t>, const LinearQuantizer&,                   \
-      const UnpredictableCodecT<T>&, bool, std::span<T>, BitReader&,          \
-      CodecScratch*);
+      const UnpredictableCodecT<T>&, bool, std::span<T>, BitReader&);
 SZ14_KERNEL_EXTERNS(float)
 SZ14_KERNEL_EXTERNS(double)
 #undef SZ14_KERNEL_EXTERNS

@@ -83,19 +83,16 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
 
   // Phase 1 — the chunk walk of every slab in parallel; each worker
   // histograms its own slab's codes while they are cache-hot.  The recon
-  // buffer is pure slab-local scratch, so it comes from the arena's
-  // per-worker slot when the policy carries one.
+  // buffer is slab-local and dies with the task.
   pool.run_batch(chunks, [&](std::size_t c) {
     const auto [offset, sub] = slab_of(dims, chunks, c);
     SlabWork& w = slabs[c];
     w.count = sub.count();
     w.codes = std::make_unique_for_overwrite<std::uint16_t[]>(w.count);
-    std::unique_ptr<float[]> recon_own;
-    const std::span<float> recon =
-        scratch_recon_or<float>(opts.exec.scratch, recon_own, w.count);
+    const auto recon = std::make_unique_for_overwrite<float[]>(w.count);
     w.walk = encode_chunk<float>(data.subspan(offset, w.count), sub, p,
                                  opts.exec.mode, {w.codes.get(), w.count},
-                                 recon, opts.exec.scratch);
+                                 {recon.get(), w.count});
     w.hist = huffman_histogram({w.codes.get(), w.count}, p.alphabet_size());
   });
 
@@ -205,7 +202,7 @@ ParallelDecompressResult parallel_decompress(
     decode_chunk<float>(table, payloads[c], sub.count(), unpreds[c], sub,
                         sub.extents(), p,
                         std::span<float>(r.data).subspan(offset, sub.count()),
-                        nullptr, exec.scratch, &entropy_seconds[c]);
+                        nullptr, &entropy_seconds[c]);
   });
   r.seconds = timer.seconds();
   for (const double s : entropy_seconds) r.entropy_decode_seconds += s;

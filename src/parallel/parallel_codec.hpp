@@ -25,9 +25,9 @@
 // chunk codec (core/chunk_codec): this module adds only the container
 // framing, the slab split and the pipelined emit.
 //
-// Execution strategy (pool, hot-path mode, scratch) comes from the
-// caller's ExecPolicy (opts.exec), so concurrent calls with different
-// policies never interact.
+// Execution strategy (pool, hot-path mode) comes from the caller's
+// ExecPolicy (opts.exec), so concurrent calls with different policies
+// never interact.  Each slab task owns its working buffers.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,7 @@ struct ParallelResult {
 /// from the policy (`exec.pool`; null builds a private pool of
 /// `exec.threads` workers), `exec.mode` is carried into every slab task
 /// (kTurbo slabs are bound-conformant rather than bit-reproducible against
-/// kFast ones — but each mode is individually deterministic), and
-/// `exec.scratch` hands each worker reusable walk buffers.
+/// kFast ones — but each mode is individually deterministic).
 /// The error bound is resolved ONCE against the whole field's value range,
 /// so eb_rel does not depend on the chunking.
 ///
@@ -73,9 +72,11 @@ struct ParallelDecompressResult {
   double entropy_decode_seconds = 0.0;
 };
 
-/// Decompression parallelizes identically, with pool and scratch from
-/// the policy like parallel_compress (decoding is exact, so `exec.mode`
-/// plays no part).  Throws std::runtime_error on a malformed container.
+/// Decompression parallelizes identically, with the pool (`exec.pool`, or
+/// `exec.threads` private workers) from the policy like parallel_compress;
+/// decoding is exact, so `exec.mode` and `exec.entropy` play no part.
+/// This is the one decode entry point that takes an ExecPolicy.  Throws
+/// std::runtime_error on a malformed container.
 ParallelDecompressResult parallel_decompress(
     std::span<const std::uint8_t> stream, const ExecPolicy& exec);
 

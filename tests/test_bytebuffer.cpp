@@ -55,24 +55,6 @@ TEST(ByteBuffer, VarintRoundTripSweep) {
   EXPECT_TRUE(r.exhausted());
 }
 
-TEST(ByteBuffer, SignedVarintRoundTrip) {
-  ByteWriter w;
-  const std::vector<std::int64_t> values = {
-      0,
-      1,
-      -1,
-      63,
-      -64,
-      12345,
-      -54321,
-      std::numeric_limits<std::int64_t>::max(),
-      std::numeric_limits<std::int64_t>::min()};
-  for (auto v : values) w.put_svarint(v);
-  auto bytes = std::move(w).take();
-  ByteReader r(bytes);
-  for (auto v : values) EXPECT_EQ(r.get_svarint(), v);
-}
-
 TEST(ByteBuffer, RandomVarintProperty) {
   Rng rng(7);
   ByteWriter w;

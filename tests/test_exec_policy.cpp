@@ -1,10 +1,10 @@
 // Per-call ExecPolicy contract: the execution strategy (hot-path mode,
-// pool, scratch arena) is plain per-call state, so
+// pool, entropy backend) is plain per-call state and every codec call
+// owns its buffers, so
 //  - N threads compressing simultaneously with DIFFERENT policies produce
 //    exactly the streams sequential runs with those policies produce (the
 //    north-star mixed-mode scenario; run under TSan by the CI tsan job),
-//  - repeated calls through one CodecScratch are byte-identical to
-//    fresh-buffer calls across dtypes, ranks, and interleaved sizes,
+//  - repeated calls are byte-identical across dtypes, ranks and modes,
 //  - the parallel codec takes its pool from the policy,
 //  - an ArchiveWriter's pinned mode no longer perturbs unrelated
 //    concurrent compress() calls (the retired global-pin hazard).
@@ -52,11 +52,8 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
     golden[m] = compress(f.values, f.dims, o);
   }
 
-  // 4 threads per mode, all compressing at once with per-call policies —
-  // and ONE arena shared by every plain std::thread (local() keys buffer
-  // sets by thread identity, so this must never race or cross-pollute).
+  // 4 threads per mode, all compressing at once with per-call policies.
   constexpr int kPerMode = 4;
-  CodecScratch shared_scratch;
   std::vector<std::uint8_t> streams[kModes * kPerMode];
   {
     std::vector<std::thread> threads;
@@ -65,7 +62,6 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
         threads.emplace_back([&, m, t] {
           Options o = base;
           o.exec.mode = kAllModes[m];
-          o.exec.scratch = &shared_scratch;
           streams[m * kPerMode + t] = compress(f.values, f.dims, o);
         });
       }
@@ -79,85 +75,68 @@ TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
 }
 
 TEST(ExecPolicyConcurrency, ConcurrentDecodeBitIdentical) {
-  // Concurrent decodes, half of them through one shared arena, all match
-  // the sequential decode.
+  // Concurrent decodes all match the sequential decode.
   const auto f = data::hurricane3d(10, 16, 16);
   Options opts;
   opts.eb_abs = 1e-3;
   const auto stream = compress(f.values, f.dims, opts);
   const auto golden = decompress(stream).data;
 
-  CodecScratch shared_scratch;
   std::vector<float> outs[6];
   {
     std::vector<std::thread> threads;
-    for (int i = 0; i < 6; ++i) {
-      threads.emplace_back([&, i] {
-        ExecPolicy exec;
-        if (i % 2 == 0) exec.scratch = &shared_scratch;
-        outs[i] = decompress(stream, exec).data;
-      });
-    }
+    for (int i = 0; i < 6; ++i)
+      threads.emplace_back([&, i] { outs[i] = decompress(stream).data; });
     for (auto& th : threads) th.join();
   }
   for (int i = 0; i < 6; ++i) EXPECT_EQ(outs[i], golden) << i;
 }
 
 template <typename T>
-void scratch_reuse_roundtrips(CodecScratch& scratch) {
-  // Interleave shapes so every reuse pattern (grow, shrink, regrow) hits
-  // each buffer; every stream and reconstruction must match the
-  // fresh-buffer run bit for bit.
+void repeat_roundtrips() {
+  // Every stream and reconstruction of a repeated call must match the
+  // first call's bit for bit.
   const Dims shapes[] = {Dims{257}, Dims{23, 17}, Dims{9, 11, 13},
-                         Dims{4096}, Dims{23, 17}};
+                         Dims{4096}};
   for (const HotPathMode mode : kAllModes) {
     for (const Dims& dims : shapes) {
       const auto f32 = data::smooth1d(dims.count());
       const auto values = to_dtype<T>(f32.values);
 
-      Options fresh;
-      fresh.eb_abs = 1e-3;
-      fresh.exec.mode = mode;
-      Options reused = fresh;
-      reused.exec.scratch = &scratch;
-
-      const auto a = compress(std::span<const T>(values), dims, fresh);
-      const auto b = compress(std::span<const T>(values), dims, reused);
+      Options opts;
+      opts.eb_abs = 1e-3;
+      opts.exec.mode = mode;
+      const auto a = compress(std::span<const T>(values), dims, opts);
+      const auto b = compress(std::span<const T>(values), dims, opts);
       ASSERT_EQ(a, b) << mode_name(mode) << " dims=" << dims.to_string();
 
-      std::vector<T> out_fresh(dims.count()), out_reused(dims.count());
-      (void)decompress_into(a, std::span<T>(out_fresh), fresh.exec);
-      (void)decompress_into(a, std::span<T>(out_reused), reused.exec);
-      ASSERT_EQ(out_fresh, out_reused)
+      std::vector<T> first(dims.count()), second(dims.count());
+      (void)decompress_into(a, std::span<T>(first));
+      (void)decompress_into(a, std::span<T>(second));
+      ASSERT_EQ(first, second)
           << mode_name(mode) << " dims=" << dims.to_string();
     }
   }
 }
 
-TEST(CodecScratchTest, ReuseIsByteIdenticalAcrossDtypesAndRanks) {
-  // ONE arena across every dtype/rank/mode combination — the harshest
-  // reuse schedule a batch workload can produce.
-  CodecScratch scratch;
-  scratch_reuse_roundtrips<float>(scratch);
-  scratch_reuse_roundtrips<double>(scratch);
+TEST(ExecPolicyTest, RepeatsAreByteIdenticalAcrossDtypesAndRanks) {
+  repeat_roundtrips<float>();
+  repeat_roundtrips<double>();
 }
 
-TEST(CodecScratchTest, SharedArenaAcrossPoolWorkers) {
-  // Archive-style batch: many block compressions on a pool, all handed the
-  // SAME arena; each worker must get private buffers (slot per worker).
+TEST(ExecPolicyConcurrency, PoolWorkersCompressAtOnce) {
+  // Archive-style batch: many block compressions at once on a pool, each
+  // matching the sequential stream.
   const auto f = data::climate2d(40, 50);
   Options base;
   base.eb_abs = 1e-3;
   const auto golden = compress(f.values, f.dims, base);
 
   ThreadPool pool(4);
-  CodecScratch scratch;
   constexpr std::size_t kTasks = 32;
   std::vector<std::vector<std::uint8_t>> streams(kTasks);
   pool.run_batch(kTasks, [&](std::size_t i) {
-    Options o = base;
-    o.exec.scratch = &scratch;
-    streams[i] = compress(f.values, f.dims, o);
+    streams[i] = compress(f.values, f.dims, base);
   });
   for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(streams[i], golden) << i;
 }

@@ -105,9 +105,9 @@ template <typename T>
 DecompressResultT<T> decode_stream(std::span<const std::uint8_t> stream,
                                    const LeadBox& box = kWholeBox) {
   if constexpr (std::is_same_v<T, float>) {
-    return decompress(stream, {}, box);
+    return decompress(stream, box);
   } else {
-    return decompress64(stream, {}, box);
+    return decompress64(stream, box);
   }
 }
 
@@ -236,8 +236,7 @@ detail::PassCounters turbo_oracle(std::span<const T> data, const Dims& dims,
 template <typename T>
 std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
                                double eb, bool decorrelate,
-                               const std::string& what,
-                               CodecScratch* scratch = nullptr) {
+                               const std::string& what) {
   const LayerPredictor predictor(dims, 1);
   const LinearQuantizer quantizer(8, eb);
   const UnpredictableCodecT<T> unpred(eb);
@@ -263,7 +262,7 @@ std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
       BitWriter bw;
       const detail::PassCounters got = detail::lorenzo_compress_walk<T>(
           lanes, data, dims, quantizer, unpred, decorrelate, mode, codes,
-          recon, bw, scratch);
+          recon, bw);
       EXPECT_EQ(want_codes, codes) << at << ": codes";
       expect_bitwise_equal(want_recon, recon, at + ": reconstruction");
       EXPECT_EQ(want_bits, std::move(bw).finish())
@@ -277,7 +276,7 @@ std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
       BitReader br(want_bits);
       detail::lorenzo_decompress_walk<T>(lanes, want_codes, dims,
                                          dims.extents(), quantizer, unpred,
-                                         decorrelate, out, br, scratch);
+                                         decorrelate, out, br);
       expect_bitwise_equal(want_recon, out, at + ": decode");
     }
     if (!turbo) unpredictable = n - want.predictable;
@@ -379,28 +378,26 @@ TEST(LaneWidths, TurboTiesFollowTheReciprocal) {
 
 TEST(LaneWidths, TallThinFieldStagesOnlyDiagonals) {
   // A 100000 x 3 plane has 100002 diagonals of at most 3 points.  Rank 2
-  // stages a ring of three diagonals, so the arena stays tiny; rank 3
+  // stages a ring of three diagonals, so the staging stays tiny; rank 3
   // stages two planes of compact diagonals, O(plane + R + C).
-  CodecScratch scratch;
   const Dims tall{100000, 3};
   const auto values = adversarial_values(tall.count(), 7);
-  (void)expect_lanes_match<float>(values, tall, 1e-3, false, "100000x3",
-                                  &scratch);
-  EXPECT_LE(scratch.local().diagonals().size(), 64u);
-
+  (void)expect_lanes_match<float>(values, tall, 1e-3, false, "100000x3");
   const Dims deep{2, 20000, 3};
   const auto deep_values = adversarial_values(deep.count(), 8);
   (void)expect_lanes_match<float>(deep_values, deep, 1e-3, false,
-                                  "2x20000x3", &scratch);
-  const std::size_t R = 20000, C = 3, W = detail::lorenzo_lane_widths().back();
-  EXPECT_LE(scratch.local().diagonals().size(),
-            4 * R * C + 3 * (R + C + 1) * (W + 2));
+                                  "2x20000x3");
 
-  // A second walk of the same shape reuses the arena's staging.
-  const double* staged = scratch.local().diagonals().data();
-  (void)expect_lanes_match<float>(deep_values, deep, 1e-3, false,
-                                  "2x20000x3 again", &scratch);
-  EXPECT_EQ(staged, scratch.local().diagonals().data());
+  const std::size_t R = 20000, C = 3;
+  for (const unsigned W : detail::lorenzo_lane_widths()) {
+    EXPECT_LE(detail::lorenzo_staging_doubles(W, tall, tall.extents()), 64u)
+        << "lanes=" << W;
+    EXPECT_LE(detail::lorenzo_staging_doubles(W, deep, deep.extents()),
+              4 * R * C + 3 * (R + C + 1) * (W + 2))
+        << "lanes=" << W;
+  }
+  EXPECT_THROW((void)detail::lorenzo_staging_doubles(3, deep, deep.extents()),
+               std::invalid_argument);
 }
 
 /// Every box of `dims`, as a list of LeadBoxes (entries past the rank 0).
@@ -417,7 +414,7 @@ std::vector<LeadBox> every_box(const Dims& dims) {
   }
 }
 
-/// Box decode: for every box, decompress(stream, {}, box) keeps the full
+/// Box decode: for every box, decompress(stream, box) keeps the full
 /// decode's layout cut to the box's planes; values inside the box are
 /// bit-identical to the full decode, and values outside it are zero
 /// (ranks 2 and 3; ranks 1 and 4 decode the box's planes whole).
@@ -540,14 +537,14 @@ TEST(BoxDecode, ReportsDecodedShapeAndRejectsEmptyBox) {
   Options opts;
   opts.eb_abs = 1e-3;
   const auto stream = compress(f.values, f.dims, opts);
-  const auto r = decompress(stream, {}, {3, 5, 7});
+  const auto r = decompress(stream, {3, 5, 7});
   EXPECT_TRUE(r.dims == (Dims{3, 12, 12}));
   EXPECT_EQ(r.data.size(), r.dims.count());
   for (const LeadBox& empty :
        {LeadBox{0, 12, 12}, LeadBox{8, 0, 12}, LeadBox{8, 12, 0}})
-    EXPECT_THROW((void)decompress(stream, {}, empty), std::invalid_argument);
+    EXPECT_THROW((void)decompress(stream, empty), std::invalid_argument);
   // Entries past the rank are ignored.
-  EXPECT_NO_THROW((void)decompress(stream, {}, {8, 12, 12, 0}));
+  EXPECT_NO_THROW((void)decompress(stream, {8, 12, 12, 0}));
 }
 
 /// compress() grows its stream once the payload size is known, so the
