@@ -3,13 +3,13 @@
 // concurrent archive-serving reads, all measured in the same run so
 // comparisons are apples-to-apples on the same machine.  The suite is two
 // tables:
-//   codec table   {fast, turbo, rans}, each row run through the sequential
-//                 codec and the threaded slab codec (--threads N workers):
-//     fast  — specialized wavefront kernels, exact divide (bit-identity
-//             with the generic walk is pinned by tests/test_kernels.cpp and
-//             the golden streams in tests/test_format.cpp),
-//     turbo — reciprocal-multiply quantization; NOT bit-identical,
-//     rans  — the fast walk with the rANS entropy backend (reconstruction
+//   codec table   {fast, rans}, each row run through the sequential codec
+//                 and the threaded slab codec (--threads N workers):
+//     fast  — the specialized kernels with the Huffman backend
+//             (bit-identity with the generic walk is pinned by
+//             tests/test_kernels.cpp and the golden streams in
+//             tests/test_format.cpp),
+//     rans  — the same walk with the rANS entropy backend (reconstruction
 //             must equal fast's bit for bit).
 //             Every row is decompressed and its max |x - x'| checked
 //             against eb.
@@ -35,12 +35,10 @@
 //   --out       write JSON to FILE instead of stdout
 //   --filter    run only sections whose tag matches REGEX (search, not
 //               full match).  Tags: <field>/<mode> for the sequential
-//               modes (fast|turbo|rans),
-//               <field>/parallel/<mode> (fast|turbo|rans) for the slab
-//               codec, and serving/(nocache|cache|parity|mmap|sharded|
-//               daemon) for the archive-serving sections.  Cross-record
-//               outputs (the rans/fast recon check, the speedup record)
-//               appear only when every input they need also matched.
+//               rows (fast|rans), <field>/parallel/<mode> (fast|rans) for
+//               the slab codec, and serving/(nocache|cache|parity|mmap|
+//               sharded|daemon) for the archive-serving sections.  The
+//               rans/fast recon check runs only when both rows matched.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -101,7 +99,7 @@ double max_abs_error(std::span<const float> a, std::span<const float> b) {
   return m;
 }
 
-/// Measure one hot-path mode.  The mode rides opts.exec (per-call
+/// Measure one codec row.  The entropy backend rides opts.exec (per-call
 /// policy); every rep's codec call owns its buffers.
 StageTimes measure(const data::Field& f, const Options& opts, int reps,
                    std::vector<float>* recon_out) {
@@ -122,12 +120,10 @@ StageTimes measure(const data::Field& f, const Options& opts, int reps,
   // eb_abs explicitly), so the standalone pass matches compress() work.
   st.pass_s = bench::best_of(reps, [&] {
     (void)prediction_quantization_pass(f.values, f.dims, opts.layers,
-                                       opts.interval_bits, opts.eb_abs,
-                                       false, opts.exec);
+                                       opts.interval_bits, opts.eb_abs);
   });
   const auto pass = prediction_quantization_pass(
-      f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs, false,
-      opts.exec);
+      f.values, f.dims, opts.layers, opts.interval_bits, opts.eb_abs);
   // The entropy stage exactly as compress() runs it: histogram, table,
   // then the stream's section (tagged table, code count, payload).
   const LinearQuantizer quantizer(opts.interval_bits, opts.eb_abs);
@@ -170,7 +166,8 @@ struct ParallelTimes {
 
 ParallelTimes measure_parallel(const data::Field& f, const Options& opts,
                                int reps, ThreadPool& pool) {
-  // The pool travels on the policy; mode already set by the caller.
+  // The pool travels on the policy; the backend is already set by the
+  // caller.
   Options timed = opts;
   timed.exec.pool = &pool;
   ParallelTimes pt;
@@ -218,15 +215,13 @@ double cf(std::size_t raw_bytes, std::size_t stream_bytes) {
 /// bit-identical to fast's.
 struct CodecRow {
   const char* mode;
-  HotPathMode hot_path;
   EntropyBackend entropy;
 };
 constexpr CodecRow kCodecRows[] = {
-    {"fast", HotPathMode::kFast, EntropyBackend::kHuffman},
-    {"turbo", HotPathMode::kTurbo, EntropyBackend::kHuffman},
-    {"rans", HotPathMode::kFast, EntropyBackend::kRans},
+    {"fast", EntropyBackend::kHuffman},
+    {"rans", EntropyBackend::kRans},
 };
-constexpr std::size_t kFastRow = 0, kTurboRow = 1, kRansRow = 2;
+constexpr std::size_t kFastRow = 0, kRansRow = 1;
 constexpr std::size_t kCodecModes = std::size(kCodecRows);
 
 /// One archive-serving configuration over the shared-reader runner.
@@ -414,7 +409,6 @@ int run(int argc, char** argv) {
       if (!any) continue;
       const auto row_options = [&](std::size_t m) {
         Options o = opts;
-        o.exec.mode = kCodecRows[m].hot_path;
         o.exec.entropy = kCodecRows[m].entropy;
         return o;
       };
@@ -446,35 +440,14 @@ int run(int argc, char** argv) {
                              opts.eb_abs, reps);
       }
 
-      // Turbo measured against fast on the same machine and run.
       const StageTimes& fast = seq[kFastRow];
-      const StageTimes& turbo = seq[kTurboRow];
-      if (seq_on[kFastRow] && seq_on[kTurboRow] && par_on[kTurboRow]) {
-        json.begin_record();
-        json.kv("bench", "perf_suite_speedup");
-        json.kv("field", field_names[fi]);
-        json.kv("rank", f.dims.rank());
-        json.kv("speedup_compress_turbo", fast.compress_s / turbo.compress_s);
-        json.kv("speedup_decompress_turbo",
-                fast.decompress_s / turbo.decompress_s);
-        json.kv("speedup_compress_parallel_turbo",
-                fast.compress_s / par[kTurboRow].compress_s);
-        json.kv("turbo_max_error", turbo.max_error);
-        json.kv("turbo_cf_delta", cf(raw_bytes, turbo.stream_bytes) -
-                                      cf(raw_bytes, fast.stream_bytes));
-        json.end_record();
-      }
-
-      if (seq_on[kFastRow] && seq_on[kTurboRow])
-        std::fprintf(
-            stderr,
-            "%-12s  compress %6.1f -> %6.1f MB/s (turbo %.2fx)   "
-            "decompress %6.1f MB/s   CF %.2f   turbo max_err %.2e\n",
-            fname.c_str(), gbps(raw_bytes, fast.compress_s) * 1e3,
-            gbps(raw_bytes, turbo.compress_s) * 1e3,
-            fast.compress_s / turbo.compress_s,
-            gbps(raw_bytes, fast.decompress_s) * 1e3,
-            cf(raw_bytes, fast.stream_bytes), turbo.max_error);
+      if (seq_on[kFastRow])
+        std::fprintf(stderr,
+                     "%-12s  compress %6.1f MB/s   decompress %6.1f MB/s   "
+                     "CF %.2f   max_err %.2e\n",
+                     fname.c_str(), gbps(raw_bytes, fast.compress_s) * 1e3,
+                     gbps(raw_bytes, fast.decompress_s) * 1e3,
+                     cf(raw_bytes, fast.stream_bytes), fast.max_error);
       if (seq_on[kFastRow] && seq_on[kRansRow]) {
         const StageTimes& rans = seq[kRansRow];
         std::fprintf(
@@ -485,14 +458,12 @@ int run(int argc, char** argv) {
             rans.entropy_decode_s, fast.entropy_decode_s,
             cf(raw_bytes, rans.stream_bytes), cf(raw_bytes, fast.stream_bytes));
       }
-      if (par_on[kFastRow] && par_on[kTurboRow])
-        std::fprintf(
-            stderr,
-            "              parallel(%zut) compress %6.1f (fast) %6.1f "
-            "(turbo) MB/s   decompress %6.1f MB/s\n",
-            threads, gbps(raw_bytes, par[kFastRow].compress_s) * 1e3,
-            gbps(raw_bytes, par[kTurboRow].compress_s) * 1e3,
-            gbps(raw_bytes, par[kTurboRow].decompress_s) * 1e3);
+      if (par_on[kFastRow])
+        std::fprintf(stderr,
+                     "              parallel(%zut) compress %6.1f MB/s   "
+                     "decompress %6.1f MB/s\n",
+                     threads, gbps(raw_bytes, par[kFastRow].compress_s) * 1e3,
+                     gbps(raw_bytes, par[kFastRow].decompress_s) * 1e3);
     }
 
     // Serving table: concurrent region reads from one shared reader on the

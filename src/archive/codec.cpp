@@ -24,12 +24,10 @@ std::vector<T> leading_planes(std::vector<T> values, const Dims& block_dims,
 // --- sz14: native f32 and f64 error-bounded paths ------------------------
 //
 // These run the full specialized kernel stack under the caller's per-call
-// ExecPolicy: an ArchiveWriter whose policy selects kTurbo compresses
-// every block through the reciprocal-multiply kernels (bound-conformant,
-// not bit-identical to kFast archives of the same data — each mode is
-// individually deterministic, so CRCs reproduce within a mode).  Decoding
-// is exact whatever mode wrote the block, so the decode hooks take no
-// policy.
+// ExecPolicy: an ArchiveWriter whose policy selects the rANS backend
+// writes every block's code section with it (flagged in each block's
+// stream header).  Decoding follows the stream whatever policy wrote the
+// block, so the decode hooks take no policy.
 
 std::vector<std::uint8_t> sz14_c32(std::span<const float> block,
                                    const Dims& dims, double eb_abs,

@@ -26,9 +26,9 @@ inline constexpr std::uint8_t kCodecGzip = 4;
 
 /// Operations table row.  `compress64`/`decompress64` are null for backends
 /// without a double-precision path; the writer rejects f64 fields for them.
-/// The compress ops receive the caller's ExecPolicy (per-call hot-path mode
-/// and entropy backend — the sz14 backend honors both; the baseline
-/// backends accept and ignore it).  Decoding is exact whatever policy
+/// The compress ops receive the caller's ExecPolicy (per-call entropy
+/// backend — the sz14 backend honors it; the baseline backends accept and
+/// ignore it).  Decoding is exact whatever policy
 /// wrote the block, so the decompress ops take none, and decoded values
 /// are policy-independent.
 ///

@@ -55,14 +55,12 @@ namespace sz14::archive {
 /// How an ArchiveWriter lays out and compresses its archive, built with
 /// designated initializers: `ArchiveWriter w(path, {.parity_group = 4})`.
 struct WriterOptions {
-  /// Per-call execution strategy of every append_field(): `exec.mode`
-  /// selects the compress hot path (e.g. HotPathMode::kTurbo for
-  /// maximum-throughput ingest), `exec.entropy` the entropy backend,
-  /// `exec.pool` the block-compression pool and, when it is null,
-  /// `exec.threads` the workers of the writer's own pool
-  /// (0 = hardware_concurrency()).  The thread that calls append_field()
-  /// compresses its share of the blocks too; every block task owns its
-  /// buffers.  (`= {}` spares callers that set only the fields below
+  /// Per-call execution strategy of every append_field(): `exec.entropy`
+  /// selects the entropy backend, `exec.pool` the block-compression pool
+  /// and, when it is null, `exec.threads` the workers of the writer's own
+  /// pool (0 = hardware_concurrency()).  The thread that calls
+  /// append_field() compresses its share of the blocks too; every block
+  /// task owns its buffers.  (`= {}` spares callers that set only the fields below
   /// GCC's -Wmissing-field-initializers.)
   ExecPolicy exec = {};
   /// > 0 enables XOR block-group parity: every group of that many
@@ -93,8 +91,7 @@ class ArchiveWriter {
   ArchiveWriter(const std::string& path, std::size_t threads,
                 ExecPolicy policy = {}, std::uint32_t parity_group = 0,
                 std::uint64_t shard_size = 0)
-      : ArchiveWriter(path, {.exec = {.mode = policy.mode,
-                                      .pool = policy.pool,
+      : ArchiveWriter(path, {.exec = {.pool = policy.pool,
                                       .threads = threads,
                                       .entropy = policy.entropy},
                              .parity_group = parity_group,

@@ -50,8 +50,8 @@ struct ChunkWalk {
 /// every one.  Throws std::invalid_argument for an m or n out of range.
 template <typename T>
 ChunkWalk encode_chunk(std::span<const T> data, const Dims& dims,
-                       const ChunkParams& p, HotPathMode mode,
-                       std::span<std::uint16_t> codes, std::span<T> recon);
+                       const ChunkParams& p, std::span<std::uint16_t> codes,
+                       std::span<T> recon);
 
 /// One entropy table serving any number of chunks.  The backend choice is
 /// made here, once: every method dispatches through the backend's row of

@@ -49,8 +49,7 @@ template <typename T>
 PassResultT<T> prediction_quantization_pass(std::span<const T> data,
                                             const Dims& dims, unsigned layers,
                                             unsigned interval_bits, double eb,
-                                            bool decorrelate,
-                                            const ExecPolicy& exec) {
+                                            bool decorrelate) {
   if (data.size() != dims.count())
     throw std::invalid_argument("sz14: data size does not match dims");
   PassResultT<T> r;
@@ -58,16 +57,14 @@ PassResultT<T> prediction_quantization_pass(std::span<const T> data,
   r.reconstructed.resize(data.size());
   static_cast<ChunkWalk&>(r) =
       encode_chunk<T>(data, dims, {eb, interval_bits, layers, decorrelate},
-                      exec.mode, r.codes, r.reconstructed);
+                      r.codes, r.reconstructed);
   return r;
 }
 
 template PassResultT<float> prediction_quantization_pass<float>(
-    std::span<const float>, const Dims&, unsigned, unsigned, double, bool,
-    const ExecPolicy&);
+    std::span<const float>, const Dims&, unsigned, unsigned, double, bool);
 template PassResultT<double> prediction_quantization_pass<double>(
-    std::span<const double>, const Dims&, unsigned, unsigned, double, bool,
-    const ExecPolicy&);
+    std::span<const double>, const Dims&, unsigned, unsigned, double, bool);
 
 namespace {
 
@@ -94,7 +91,7 @@ std::vector<std::uint8_t> compress_impl(std::span<const T> data,
   const std::span<T> recon{recon_own.get(), n};
   const ChunkParams p{eb, opts.interval_bits, opts.layers, opts.decorrelate};
   const ChunkWalk walk =
-      encode_chunk<T>(data, dims, p, opts.exec.mode, codes, recon);
+      encode_chunk<T>(data, dims, p, codes, recon);
   const auto hist = huffman_histogram(codes, p.alphabet_size());
   const EntropyTable table(opts.exec.entropy, hist);
 

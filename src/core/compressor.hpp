@@ -47,11 +47,9 @@ struct Options {
   /// the reconstruction.  The pointwise bound still holds; the compression
   /// factor drops slightly (one extra bit of interval resolution is spent).
   bool decorrelate = false;
-  /// Execution strategy for this call (hot-path mode, pool, entropy
-  /// backend).  Never part of the stream CONTENTS contract except through
-  /// two explicit trades: kTurbo's reciprocal quantizer (bound-conformant,
-  /// not bit-identical to kFast) and the rANS backend.  Pool choices are
-  /// invisible in the output.
+  /// Execution strategy for this call (pool, entropy backend).  Never
+  /// part of the stream CONTENTS contract except through one explicit
+  /// trade, the rANS backend.  Pool choices are invisible in the output.
   ExecPolicy exec;
 };
 
@@ -114,7 +112,7 @@ using DecompressResult64 = DecompressResultT<double>;
 
 /// Decompress a float32 stream.  Throws std::runtime_error on malformed
 /// input or dtype mismatch.  Decoding has one exact implementation,
-/// whatever mode or backend wrote the stream, so it takes no ExecPolicy.
+/// whatever backend wrote the stream, so it takes no ExecPolicy.
 ///
 /// `box` decodes only the leading box it names.  Every predictor tap
 /// reaches back on every axis (paper Theorem 1), so a value depends only
@@ -155,13 +153,12 @@ struct PassResultT : ChunkWalk {
 using PassResult = PassResultT<float>;
 
 /// Run the pass on its own (codes + reconstruction, no entropy stage).
-/// `exec` selects the hot path per call; the result owns its buffers.
+/// The result owns its buffers.
 template <typename T>
 PassResultT<T> prediction_quantization_pass(std::span<const T> data,
                                             const Dims& dims, unsigned layers,
                                             unsigned interval_bits, double eb,
-                                            bool decorrelate = false,
-                                            const ExecPolicy& exec = {});
+                                            bool decorrelate = false);
 
 /// Convenience overload so float callers keep working without explicit
 /// template arguments.
@@ -170,11 +167,9 @@ inline PassResult prediction_quantization_pass(std::span<const float> data,
                                                unsigned layers,
                                                unsigned interval_bits,
                                                double eb,
-                                               bool decorrelate = false,
-                                               const ExecPolicy& exec = {}) {
+                                               bool decorrelate = false) {
   return prediction_quantization_pass<float>(data, dims, layers,
-                                             interval_bits, eb, decorrelate,
-                                             exec);
+                                             interval_bits, eb, decorrelate);
 }
 
 }  // namespace sz14

@@ -23,26 +23,30 @@ namespace sz14::detail {
 
 namespace {
 
-// The prediction-quantization walk is latency-bound, not overhead-bound:
+// In index order the prediction-quantization walk is one serial chain:
 // each point's prediction reads the reconstruction of the points just
-// before it, so one chain (predict -> diff -> divide -> round ->
-// reconstruct -> store) runs through the whole array.  Two walks break it
-// into independent chains while each point still sees exactly the inputs
-// it sees in index order, so every value stays bit-identical:
+// before it (predict -> diff -> divide -> round -> reconstruct -> store).
+// Two walks break it into independent chains while each point still sees
+// exactly the inputs it sees in index order, so every value stays
+// bit-identical:
 //
 //  - The 1-layer (Lorenzo) walk of a rank-2 or rank-3 array, by far the
 //    common case (the paper's Table II picks one layer), runs along the
 //    anti-diagonals r + c = d of each plane, in 32-row bands.  The points
 //    of one diagonal do not depend on each other, so W of them run as the
 //    lanes of one vector: 2 doubles in the baseline (SSE2) build, 4 with
-//    AVX2, chosen once per process.  See "anti-diagonal kernel" below.
+//    AVX2, chosen once per process.  With the chain gone this walk is
+//    instruction-bound: the scalar stage-in/stage-out loops around the
+//    vector body cost about as much as the body.  See "anti-diagonal
+//    kernel" below.
 //  - The tap walk of 2 or more layers runs a WAVEFRONT over kWave interior
 //    rows at a 1-column skew: row r+1 trails row r by one column, which
 //    satisfies every stencil dependency (taps reach back <= layers rows,
 //    and a row one step behind has already passed the needed column), so
-//    kWave chains are in flight at once.
+//    kWave chains are in flight at once.  It stays latency-bound, as does
+//    rank 1's single chain (walk1).
 //
-// Rank 1 has one chain (walk1), and rank 4 runs the generic walk.
+// Rank 4 runs the generic walk.
 //
 // Both reorder the points, so the two order-sensitive side channels are
 // made order-independent first:
@@ -101,19 +105,13 @@ struct CompressBodyGeneric {
 
 /// LinearQuantizer::quantize with the quantizer state hoisted into scalars
 /// (two_eb == 2.0 * eb, radius_d == double(radius), radius_i ==
-/// int32(radius)).  With kRecip == false the arithmetic is
-/// operation-for-operation LinearQuantizer::quantize, so results stay
-/// bit-identical (enforced by tests/test_kernels.cpp).  With kRecip == true the divide on the serial
-/// prediction chain becomes a reciprocal multiply (inv_2eb == 1 / (2*eb)):
-/// the interval index may round differently near boundaries, but the final
-/// reconstruction check demotes any point whose stored value would violate
-/// the bound, so the stream stays |x - x'| <= eb conformant
-/// (tests/test_conformance.cpp).
-template <typename T, bool kRecip>
-inline QuantResultT<T> quantize_hoisted(T real, double pred, double eb,
-                                        double two_eb, double inv_2eb,
-                                        double radius_d,
-                                        std::int32_t radius_i) {
+/// int32(radius)).  The arithmetic is operation-for-operation
+/// LinearQuantizer::quantize, so results stay bit-identical (enforced by
+/// tests/test_kernels.cpp).
+template <typename T>
+[[gnu::always_inline]] inline QuantResultT<T> quantize_hoisted(
+    T real, double pred, double eb, double two_eb, double radius_d,
+    std::int32_t radius_i) {
   // No eb/isfinite preamble (the fast walks only run with eb > 0, and a
   // non-finite `real` turns `scaled` into NaN/Inf, which the range check
   // below rejects — same decision as LinearQuantizer::quantize, two branches
@@ -125,20 +123,10 @@ inline QuantResultT<T> quantize_hoisted(T real, double pred, double eb,
   // endpoints excluded: radius would overflow the code byte, -radius would
   // collide with the unpredictable marker 0.
   const double diff = static_cast<double>(real) - pred;
-  const double scaled = kRecip ? diff * inv_2eb : diff / two_eb;
+  const double scaled = diff / two_eb;
   const bool in_range = std::fabs(scaled) < radius_d;
   const double safe = in_range ? scaled : 0.0;
-  std::int32_t q;
-  if constexpr (kRecip) {
-    // trunc(x + copysign(0.5, x)) is 2 cheap ops on the serial chain where
-    // the exact compare-based round costs ~5.  It disagrees with
-    // round-half-away only when x + 0.5 rounds across an integer (the
-    // nextafter(0.5)-style ties) — a one-interval shift the reconstruction
-    // guard below keeps bound-conformant, which is all turbo promises.
-    q = static_cast<std::int32_t>(safe + std::copysign(0.5, safe));
-  } else {
-    q = LinearQuantizer::round_half_away(safe);
-  }
+  const std::int32_t q = LinearQuantizer::round_half_away(safe);
   const auto recon = static_cast<T>(pred + two_eb * q);
   const bool ok =
       in_range &
@@ -152,12 +140,9 @@ inline QuantResultT<T> quantize_hoisted(T real, double pred, double eb,
 
 /// Wavefront-safe compress body: reconstructs unpredictable points without
 /// touching the bitstream (emitted in index order after the walk).
-/// kRecip selects the turbo reciprocal-multiply quantization (see above).
 /// The pointers are __restrict so input loads do not serialize against the
-/// reconstruction stores (data/codes/recon never alias by contract); turbo
-/// additionally skips the Sec. III-B strict-hit statistic — it is advisory
-/// (Table II layer study) and costs a compare-add on every point.
-template <typename T, bool kRecip>
+/// reconstruction stores (data/codes/recon never alias by contract).
+template <typename T>
 struct CompressBodyFast {
   const T* __restrict data;
   std::uint16_t* __restrict codes;
@@ -165,7 +150,6 @@ struct CompressBodyFast {
   const UnpredictableCodecT<T>* unpred;
   double eb;
   double two_eb;
-  double inv_2eb;
   double radius_d;
   std::int32_t radius_i;
   bool decorrelate;
@@ -179,12 +163,11 @@ struct CompressBodyFast {
     const double pred = pred_fn();
     // Counted branchlessly: the hit test flips often enough on real data
     // that a conditional increment mispredicts on the hot chain.
-    if constexpr (!kRecip)
-      strict_hits += static_cast<std::size_t>(
-          std::fabs(pred - static_cast<double>(data[i])) <= eb);
+    strict_hits += static_cast<std::size_t>(
+        std::fabs(pred - static_cast<double>(data[i])) <= eb);
     const double grid_pred = decorrelate ? pred + dither_for(i, eb) : pred;
-    const QuantResultT<T> q = quantize_hoisted<T, kRecip>(
-        data[i], grid_pred, eb, two_eb, inv_2eb, radius_d, radius_i);
+    const QuantResultT<T> q = quantize_hoisted<T>(data[i], grid_pred, eb,
+                                                  two_eb, radius_d, radius_i);
     if (q.predictable) {
       codes[i] = q.code;
       recon[i] = q.reconstructed;
@@ -497,9 +480,8 @@ void walk_fast(const Dims& dims, std::span<const std::size_t> box,
 // output, because pred + 2 eb q adds +0.0 or a nonzero term.)
 //
 // Each lane runs the scalar body's arithmetic step for step: the same add
-// order, the exact divide (kFast) or reciprocal multiply (kTurbo),
-// round-half-away or the two-op round, the same accept predicate and the
-// cast of the reconstruction to T.  No multiply-add is fused: the baseline
+// order, the exact divide, round-half-away, the same accept predicate and
+// the cast of the reconstruction to T.  No multiply-add is fused: the baseline
 // build has none, and the AVX2 instance is compiled without FMA.  A lane
 // that misses is fixed up in scalar code (UnpredictableCodecT::
 // reconstruct).  Lanes past a diagonal's end compute on stale entries and
@@ -598,8 +580,8 @@ struct EncodeJob {
   std::uint16_t* codes;
   T* recon;
   const UnpredictableCodecT<T>* unpred;
-  double eb, two_eb, inv_2eb, radius;
-  bool decorrelate, turbo;
+  double eb, two_eb, radius;
+  bool decorrelate;
   DiagBox box;
   double* staging;  // box.staging_doubles(3), zero-filled
 };
@@ -697,7 +679,7 @@ struct DiagTaps {
   }
 };
 
-template <int W, typename T, bool kRank3, bool kRecip>
+template <int W, typename T, bool kRank3>
 [[gnu::always_inline]] inline PassCounters encode_walk(
     const EncodeJob<T>& job) {
   using L = Lanes<W>;
@@ -705,10 +687,8 @@ template <int W, typename T, bool kRank3, bool kRecip>
   using M = typename L::M;
   const DiagBox& b = job.box;
   const D eb = D{} + job.eb, two_eb = D{} + job.two_eb,
-          inv_2eb = D{} + job.inv_2eb, radius = D{} + job.radius,
-          half = D{} + 0.5, one = D{} + 1.0;
-  const M sign = M{} + std::numeric_limits<std::int64_t>::min();
-  const M magnitude = ~sign;
+          radius = D{} + job.radius, half = D{} + 0.5, one = D{} + 1.0;
+  const M magnitude = M{} + std::numeric_limits<std::int64_t>::max();
   double* const plane0 = job.staging;
   double* const plane1 = kRank3 ? plane0 + b.plane_doubles() : plane0;
   double* const xs = plane1 + b.plane_doubles();  // staged data
@@ -742,22 +722,16 @@ template <int W, typename T, bool kRank3, bool kRecip>
           const M live = load<M>(kLive + 4 - std::min<std::size_t>(len - j, W));
           const D pred = taps.template predict<D, kRank3>(j);
           const D x = load<D>(xs + j);
-          if constexpr (!kRecip)
-            hits -= ((D)((M)(pred - x) & magnitude) <= eb) & live;
+          hits -= ((D)((M)(pred - x) & magnitude) <= eb) & live;
           const D grid = job.decorrelate ? pred + load<D>(ds + j) : pred;
           const D diff = x - grid;
-          const D scaled = kRecip ? diff * inv_2eb : diff / two_eb;
+          const D scaled = diff / two_eb;
           const M in_range = (D)((M)scaled & magnitude) < radius;
           const D safe = (D)((M)scaled & in_range);
-          D q;
-          if constexpr (kRecip) {
-            q = L::trunc(safe + (D)(((M)safe & sign) | (M)half));
-          } else {
-            const D t = L::trunc(safe);
-            const D frac = safe - t;
-            q = t + (D)((frac >= half) & (M)one) -
-                (D)((frac <= -half) & (M)one);
-          }
+          const D t = L::trunc(safe);
+          const D frac = safe - t;
+          const D q = t + (D)((frac >= half) & (M)one) -
+                      (D)((frac <= -half) & (M)one);
           D rec = grid + two_eb * q;
           if constexpr (std::is_same_v<T, float>) rec = L::round_to_float(rec);
           const M ok = in_range & ((D)((M)q & magnitude) < radius) &
@@ -847,15 +821,12 @@ template <int W, typename T, bool kRank3>
   }
 }
 
-/// One instance per lane width and dtype; the rank and the quantizer
-/// variant are compile-time branches inside.
+/// One instance per lane width and dtype; the rank is a compile-time
+/// branch inside.
 template <int W, typename T>
 PassCounters encode_diagonals(const EncodeJob<T>& job) {
-  if (job.box.rank3)
-    return job.turbo ? encode_walk<W, T, true, true>(job)
-                     : encode_walk<W, T, true, false>(job);
-  return job.turbo ? encode_walk<W, T, false, true>(job)
-                   : encode_walk<W, T, false, false>(job);
+  if (job.box.rank3) return encode_walk<W, T, true>(job);
+  return encode_walk<W, T, false>(job);
 }
 
 template <int W, typename T>
@@ -966,7 +937,7 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
                                    const Dims& dims,
                                    const LinearQuantizer& quantizer,
                                    const UnpredictableCodecT<T>& unpred,
-                                   bool decorrelate, HotPathMode mode,
+                                   bool decorrelate,
                                    std::span<std::uint16_t> codes,
                                    std::span<T> recon, BitWriter& bw) {
   const int w = checked_lanes(lanes);
@@ -980,10 +951,8 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
       &unpred,
       quantizer.error_bound(),
       2.0 * quantizer.error_bound(),
-      quantizer.inv_interval(),
       static_cast<double>(quantizer.alphabet_size() / 2),
       decorrelate,
-      mode == HotPathMode::kTurbo,
       box,
       staging.data()};
 #if defined(SZ14_DIAGONAL_AVX2)
@@ -1031,7 +1000,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const LayerPredictor& predictor,
                               const LinearQuantizer& quantizer,
                               const UnpredictableCodecT<T>& unpred, double eb,
-                              bool decorrelate, HotPathMode mode,
+                              bool decorrelate,
                               std::span<std::uint16_t> codes,
                               std::span<T> recon, BitWriter& bw) {
   // The lossless fallback (eb <= 0) makes every point unpredictable: the
@@ -1043,29 +1012,21 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                                     eb, decorrelate, codes, recon, bw);
   if (takes_diagonal_walk(dims, predictor))
     return lorenzo_compress_walk(lorenzo_lane_widths().back(), data, dims,
-                                 quantizer, unpred, decorrelate, mode, codes,
-                                 recon, bw);
+                                 quantizer, unpred, decorrelate, codes, recon,
+                                 bw);
   const auto radius =
       static_cast<std::int32_t>(quantizer.alphabet_size() / 2);
-  // kRecip is the only difference between the kFast and kTurbo bodies.
-  const auto run = [&](auto recip) {
-    CompressBodyFast<T, decltype(recip)::value> body{
-        data.data(),
-        codes.data(),
-        recon.data(),
-        &unpred,
-        quantizer.error_bound(),
-        2.0 * quantizer.error_bound(),
-        quantizer.inv_interval(),
-        static_cast<double>(radius),
-        radius,
-        decorrelate};
-    walk_fast<T>(dims, dims.extents(), predictor, body);
-    return PassCounters{body.predictable, body.strict_hits};
-  };
-  const PassCounters counters = mode == HotPathMode::kTurbo
-                                    ? run(std::true_type{})
-                                    : run(std::false_type{});
+  CompressBodyFast<T> body{data.data(),
+                           codes.data(),
+                           recon.data(),
+                           &unpred,
+                           quantizer.error_bound(),
+                           2.0 * quantizer.error_bound(),
+                           static_cast<double>(radius),
+                           radius,
+                           decorrelate};
+  walk_fast<T>(dims, dims.extents(), predictor, body);
+  const PassCounters counters{body.predictable, body.strict_hits};
   if (counters.predictable != data.size())
     emit_unpredictable(data, codes, recon, unpred, bw);
   return counters;
@@ -1123,7 +1084,7 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
   template PassCounters pq_compress_walk<T>(                                  \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
-      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&);       \
+      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
   template PassCounters pq_compress_walk_generic<T>(                          \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
@@ -1135,8 +1096,8 @@ void pq_decompress_walk(std::span<const std::uint16_t> codes,
       std::span<T>, BitReader&);                                              \
   template PassCounters lorenzo_compress_walk<T>(                             \
       unsigned, std::span<const T>, const Dims&, const LinearQuantizer&,      \
-      const UnpredictableCodecT<T>&, bool, HotPathMode,                       \
-      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
+      const UnpredictableCodecT<T>&, bool, std::span<std::uint16_t>,          \
+      std::span<T>, BitWriter&);                                              \
   template void lorenzo_decompress_walk<T>(                                   \
       unsigned, std::span<const std::uint16_t>, const Dims&,                  \
       std::span<const std::size_t>, const LinearQuantizer&,                   \

@@ -12,22 +12,15 @@
 // LayerPredictor::predict, so codes, reconstructions, and unpredictable
 // bitstreams are bit-identical to the generic pass (enforced by
 // tests/test_kernels.cpp against pq_compress_walk_generic); rank-4 shapes
-// run the same bodies over the generic walk.  HotPathMode::kTurbo runs the
-// same walks with the divide on the prediction chain replaced by a
-// reciprocal multiply — not bit-identical to kFast streams, but every
-// point stays within the error bound (boundary-straddling points are
-// demoted to unpredictable; enforced by tests/test_conformance.cpp).
-//
-// The mode is a compress-side argument only: decoding replays the stored
-// codes exactly whatever mode wrote them, so pq_decompress_walk has one
-// implementation.
+// run the same bodies over the generic walk.  Every walk quantizes with
+// LinearQuantizer's one exact rule, so there is one compress path per
+// shape and one decoder.
 #pragma once
 
 #include <span>
 
 #include "common/bitstream.hpp"
 #include "common/dims.hpp"
-#include "common/exec_policy.hpp"
 #include "core/compressor.hpp"
 #include "core/predictor.hpp"
 #include "core/quantizer.hpp"
@@ -36,7 +29,6 @@
 namespace sz14::detail {
 
 /// Walk statistics (see ChunkWalk for the two hit definitions).
-/// strict_hits is not computed by the turbo path (stays 0 there).
 struct PassCounters {
   std::size_t predictable = 0;
   std::size_t strict_hits = 0;
@@ -52,7 +44,7 @@ PassCounters pq_compress_walk(std::span<const T> data, const Dims& dims,
                               const LayerPredictor& predictor,
                               const LinearQuantizer& quantizer,
                               const UnpredictableCodecT<T>& unpred, double eb,
-                              bool decorrelate, HotPathMode mode,
+                              bool decorrelate,
                               std::span<std::uint16_t> codes,
                               std::span<T> recon, BitWriter& bw);
 
@@ -107,7 +99,7 @@ PassCounters lorenzo_compress_walk(unsigned lanes, std::span<const T> data,
                                    const Dims& dims,
                                    const LinearQuantizer& quantizer,
                                    const UnpredictableCodecT<T>& unpred,
-                                   bool decorrelate, HotPathMode mode,
+                                   bool decorrelate,
                                    std::span<std::uint16_t> codes,
                                    std::span<T> recon, BitWriter& bw);
 template <typename T>
@@ -130,7 +122,7 @@ std::size_t lorenzo_staging_doubles(unsigned lanes, const Dims& dims,
   extern template PassCounters pq_compress_walk<T>(                           \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
-      HotPathMode, std::span<std::uint16_t>, std::span<T>, BitWriter&);       \
+      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
   extern template PassCounters pq_compress_walk_generic<T>(                   \
       std::span<const T>, const Dims&, const LayerPredictor&,                 \
       const LinearQuantizer&, const UnpredictableCodecT<T>&, double, bool,    \
@@ -142,8 +134,8 @@ std::size_t lorenzo_staging_doubles(unsigned lanes, const Dims& dims,
       std::span<T>, BitReader&);                                              \
   extern template PassCounters lorenzo_compress_walk<T>(                      \
       unsigned, std::span<const T>, const Dims&, const LinearQuantizer&,      \
-      const UnpredictableCodecT<T>&, bool, HotPathMode,                       \
-      std::span<std::uint16_t>, std::span<T>, BitWriter&);                    \
+      const UnpredictableCodecT<T>&, bool, std::span<std::uint16_t>,          \
+      std::span<T>, BitWriter&);                                              \
   extern template void lorenzo_decompress_walk<T>(                            \
       unsigned, std::span<const std::uint16_t>, const Dims&,                  \
       std::span<const std::size_t>, const LinearQuantizer&,                   \

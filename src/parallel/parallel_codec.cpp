@@ -91,7 +91,7 @@ ParallelResult parallel_compress(std::span<const float> data, const Dims& dims,
     w.codes = std::make_unique_for_overwrite<std::uint16_t[]>(w.count);
     const auto recon = std::make_unique_for_overwrite<float[]>(w.count);
     w.walk = encode_chunk<float>(data.subspan(offset, w.count), sub, p,
-                                 opts.exec.mode, {w.codes.get(), w.count},
+                                 {w.codes.get(), w.count},
                                  {recon.get(), w.count});
     w.hist = huffman_histogram({w.codes.get(), w.count}, p.alphabet_size());
   });

@@ -25,7 +25,7 @@
 // chunk codec (core/chunk_codec): this module adds only the container
 // framing, the slab split and the pipelined emit.
 //
-// Execution strategy (pool, hot-path mode) comes from the caller's
+// Execution strategy (pool, worker count) comes from the caller's
 // ExecPolicy (opts.exec), so concurrent calls with different policies
 // never interact.  Each slab task owns its working buffers.
 #pragma once
@@ -53,11 +53,9 @@ struct ParallelResult {
 
 /// Whole-field threaded compression driven by `opts.exec`: the pool comes
 /// from the policy (`exec.pool`; null builds a private pool of
-/// `exec.threads` workers), `exec.mode` is carried into every slab task
-/// (kTurbo slabs are bound-conformant rather than bit-reproducible against
-/// kFast ones — but each mode is individually deterministic).
-/// The error bound is resolved ONCE against the whole field's value range,
-/// so eb_rel does not depend on the chunking.
+/// `exec.threads` workers), and the stream is the same whatever pool
+/// carries the slabs.  The error bound is resolved ONCE against the whole
+/// field's value range, so eb_rel does not depend on the chunking.
 ///
 /// `chunks` is the slab count, which shapes the stream (0 = one slab per
 /// pool worker); the worker count is the policy's alone.
@@ -74,7 +72,7 @@ struct ParallelDecompressResult {
 
 /// Decompression parallelizes identically, with the pool (`exec.pool`, or
 /// `exec.threads` private workers) from the policy like parallel_compress;
-/// decoding is exact, so `exec.mode` and `exec.entropy` play no part.
+/// decoding follows the stream, so `exec.entropy` plays no part.
 /// This is the one decode entry point that takes an ExecPolicy.  Throws
 /// std::runtime_error on a malformed container.
 ParallelDecompressResult parallel_decompress(

@@ -138,10 +138,7 @@ TEST(Sharded, WriterOptionsMatchPositionalForwarderByteForByte) {
       {"single", {.exec = {.threads = 2}}},
       {"sharded", {.exec = {.threads = 2}, .shard_size = 4096}},
       {"parity", {.exec = {.threads = 2}, .parity_group = 4}},
-      {"turbo_rans",
-       {.exec = {.mode = HotPathMode::kTurbo,
-                 .threads = 2,
-                 .entropy = EntropyBackend::kRans}}},
+      {"rans", {.exec = {.threads = 2, .entropy = EntropyBackend::kRans}}},
   };
   std::vector<std::vector<std::uint8_t>> single;
   for (const Config& c : configs) {

@@ -110,11 +110,15 @@ expect 2 $CREATE --rel 1e-4 --repair
 expect 2 $CREATE --rel 1e-4 --mmap
 expect 2 $CREATE --rel 1e-4 --limit 3
 expect 2 archive extract -i a.sza -f v -o bad.f32 --parity
-expect 2 archive extract -i a.sza -f v -o bad.f32 --turbo
+expect 2 archive extract -i a.sza -f v -o bad.f32 --entropy rans
 expect 2 archive fsck -i a.sza --mmap
 expect 2 serve -i missing.sza --limit 3
 expect 2 get --connect 127.0.0.1:1 --mmap
 expect 2 failpoints ls --repair
+
+# The retired --turbo flag is refused, never silently ignored.
+expect 2 $COMPRESS --rel 1e-4 --turbo
+expect 2 $CREATE --rel 1e-4 --turbo
 
 # archive create takes the tighter of --abs and --rel, as compress does.
 expect 0 archive create -o ar.sza --field $FIELD --codec sz14 --abs 1e-4 \

@@ -1,13 +1,14 @@
-// Per-call ExecPolicy contract: the execution strategy (hot-path mode,
-// pool, entropy backend) is plain per-call state and every codec call
-// owns its buffers, so
+// Per-call ExecPolicy contract: the execution strategy (pool, entropy
+// backend) is plain per-call state and every codec call owns its buffers,
+// so
 //  - N threads compressing simultaneously with DIFFERENT policies produce
 //    exactly the streams sequential runs with those policies produce (the
-//    north-star mixed-mode scenario; run under TSan by the CI tsan job),
-//  - repeated calls are byte-identical across dtypes, ranks and modes,
+//    north-star mixed-backend scenario; run under TSan by the CI tsan
+//    job),
+//  - repeated calls are byte-identical across dtypes, ranks and backends,
 //  - the parallel codec takes its pool from the policy,
-//  - an ArchiveWriter's pinned mode no longer perturbs unrelated
-//    concurrent compress() calls (the retired global-pin hazard).
+//  - an ArchiveWriter's policy does not perturb unrelated concurrent
+//    compress() calls.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,11 +28,12 @@
 namespace sz14 {
 namespace {
 
-constexpr HotPathMode kAllModes[] = {HotPathMode::kFast, HotPathMode::kTurbo};
-constexpr int kModes = 2;
+constexpr EntropyBackend kAllBackends[] = {EntropyBackend::kHuffman,
+                                           EntropyBackend::kRans};
+constexpr int kBackends = 2;
 
-const char* mode_name(HotPathMode m) {
-  return m == HotPathMode::kFast ? "fast" : "turbo";
+const char* backend_name(EntropyBackend b) {
+  return b == EntropyBackend::kHuffman ? "huffman" : "rans";
 }
 
 template <typename T>
@@ -39,39 +41,40 @@ std::vector<T> to_dtype(const std::vector<float>& v) {
   return std::vector<T>(v.begin(), v.end());
 }
 
-TEST(ExecPolicyConcurrency, MixedModeThreadsMatchSequentialStreams) {
+TEST(ExecPolicyConcurrency, MixedBackendThreadsMatchSequentialStreams) {
   const auto f = data::climate2d(48, 64);
   Options base;
   base.eb_abs = 1e-3;
 
-  // Sequential golden stream per mode.
-  std::vector<std::uint8_t> golden[kModes];
-  for (int m = 0; m < kModes; ++m) {
+  // Sequential golden stream per backend.
+  std::vector<std::uint8_t> golden[kBackends];
+  for (int b = 0; b < kBackends; ++b) {
     Options o = base;
-    o.exec.mode = kAllModes[m];
-    golden[m] = compress(f.values, f.dims, o);
+    o.exec.entropy = kAllBackends[b];
+    golden[b] = compress(f.values, f.dims, o);
   }
+  ASSERT_NE(golden[0], golden[1]);
 
-  // 4 threads per mode, all compressing at once with per-call policies.
-  constexpr int kPerMode = 4;
-  std::vector<std::uint8_t> streams[kModes * kPerMode];
+  // 4 threads per backend, all compressing at once with per-call policies.
+  constexpr int kPerBackend = 4;
+  std::vector<std::uint8_t> streams[kBackends * kPerBackend];
   {
     std::vector<std::thread> threads;
-    for (int m = 0; m < kModes; ++m) {
-      for (int t = 0; t < kPerMode; ++t) {
-        threads.emplace_back([&, m, t] {
+    for (int b = 0; b < kBackends; ++b) {
+      for (int t = 0; t < kPerBackend; ++t) {
+        threads.emplace_back([&, b, t] {
           Options o = base;
-          o.exec.mode = kAllModes[m];
-          streams[m * kPerMode + t] = compress(f.values, f.dims, o);
+          o.exec.entropy = kAllBackends[b];
+          streams[b * kPerBackend + t] = compress(f.values, f.dims, o);
         });
       }
     }
     for (auto& th : threads) th.join();
   }
-  for (int m = 0; m < kModes; ++m)
-    for (int t = 0; t < kPerMode; ++t)
-      EXPECT_EQ(streams[m * kPerMode + t], golden[m])
-          << mode_name(kAllModes[m]) << " thread " << t;
+  for (int b = 0; b < kBackends; ++b)
+    for (int t = 0; t < kPerBackend; ++t)
+      EXPECT_EQ(streams[b * kPerBackend + t], golden[b])
+          << backend_name(kAllBackends[b]) << " thread " << t;
 }
 
 TEST(ExecPolicyConcurrency, ConcurrentDecodeBitIdentical) {
@@ -98,23 +101,24 @@ void repeat_roundtrips() {
   // first call's bit for bit.
   const Dims shapes[] = {Dims{257}, Dims{23, 17}, Dims{9, 11, 13},
                          Dims{4096}};
-  for (const HotPathMode mode : kAllModes) {
+  for (const EntropyBackend backend : kAllBackends) {
     for (const Dims& dims : shapes) {
       const auto f32 = data::smooth1d(dims.count());
       const auto values = to_dtype<T>(f32.values);
 
       Options opts;
       opts.eb_abs = 1e-3;
-      opts.exec.mode = mode;
+      opts.exec.entropy = backend;
       const auto a = compress(std::span<const T>(values), dims, opts);
       const auto b = compress(std::span<const T>(values), dims, opts);
-      ASSERT_EQ(a, b) << mode_name(mode) << " dims=" << dims.to_string();
+      ASSERT_EQ(a, b) << backend_name(backend)
+                      << " dims=" << dims.to_string();
 
       std::vector<T> first(dims.count()), second(dims.count());
       (void)decompress_into(a, std::span<T>(first));
       (void)decompress_into(a, std::span<T>(second));
       ASSERT_EQ(first, second)
-          << mode_name(mode) << " dims=" << dims.to_string();
+          << backend_name(backend) << " dims=" << dims.to_string();
     }
   }
 }
@@ -163,26 +167,22 @@ TEST(ExecPolicyTest, ParallelPoolComesFromPolicy) {
               1e-3);
 }
 
-TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
-  // The retired hazard: a turbo-pinned ArchiveWriter used to flip a
-  // process-global selector around every append, silently turning
-  // unrelated concurrent compress() calls turbo.  With per-writer policy,
-  // a fast compression racing a turbo ingest must stay bit-identical to
-  // the sequential fast stream.
+TEST(ExecPolicyConcurrency, RansArchiveWriterDoesNotPerturbOtherCalls) {
+  // A writer's policy is per-writer state: a Huffman compression racing a
+  // rANS ingest must stay bit-identical to the sequential Huffman stream.
   const auto f = data::hurricane3d(12, 20, 20);
-  Options fast;
-  fast.eb_abs = 1e-3;
-  fast.exec.mode = HotPathMode::kFast;
-  const auto golden = compress(f.values, f.dims, fast);
+  Options huffman;
+  huffman.eb_abs = 1e-3;
+  const auto golden = compress(f.values, f.dims, huffman);
 
-  const std::string path = testing::TempDir() + "exec_policy_turbo_" +
+  const std::string path = testing::TempDir() + "exec_policy_rans_" +
                            std::to_string(::getpid()) + ".sza";
   {
     archive::ArchiveWriter writer(
-        path, {.exec = {.mode = HotPathMode::kTurbo, .threads = 2}});
+        path, {.exec = {.threads = 2, .entropy = EntropyBackend::kRans}});
     std::vector<std::uint8_t> racing;
     std::thread racer(
-        [&] { racing = compress(f.values, f.dims, fast); });
+        [&] { racing = compress(f.values, f.dims, huffman); });
     for (int t = 0; t < 3; ++t)
       writer.append_field("v/t" + std::to_string(t), f.values, f.dims,
                           Dims{6, 10, 10}, "sz14", 1e-3);
@@ -190,7 +190,7 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
     writer.finish();
     EXPECT_EQ(racing, golden);
   }
-  // The turbo archive itself stays bound-conformant.
+  // The rANS archive itself stays bound-conformant.
   archive::ArchiveReader reader(path);
   const auto back = reader.read<float>("v/t1");
   ASSERT_EQ(back.size(), f.values.size());
@@ -203,25 +203,26 @@ TEST(ExecPolicyConcurrency, TurboArchiveWriterDoesNotPerturbOtherCalls) {
 
 TEST(ExecPolicyConcurrency, ConcurrentParallelCodecsWithDistinctPolicies) {
   // Two whole-field slab compressions racing on separate pools with
-  // different modes: each must equal its own sequential-policy stream.
+  // different backends: each must equal its own sequential-policy stream.
   const auto f = data::climate2d(64, 64);
-  Options fast, turbo;
-  fast.eb_abs = turbo.eb_abs = 1e-3;
-  fast.exec.mode = HotPathMode::kFast;
-  turbo.exec.mode = HotPathMode::kTurbo;
-  fast.exec.threads = 2;
-  turbo.exec.threads = 2;
+  Options huffman, rans;
+  huffman.eb_abs = rans.eb_abs = 1e-3;
+  rans.exec.entropy = EntropyBackend::kRans;
+  huffman.exec.threads = 2;
+  rans.exec.threads = 2;
 
-  const auto golden_fast = parallel_compress(f.values, f.dims, fast, 4);
-  const auto golden_turbo = parallel_compress(f.values, f.dims, turbo, 4);
+  const auto golden_huffman = parallel_compress(f.values, f.dims, huffman, 4);
+  const auto golden_rans = parallel_compress(f.values, f.dims, rans, 4);
+  ASSERT_NE(golden_huffman.stream, golden_rans.stream);
 
   ParallelResult a, b;
-  std::thread ta([&] { a = parallel_compress(f.values, f.dims, fast, 4); });
-  std::thread tb([&] { b = parallel_compress(f.values, f.dims, turbo, 4); });
+  std::thread ta(
+      [&] { a = parallel_compress(f.values, f.dims, huffman, 4); });
+  std::thread tb([&] { b = parallel_compress(f.values, f.dims, rans, 4); });
   ta.join();
   tb.join();
-  EXPECT_EQ(a.stream, golden_fast.stream);
-  EXPECT_EQ(b.stream, golden_turbo.stream);
+  EXPECT_EQ(a.stream, golden_huffman.stream);
+  EXPECT_EQ(b.stream, golden_rans.stream);
 }
 
 }  // namespace

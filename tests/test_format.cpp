@@ -132,7 +132,6 @@ struct GoldenCase {
   unsigned layers;
   bool decorrelate;
   bool rans;
-  bool turbo;     // HotPathMode::kTurbo (the reciprocal quantizer)
   double eb;      // 0 selects the lossless fallback
   bool parallel;  // 3-chunk slab container (f32 only)
   std::size_t stream_bytes;
@@ -154,7 +153,6 @@ std::pair<std::vector<std::uint8_t>, std::uint32_t> golden_run(
   opts.layers = gc.layers;
   opts.decorrelate = gc.decorrelate;
   if (gc.rans) opts.exec.entropy = EntropyBackend::kRans;
-  if (gc.turbo) opts.exec.mode = HotPathMode::kTurbo;
   const std::uint64_t seed = 17 + gc.dims.rank();
   if (gc.parallel) {
     opts.exec.threads = 2;
@@ -179,39 +177,31 @@ std::pair<std::vector<std::uint8_t>, std::uint32_t> golden_run(
 TEST(Format, GoldenStreams) {
   // Pins the exact bytes the codec writes and the exact values it decodes,
   // so a hot-path rewrite that changes either fails here.
-  // The turbo cases were pinned from the last scalar-kernel build.  On this
-  // input the reciprocal quantizer makes the same decisions as the exact
-  // one, so their bytes equal the kFast cases': they pin the turbo
-  // instantiation of each walk, not a different stream.
   const GoldenCase cases[] = {
-      {"r1 f32", Dims{1000}, false, 1, false, false, false, 0.05, false, 502,
+      {"r1 f32", Dims{1000}, false, 1, false, false, 0.05, false, 502,
        0xD301F3AC, 0x69A2F31D},
-      {"r2 f32", Dims{37, 41}, false, 1, false, false, false, 0.05, false,
-       705, 0xADE81786, 0xBB3A49D1},
-      {"r3 f32", Dims{11, 13, 17}, false, 1, false, false, false, 0.05, false,
-       1419, 0x562DBCEF, 0x2411A4A6},
-      {"r4 f32", Dims{5, 6, 7, 8}, false, 1, false, false, false, 0.05, false,
-       1308, 0x902D735D, 0x659617B7},
-      {"r2 f64 L2", Dims{37, 41}, true, 2, false, false, false, 0.05, false,
-       1165, 0xF32FBD37, 0xDE236503},
-      {"r3 f64 rans", Dims{11, 13, 17}, true, 1, false, true, false, 0.05,
-       false, 1503, 0xB0DD2E1E, 0x40B94941},
-      {"r2 f32 decorrelate", Dims{37, 41}, false, 1, true, false, false, 0.05,
-       false, 703, 0xFEB32D92, 0xB365FBF1},
-      {"r3 f32 L2 rans", Dims{11, 13, 17}, false, 2, false, true, false, 0.05,
-       false, 2793, 0x2404FB7F, 0x697B3354},
-      {"r1 f64 lossless", Dims{500}, true, 1, false, false, false, 0.0, false,
-       4218, 0xF98946FB, 0x7E27F8BE},
-      {"parallel huffman", Dims{24, 20, 18}, false, 1, false, false, false,
-       0.05, true, 4544, 0x8EF4CF9C, 0x5F109D98},
-      {"parallel rans", Dims{24, 20, 18}, false, 1, false, true, false, 0.05,
-       true, 4540, 0xB3171CE9, 0x5F109D98},
-      {"r2 f32 turbo", Dims{37, 41}, false, 1, false, false, true, 0.05, false,
-       705, 0xADE81786, 0xBB3A49D1},
-      {"r3 f32 turbo", Dims{11, 13, 17}, false, 1, false, false, true, 0.05,
-       false, 1419, 0x562DBCEF, 0x2411A4A6},
-      {"r3 f64 turbo", Dims{11, 13, 17}, true, 1, false, false, true, 0.05,
-       false, 1492, 0xEFFE9A6B, 0x40B94941},
+      {"r2 f32", Dims{37, 41}, false, 1, false, false, 0.05, false, 705,
+       0xADE81786, 0xBB3A49D1},
+      {"r3 f32", Dims{11, 13, 17}, false, 1, false, false, 0.05, false, 1419,
+       0x562DBCEF, 0x2411A4A6},
+      {"r4 f32", Dims{5, 6, 7, 8}, false, 1, false, false, 0.05, false, 1308,
+       0x902D735D, 0x659617B7},
+      {"r3 f64", Dims{11, 13, 17}, true, 1, false, false, 0.05, false, 1492,
+       0xEFFE9A6B, 0x40B94941},
+      {"r2 f64 L2", Dims{37, 41}, true, 2, false, false, 0.05, false, 1165,
+       0xF32FBD37, 0xDE236503},
+      {"r3 f64 rans", Dims{11, 13, 17}, true, 1, false, true, 0.05, false,
+       1503, 0xB0DD2E1E, 0x40B94941},
+      {"r2 f32 decorrelate", Dims{37, 41}, false, 1, true, false, 0.05, false,
+       703, 0xFEB32D92, 0xB365FBF1},
+      {"r3 f32 L2 rans", Dims{11, 13, 17}, false, 2, false, true, 0.05, false,
+       2793, 0x2404FB7F, 0x697B3354},
+      {"r1 f64 lossless", Dims{500}, true, 1, false, false, 0.0, false, 4218,
+       0xF98946FB, 0x7E27F8BE},
+      {"parallel huffman", Dims{24, 20, 18}, false, 1, false, false, 0.05,
+       true, 4544, 0x8EF4CF9C, 0x5F109D98},
+      {"parallel rans", Dims{24, 20, 18}, false, 1, false, true, 0.05, true,
+       4540, 0xB3171CE9, 0x5F109D98},
   };
   for (const GoldenCase& gc : cases) {
     auto [stream, decoded_crc] = golden_run(gc);

@@ -83,8 +83,8 @@ std::vector<T> expect_walks_match(std::span<const T> data, const Dims& dims,
       data, dims, predictor, quantizer, unpred, eb, decorrelate, gen_codes,
       gen_recon, gen_bw);
   const detail::PassCounters fast = detail::pq_compress_walk<T>(
-      data, dims, predictor, quantizer, unpred, eb, decorrelate,
-      HotPathMode::kFast, fast_codes, fast_recon, fast_bw);
+      data, dims, predictor, quantizer, unpred, eb, decorrelate, fast_codes,
+      fast_recon, fast_bw);
   const auto gen_bits = std::move(gen_bw).finish();
   EXPECT_EQ(gen_codes, fast_codes) << what << ": codes";
   expect_bitwise_equal(gen_recon, fast_recon, what + ": reconstruction");
@@ -204,35 +204,10 @@ TEST(KernelEquivalence, RealisticFieldsMatchOnEveryRank) {
 
 // ------------------------------------------- anti-diagonal lane widths
 
-/// The scalar turbo walk, in index order: LayerPredictor::predict and
-/// LinearQuantizer::quantize_turbo, the reference arithmetic the turbo
-/// kernels mirror.  Returns the walk's counters.
-template <typename T>
-detail::PassCounters turbo_oracle(std::span<const T> data, const Dims& dims,
-                                  double eb, bool decorrelate,
-                                  std::vector<std::uint16_t>& codes,
-                                  std::vector<T>& recon, BitWriter& bw) {
-  const LayerPredictor predictor(dims, 1);
-  const LinearQuantizer quantizer(8, eb);
-  const UnpredictableCodecT<T> unpred(eb);
-  detail::PassCounters c;
-  CoordWalker walker(dims);
-  for (std::size_t i = 0; i < data.size(); ++i, walker.advance()) {
-    double pred = predictor.predict<T>(recon, walker.coord(), i);
-    if (decorrelate) pred += dither_for(i, eb);
-    const QuantResultT<T> q = quantizer.quantize_turbo<T>(data[i], pred);
-    codes[i] = q.code;
-    recon[i] = q.predictable ? q.reconstructed : unpred.encode(data[i], bw);
-    c.predictable += q.predictable ? 1 : 0;
-  }
-  return c;
-}
-
-/// Every lane width of the 1-layer kernel against the scalar oracles:
-/// kFast against the generic walk (codes, reconstruction bits,
-/// unpredictable bits, `predictable`, `strict_hits`), kTurbo against
-/// turbo_oracle, and each width's decode against the oracle's values.
-/// Returns the oracle's unpredictable count.
+/// Every lane width of the 1-layer kernel against the generic walk (codes,
+/// reconstruction bits, unpredictable bits, `predictable`, `strict_hits`),
+/// and each width's decode against the generic walk's values.  Returns the
+/// generic walk's unpredictable count.
 template <typename T>
 std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
                                double eb, bool decorrelate,
@@ -241,47 +216,34 @@ std::size_t expect_lanes_match(std::span<const T> data, const Dims& dims,
   const LinearQuantizer quantizer(8, eb);
   const UnpredictableCodecT<T> unpred(eb);
   const std::size_t n = dims.count();
-  std::size_t unpredictable = 0;
-  for (const HotPathMode mode : {HotPathMode::kFast, HotPathMode::kTurbo}) {
-    const bool turbo = mode == HotPathMode::kTurbo;
-    std::vector<std::uint16_t> want_codes(n);
-    std::vector<T> want_recon(n);
-    BitWriter want_bw;
-    const detail::PassCounters want =
-        turbo ? turbo_oracle<T>(data, dims, eb, decorrelate, want_codes,
-                                want_recon, want_bw)
-              : detail::pq_compress_walk_generic<T>(
-                    data, dims, predictor, quantizer, unpred, eb, decorrelate,
-                    want_codes, want_recon, want_bw);
-    const auto want_bits = std::move(want_bw).finish();
-    for (const unsigned lanes : detail::lorenzo_lane_widths()) {
-      const std::string at = what + " lanes=" + std::to_string(lanes) +
-                             (turbo ? " turbo" : " fast");
-      std::vector<std::uint16_t> codes(n);
-      std::vector<T> recon(n);
-      BitWriter bw;
-      const detail::PassCounters got = detail::lorenzo_compress_walk<T>(
-          lanes, data, dims, quantizer, unpred, decorrelate, mode, codes,
-          recon, bw);
-      EXPECT_EQ(want_codes, codes) << at << ": codes";
-      expect_bitwise_equal(want_recon, recon, at + ": reconstruction");
-      EXPECT_EQ(want_bits, std::move(bw).finish())
-          << at << ": unpredictable bits";
-      EXPECT_EQ(want.predictable, got.predictable) << at;
-      if (!turbo) {
-        EXPECT_EQ(want.strict_hits, got.strict_hits) << at;
-      }
+  std::vector<std::uint16_t> want_codes(n);
+  std::vector<T> want_recon(n);
+  BitWriter want_bw;
+  const detail::PassCounters want = detail::pq_compress_walk_generic<T>(
+      data, dims, predictor, quantizer, unpred, eb, decorrelate, want_codes,
+      want_recon, want_bw);
+  const auto want_bits = std::move(want_bw).finish();
+  for (const unsigned lanes : detail::lorenzo_lane_widths()) {
+    const std::string at = what + " lanes=" + std::to_string(lanes);
+    std::vector<std::uint16_t> codes(n);
+    std::vector<T> recon(n);
+    BitWriter bw;
+    const detail::PassCounters got = detail::lorenzo_compress_walk<T>(
+        lanes, data, dims, quantizer, unpred, decorrelate, codes, recon, bw);
+    EXPECT_EQ(want_codes, codes) << at << ": codes";
+    expect_bitwise_equal(want_recon, recon, at + ": reconstruction");
+    EXPECT_EQ(want_bits, std::move(bw).finish())
+        << at << ": unpredictable bits";
+    EXPECT_EQ(want.predictable, got.predictable) << at;
+    EXPECT_EQ(want.strict_hits, got.strict_hits) << at;
 
-      std::vector<T> out(n);
-      BitReader br(want_bits);
-      detail::lorenzo_decompress_walk<T>(lanes, want_codes, dims,
-                                         dims.extents(), quantizer, unpred,
-                                         decorrelate, out, br);
-      expect_bitwise_equal(want_recon, out, at + ": decode");
-    }
-    if (!turbo) unpredictable = n - want.predictable;
+    std::vector<T> out(n);
+    BitReader br(want_bits);
+    detail::lorenzo_decompress_walk<T>(lanes, want_codes, dims, dims.extents(),
+                                       quantizer, unpred, decorrelate, out, br);
+    expect_bitwise_equal(want_recon, out, at + ": decode");
   }
-  return unpredictable;
+  return n - want.predictable;
 }
 
 std::vector<Dims> lane_shapes() {
@@ -307,8 +269,8 @@ TEST(LaneWidths, BaselineAlwaysThenAvx2) {
   std::vector<std::uint16_t> codes(6);
   BitWriter bw;
   EXPECT_THROW((void)detail::lorenzo_compress_walk<float>(
-                   3, data, Dims{2, 3}, quantizer, unpred, false,
-                   HotPathMode::kFast, codes, recon, bw),
+                   3, data, Dims{2, 3}, quantizer, unpred, false, codes,
+                   recon, bw),
                std::invalid_argument);
 }
 
@@ -340,40 +302,6 @@ TEST(LaneWidths, MostlyUnpredictableBlock) {
   const std::size_t unpredictable =
       expect_lanes_match<float>(values, dims, 1e-3, false, "noise");
   EXPECT_GE(4 * unpredictable, dims.count());
-}
-
-TEST(LaneWidths, TurboTiesFollowTheReciprocal) {
-  // Along the turbo walk, each point is put within a few ulps of 1.5
-  // intervals off its prediction, where the reciprocal multiply and the
-  // exact divide can round apart; a point is kept where they do.  The
-  // turbo lanes must follow the reciprocal there.
-  const Dims dims{3, 9, 11};
-  const double eb = 0.05;
-  const LayerPredictor predictor(dims, 1);
-  const LinearQuantizer quantizer(8, eb);
-  const UnpredictableCodecT<double> unpred(eb);
-  std::vector<double> values(dims.count()), recon(dims.count());
-  std::size_t split = 0;
-  CoordWalker walker(dims);
-  for (std::size_t i = 0; i < values.size(); ++i, walker.advance()) {
-    const double pred = predictor.predict<double>(recon, walker.coord(), i);
-    const double tie = pred + (i % 2 == 0 ? 3 : -3) * eb;
-    double x = tie;
-    for (int k = 0; k < 32; ++k) x = std::nextafter(x, -1e9);
-    for (int k = 0; k < 64; ++k, x = std::nextafter(x, 1e9)) {
-      if (quantizer.quantize<double>(x, pred).code !=
-          quantizer.quantize_turbo<double>(x, pred).code)
-        break;
-    }
-    const bool found = quantizer.quantize<double>(x, pred).code !=
-                       quantizer.quantize_turbo<double>(x, pred).code;
-    values[i] = found ? x : tie;
-    split += found ? 1 : 0;
-    const auto q = quantizer.quantize_turbo<double>(values[i], pred);
-    recon[i] = q.predictable ? q.reconstructed : unpred.reconstruct(values[i]);
-  }
-  EXPECT_GE(4 * split, dims.count());
-  (void)expect_lanes_match<double>(values, dims, eb, false, "ties");
 }
 
 TEST(LaneWidths, TallThinFieldStagesOnlyDiagonals) {

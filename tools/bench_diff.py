@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Schema + regression guard for the tracked perf baseline (BENCH_PR*.json).
 
-Usage: bench_diff.py BASELINE.json CURRENT.json [--speedups]
-                     [--max-regress R]
+Usage: bench_diff.py BASELINE.json CURRENT.json [--max-regress R]
        bench_diff.py --selftest
 
 Default mode compares the two bench outputs structurally: every record kind
@@ -22,10 +21,6 @@ between two committed BENCH_PRn.json files measured on the same machine
 schema may legitimately differ across PR generations, so only shared
 records are compared — but the current file must cover every per-field
 record the baseline has, so a field cannot silently drop out of the suite.
-
-With --speedups, also prints the per-field speedup records — turbo against
-fast, measured in the same run (informational; absolute numbers are
-machine-dependent, so they are never compared across machines).
 
 Latency-percentile records (the serving-daemon bench emits
 latency_p50_ms/latency_p99_ms) are validated in every mode: both keys must
@@ -200,22 +195,6 @@ def check_regression(base_records, cur_records, ratio):
     return ok
 
 
-def print_speedups(cur_records):
-    fields = ("speedup_compress_turbo", "speedup_decompress_turbo",
-              "speedup_compress_parallel_turbo")
-    for rec in cur_records:
-        if rec.get("bench") != "perf_suite_speedup":
-            continue
-        missing = [k for k in ("field",) + fields if k not in rec]
-        if missing:
-            fail(f"speedup record is missing {missing} "
-                 f"(have: {sorted(rec.keys())})")
-        print(f"{rec['field']}: turbo vs fast: compress "
-              f"{rec['speedup_compress_turbo']:.2f}x, decompress "
-              f"{rec['speedup_decompress_turbo']:.2f}x, parallel compress "
-              f"{rec['speedup_compress_parallel_turbo']:.2f}x")
-
-
 def selftest():
     """Exercise every failure path end-to-end: each bad input must produce
     a clean one-line diagnostic and exit 1 — no traceback."""
@@ -252,14 +231,9 @@ def selftest():
         return base
 
     cases = []  # (name, file_a, file_b, extra_args, expect_rc, expect_text)
-    good = [record(), {"bench": "machine", "reps": 1},
-            {"bench": "perf_suite_speedup", "field": "f",
-             "speedup_compress_turbo": 1.5, "speedup_decompress_turbo": 1.0,
-             "speedup_compress_parallel_turbo": 2.5}, daemon_record()]
+    good = [record(), {"bench": "machine", "reps": 1}, daemon_record()]
     cases.append(("identical schemas pass", good, good, [], 0,
                   "schemas match"))
-    cases.append(("speedups print", good, good, ["--speedups"], 0,
-                  "compress 1.50x"))
     cases.append(("regression gate passes", good, good,
                   ["--max-regress", "0.9"], 0, "no regressions"))
     cases.append(("not an array", {"bench": "x"}, good, [], 1,
@@ -283,28 +257,24 @@ def selftest():
     cases.append(("dropped field in gate", good,
                   [record(field="other"), good[1], good[2]],
                   ["--max-regress", "0.9"], 1, "missing from current"))
-    cases.append(("broken speedup record", good,
-                  [good[0], good[1], {"bench": "perf_suite_speedup",
-                                      "field": "f"}],
-                  ["--speedups"], 1, "speedup record is missing"))
     cases.append(("malformed p99 string", good,
-                  good[:3] + [daemon_record(latency_p99_ms="fast")], [], 1,
+                  good[:2] + [daemon_record(latency_p99_ms="fast")], [], 1,
                   "must be a finite non-negative number"))
     cases.append(("malformed p99 negative", good,
-                  good[:3] + [daemon_record(latency_p99_ms=-1.0)], [], 1,
+                  good[:2] + [daemon_record(latency_p99_ms=-1.0)], [], 1,
                   "must be a finite non-negative number"))
     cases.append(("malformed p99 null", good,
-                  good[:3] + [daemon_record(latency_p99_ms=None)], [], 1,
+                  good[:2] + [daemon_record(latency_p99_ms=None)], [], 1,
                   "must be a finite non-negative number"))
     cases.append(("p50 exceeds p99", good,
-                  good[:3] + [daemon_record(latency_p50_ms=2.0,
+                  good[:2] + [daemon_record(latency_p50_ms=2.0,
                                             latency_p99_ms=1.0)], [], 1,
                   "exceeds latency_p99_ms"))
     cases.append(("p50 without p99", good,
-                  good[:3] + [daemon_record(latency_p99_ms=...)], [], 1,
+                  good[:2] + [daemon_record(latency_p99_ms=...)], [], 1,
                   "is missing ['latency_p99_ms']"))
     cases.append(("latency checked in gate mode too", good,
-                  good[:3] + [daemon_record(latency_p99_ms="oops")],
+                  good[:2] + [daemon_record(latency_p99_ms="oops")],
                   ["--max-regress", "0.9"], 1,
                   "must be a finite non-negative number"))
     # Entropy stage times gate lower-is-better: slower fails, equal/faster
@@ -411,7 +381,6 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("baseline", nargs="?")
     parser.add_argument("current", nargs="?")
-    parser.add_argument("--speedups", action="store_true")
     parser.add_argument("--max-regress", type=float, default=None,
                         metavar="R")
     parser.add_argument("--selftest", action="store_true",
@@ -430,9 +399,6 @@ def main():
         ok = check_regression(base_records, cur_records, ns.max_regress)
     else:
         ok = check_schema(ns.baseline, base_records, ns.current, cur_records)
-
-    if ns.speedups:
-        print_speedups(cur_records)
 
     return 0 if ok else 1
 

@@ -79,7 +79,7 @@ struct Args {
   serve::ServerConfig server;  // --listen, --cache, --max-sessions, ...
   int drain_grace_ms = 5000;
   serve::ClientConfig client;
-  bool turbo = false, repair = false, salvage = false, degraded = false;
+  bool repair = false, salvage = false, degraded = false;
   bool mmap = false, ls = false, stat = false, stats = false, scrub = false;
 
   [[nodiscard]] bool has(std::string_view flag) const {
@@ -250,7 +250,6 @@ const Flag kFlags[] = {
      }},
     {"--decorrelate", false,
      [](Args& a, Text, Text) { a.opts.decorrelate = true; }},
-    {"--turbo", false, [](Args& a, Text, Text) { a.turbo = true; }},
     {"--entropy", true,
      [](Args& a, Text, Text v) { a.opts.exec.entropy = parse_entropy(v); }},
     {"-t", true,
@@ -348,11 +347,7 @@ void print_values(std::span<const T> values, std::size_t limit) {
 
 int cmd_compress(const Args& a) {
   const Dims dims = parse_dims("-d", a.dims_text);
-  // --turbo selects the reciprocal-multiply kernels for this call via the
-  // per-call ExecPolicy; the stream stays |x - x'| <= eb conformant and
-  // decodes normally.  Nothing process-wide is touched.
   Options opts = a.opts;
-  if (a.turbo) opts.exec.mode = HotPathMode::kTurbo;
   CompressStats stats;
   Timer timer;
   std::vector<std::uint8_t> stream;
@@ -514,12 +509,11 @@ int cmd_archive_create(const Args& a) {
   if (ops->lossy && std::isnan(a.opts.eb_abs) && std::isnan(a.opts.eb_rel))
     usage("lossy archive codecs need --abs or --rel");
 
-  // --turbo and --entropy ride the writer's per-call ExecPolicy; nothing
-  // global moves.
+  // --entropy rides the writer's per-call ExecPolicy; nothing global
+  // moves.
   archive::WriterOptions wopts{.exec = a.opts.exec,
                                .parity_group = a.parity_group,
                                .shard_size = a.shard_size};
-  if (a.turbo) wopts.exec.mode = HotPathMode::kTurbo;
   wopts.exec.threads = a.threads.value_or(0);
   archive::ArchiveWriter writer(a.output, wopts);
   Timer timer;
@@ -905,11 +899,10 @@ struct Command {
 const Command kCommands[] = {
     {"compress",
      "-i IN -o OUT -d D1xD2[xD3[xD4]] (--abs EB | --rel EB | --pwrel P) "
-     "[--dtype f32|f64] [-m BITS] [-n LAYERS] [--decorrelate] [--turbo] "
+     "[--dtype f32|f64] [-m BITS] [-n LAYERS] [--decorrelate] "
      "[--entropy huffman|rans] [-t THREADS]   (-t: f32 slab container; "
      "0 = all cores)",
-     "-i -o -d --abs --rel --pwrel --dtype -m -n --decorrelate --turbo "
-     "--entropy -t",
+     "-i -o -d --abs --rel --pwrel --dtype -m -n --decorrelate --entropy -t",
      "-i -o -d", cmd_compress},
     {"decompress", "-i IN -o OUT [-t THREADS]", "-i -o -t", "-i -o",
      cmd_decompress},
@@ -919,9 +912,9 @@ const Command kCommands[] = {
     {"archive create",
      "-o OUT --field NAME=FILE:DIMS [--field ...] [--codec C] "
      "(--abs EB | --rel R) [--dtype f32|f64] [--block DIMS] [-t THREADS] "
-     "[--turbo] [--entropy huffman|rans] [--parity [--parity-group N]] "
+     "[--entropy huffman|rans] [--parity [--parity-group N]] "
      "[--shard-size BYTES[K|M|G]]",
-     "-o --field --codec --abs --rel --dtype --block -t --turbo --entropy "
+     "-o --field --codec --abs --rel --dtype --block -t --entropy "
      "--parity --parity-group --shard-size",
      "-o --field", cmd_archive_create},
     // -t on ls and stat sizes the reader's pool, as for extract and cat.
